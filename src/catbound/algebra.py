@@ -199,6 +199,7 @@ class RingPresentation:
         self._declared_trunc = tuple(trunc)
         self._eff_trunc: tuple[int | None, ...] = tuple(eff)
         self._subs = tuple(subs)
+        self._orders: tuple[int, ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -214,6 +215,12 @@ class RingPresentation:
 
     def effective_truncation(self, name: str) -> int | None:
         return self._eff_trunc[self.index(name)]
+
+    def nilpotency_orders(self) -> tuple[int, ...]:
+        """nilpotency_order of every generator, in order; computed once."""
+        if self._orders is None:
+            self._orders = tuple(nilpotency_order(g.name, self) for g in self.generators)
+        return self._orders
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingPresentation):
@@ -378,7 +385,8 @@ def nilpotency_order(name: str, ring: RingPresentation) -> int:
     """Least k with g^k = 0.  Capped by ceil(hint/deg)+1 when a top-degree
     hint exists, else by the product of all per-generator bounds; exceeding
     the cap signals a non-nilpotent generator, hence an invalid presentation
-    (these algebras are finite-dimensional)."""
+    (these algebras are finite-dimensional).  Powers only grow the exponents
+    that truncations test, so g^k = 0 is monotone in k: double, then bisect."""
     i = ring.index(name)
     d = ring.generators[i].degree
     if ring.top_degree_hint is not None:
@@ -392,11 +400,23 @@ def nilpotency_order(name: str, ring: RingPresentation) -> int:
                 break
             cap *= b
     exps = [0] * ring.ngens
-    for k in range(1, cap + 1):
+
+    def vanishes(k: int) -> bool:
         exps[i] = k
-        if normal_form(Monomial(1, tuple(exps)), ring).is_zero():
-            return k
-    raise AlgebraError(
-        f"generator {name!r} is not nilpotent within {cap} powers; "
-        "the presentation does not describe a finite-dimensional algebra"
-    )
+        return normal_form(Monomial(1, tuple(exps)), ring).is_zero()
+
+    lo, hi = 0, 1  # g^lo != 0; hi is the next power to try
+    while not vanishes(hi):
+        if hi >= cap:
+            raise AlgebraError(
+                f"generator {name!r} is not nilpotent within {cap} powers; "
+                "the presentation does not describe a finite-dimensional algebra"
+            )
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if vanishes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

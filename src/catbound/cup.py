@@ -1,4 +1,5 @@
-"""Cup-length and weighted category-weight lower bounds by exhaustive search.
+"""Cup-length and weighted category-weight lower bounds by branch-and-bound
+search.
 
 Both searches range over generator exponent vectors e with e_i strictly below
 the nilpotency order of the i-th generator, keep only vectors whose monomial
@@ -7,6 +8,13 @@ maximum is the cup-length of the presentation; with declared weights it is a
 lower bound for the category weight of the space (weights certify how deep in
 the Ganea-style filtration each factor sits, and weights are superadditive
 under products).  Nothing here claims exactness beyond the lower bound.
+
+The search is a depth-first walk that tries each generator's exponents in
+descending order and cuts a branch once its value plus the admissible suffix
+bound sum_{j>i} w_j * (order_j - 1) falls strictly below the best value found
+so far.  The bound never underestimates a completion, so no maximiser is cut.
+Leaves arrive in descending lexicographic order and ties replace the current
+best, so the reported witness is the lexicographically smallest maximiser.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from .algebra import (
     Monomial,
     RingPresentation,
     multiply_monomials,
-    nilpotency_order,
     normal_form,
 )
 
@@ -86,30 +93,43 @@ class CupResult:
         return " ".join(parts) if parts else "1"
 
 
+# Level i tries e_i from its top (nilpotency order minus one, clipped to the
+# degree hint) down to 0, each as one product mono * x_i^e.  A zero product is
+# skipped, not a stop, since a smaller power may survive; a bound strictly
+# below the best is a stop.  Each product with e > 0 is one node of max_nodes.
 def _search(
     ring: RingPresentation,
     weights: tuple[int, ...],
     max_nodes: int,
 ) -> CupResult:
     n = ring.ngens
-    bounds = [nilpotency_order(g.name, ring) - 1 for g in ring.generators]
+    tops = [k - 1 for k in ring.nilpotency_orders()]
     hint = ring.top_degree_hint
     degs = [g.degree for g in ring.generators]
+    # suffix[i]: the most that generators i, i+1, ... can still add.
+    suffix = [0] * (n + 1)
+    for i in reversed(range(n)):
+        suffix[i] = suffix[i + 1] + weights[i] * tops[i]
     best_val = 0
     best_wit = (0,) * n
     evec = [0] * n
+    power = [0] * n
     nodes = 0
 
     def rec(i: int, mono: Monomial, val: int, deg: int) -> None:
         nonlocal best_val, best_wit, nodes
         if i == n:
-            if val > best_val:
+            if val >= best_val:  # ties: later leaves are lexicographically smaller
                 best_val = val
                 best_wit = tuple(evec)
             return
-        cur = mono
-        step = ring.monomial({ring.generators[i].name: 1})
-        for e in range(bounds[i] + 1):
+        top = tops[i]
+        if hint is not None:
+            top = min(top, (hint - deg) // degs[i])
+        for e in range(top, -1, -1):
+            if val + e * weights[i] + suffix[i + 1] < best_val:
+                break  # smaller exponents only lower the bound further
+            cur = mono
             if e > 0:
                 nodes += 1
                 if nodes > max_nodes:
@@ -117,11 +137,11 @@ def _search(
                         f"cup search exceeded {max_nodes} nodes on ring "
                         f"{ring.name!r}; raise the budget to continue"
                     )
-                if hint is not None and deg + e * degs[i] > hint:
-                    break
-                cur = multiply_monomials(cur, step, ring)
+                power[i] = e
+                cur = multiply_monomials(mono, Monomial(1, tuple(power)), ring)
+                power[i] = 0
                 if cur.is_zero():
-                    break
+                    continue
             evec[i] = e
             rec(i + 1, cur, val + e * weights[i], deg + e * degs[i])
         evec[i] = 0
@@ -171,7 +191,7 @@ def cup_bruteforce_oracle(
         raise AlgebraError(
             f"oracle refuses rings with more than {_ORACLE_MAX_GENS} generators"
         )
-    bounds = [nilpotency_order(g.name, ring) - 1 for g in ring.generators]
+    bounds = [k - 1 for k in ring.nilpotency_orders()]
     degs = [g.degree for g in ring.generators]
     span: set[tuple[int, ...]] = set()
     for evec in _cartesian(*(range(b + 1) for b in bounds)):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from catbound.algebra import (
     normal_form,
     scale,
 )
+from reference_search import linear_nilpotency_order, random_presentation
 
 
 def exterior(p, *degrees):
@@ -246,9 +249,53 @@ def test_unknown_substitution_names_rejected():
 
 
 def test_non_nilpotent_presentation_is_reported():
-    ring = RingPresentation(2, [("x", 2)])  # polynomial generator
-    with pytest.raises(AlgebraError, match="not nilpotent"):
-        nilpotency_order("x", ring)
+    cases = [
+        (RingPresentation(2, [("x", 2)]), 4096),  # polynomial generator
+        (RingPresentation(2, [("x", 2)], top_degree_hint=10), 6),
+        # nilpotent, but not within the cap the hint allows
+        (RingPresentation(2, [("x", 1, 50)], top_degree_hint=10), 11),
+    ]
+    for ring, cap in cases:
+        with pytest.raises(AlgebraError) as info:
+            nilpotency_order("x", ring)
+        assert str(info.value) == (
+            f"generator 'x' is not nilpotent within {cap} powers; "
+            "the presentation does not describe a finite-dimensional algebra"
+        )
+
+
+def _chain(p, exponents, trunc):
+    """x0^a0 = c0 * x1, x1^a1 = c1 * x2, ..., with the last generator
+    truncated; x0 has order a0 * a1 * ... * trunc."""
+    degs = [2]
+    for a in exponents:
+        degs.append(degs[-1] * a)
+    gens = [(f"x{i}", d) for i, d in enumerate(degs[:-1])]
+    gens.append((f"x{len(exponents)}", degs[-1], trunc))
+    subs = {
+        f"x{i}": Substitution(a, 1 + i % (p - 1), ((f"x{i + 1}", 1),))
+        for i, a in enumerate(exponents)
+    }
+    return RingPresentation(p, gens, substitutions=subs, name="chain")
+
+
+def test_nilpotency_order_matches_a_linear_scan():
+    rng = random.Random(4242)
+    rings = [random_presentation(rng, hinted=k % 2 == 1) for k in range(80)]
+    for p in (2, 3, 5):
+        for _ in range(5):
+            exponents = [rng.randint(2, 3) for _ in range(rng.randint(1, 3))]
+            rings.append(_chain(p, exponents, rng.randint(2, 5)))
+    for ring in rings:
+        for g in ring.generators:
+            expected = linear_nilpotency_order(g.name, ring, 4096)
+            assert nilpotency_order(g.name, ring) == expected, (repr(ring), g)
+
+
+def test_substitution_chain_order_is_the_product():
+    ring = _chain(3, [2, 3, 2], 5)
+    assert nilpotency_order("x0", ring) == 2 * 3 * 2 * 5
+    assert ring.nilpotency_orders() == (60, 30, 10, 5)
 
 
 # -- ring laws on random data ------------------------------------------------

@@ -181,7 +181,7 @@ def test_cup_on_a_space_without_a_presentation(capsys):
 
 
 def test_tiny_search_budget_is_a_clean_error(capsys):
-    code, _, err = run(capsys, "cup", "SO5_mod2", "--max-search", "2")
+    code, _, err = run(capsys, "cup", "SO5_mod2", "--max-search", "1")
     assert code == 1
     assert "raise the budget" in err
 

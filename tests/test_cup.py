@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from catbound import algebra
 from catbound.algebra import (
     AlgebraError,
     RingPresentation,
@@ -16,6 +17,11 @@ from catbound.cup import (
     cup_length,
     weighted_wgt_lower,
 )
+from reference_search import random_presentation, reference_search
+
+# Node budget for north-star rings: enough for the pruned search, far too
+# little for an exhaustive one.
+_NORTH_STAR_NODES = 10_000
 
 
 def so5_ring():
@@ -28,6 +34,12 @@ def pu2_ring():
         [("x1", 1), ("x2", 2, 2)],
         substitutions={"x1": Substitution(2, 1, (("x2", 1),))},
         name="pu2",
+    )
+
+
+def exterior_ring(k):
+    return RingPresentation(
+        2, [(f"e{2 * i + 1}", 2 * i + 1, 2) for i in range(k)], name=f"E{k}"
     )
 
 
@@ -50,6 +62,10 @@ def test_truncated_polynomial_times_exterior():
 def test_pure_exterior_algebra_counts_generators():
     ring = RingPresentation(2, [(f"x{2 * i + 1}", 2 * i + 1, 2) for i in range(1, 4)])
     assert cup_length(ring).value == 3
+    # North-star size: a return to exhaustive search overruns the budget.
+    ring = exterior_ring(22)
+    assert cup_length(ring, max_nodes=_NORTH_STAR_NODES).value == 22
+    assert weighted_wgt_lower(ring, max_nodes=_NORTH_STAR_NODES).value == 22
 
 
 def test_substitution_ring_counts_generator_factors():
@@ -66,8 +82,10 @@ def test_empty_ring_has_no_positive_classes():
 
 
 def test_single_truncated_generator():
-    ring = RingPresentation(2, [("x", 1, 4)])
-    assert cup_length(ring).value == 3
+    for t in (4, 3_000_000):
+        ring = RingPresentation(2, [("x", 1, t)])
+        res = cup_length(ring, max_nodes=_NORTH_STAR_NODES)
+        assert (res.value, res.witness) == (t - 1, (t - 1,))
 
 
 def test_cup_is_additive_over_disjoint_generators():
@@ -145,8 +163,29 @@ def test_weight_validation():
 
 
 def test_budget_exhaustion_is_reported():
+    # The pruned search settles SO(5) in exactly two nodes (x1^7, then x3).
     with pytest.raises(SearchBudgetExceeded, match="raise the budget"):
-        cup_length(so5_ring(), max_nodes=2)
+        cup_length(so5_ring(), max_nodes=1)
+    assert cup_length(so5_ring(), max_nodes=2).value == 8
+    # An exterior algebra on 12 generators needs one node per generator.
+    with pytest.raises(SearchBudgetExceeded, match="raise the budget"):
+        cup_length(exterior_ring(12), max_nodes=11)
+
+
+def test_orders_are_computed_once_per_ring(monkeypatch):
+    calls = []
+    original = algebra.nilpotency_order
+
+    def counted(name, ring):
+        calls.append(name)
+        return original(name, ring)
+
+    monkeypatch.setattr(algebra, "nilpotency_order", counted)
+    ring = pu3_ring()
+    cup_length(ring)
+    weighted_wgt_lower(ring)
+    weighted_wgt_lower(ring, WeightAssignment.for_space(ring, loopspace_even=True))
+    assert calls == [g.name for g in ring.generators]
 
 
 def test_result_is_reproducible():
@@ -206,3 +245,57 @@ def test_search_matches_oracle_on_substitution_rings():
         substitutions={"x1": Substitution(2, 1, (("x2", 1),))},
     )
     assert cup_length(deeper).value == cup_bruteforce_oracle(deeper) == 7
+
+
+# -- agreement with the original engine ---------------------------------------
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["no-hint", "hint"])
+def test_search_matches_the_reference_engine(hinted):
+    rng = random.Random(20261017 + hinted)
+    seen = set()
+    for _ in range(150):
+        ring = random_presentation(rng, hinted=hinted)
+        seen.add((ring.p, bool(ring.substitutions)))
+        ones = (1,) * ring.ngens
+        weights = tuple(rng.randint(1, 3) for _ in ring.generators)
+        res = cup_length(ring)
+        assert (res.value, res.witness) == reference_search(ring, ones), repr(ring)
+        res = weighted_wgt_lower(ring, WeightAssignment(weights))
+        assert (res.value, res.witness) == reference_search(ring, weights), (
+            repr(ring), weights,
+        )
+    assert seen >= {(p, s) for p in (2, 3, 5) for s in (False, True)}
+
+
+def test_witness_is_the_smallest_of_tied_maximisers():
+    # x1^2 = x2 with x2^2 = 0: x1^3 and x1 x2 both reach weight 3 when x2
+    # weighs 2; the reference engine reports the smaller vector (1, 1).
+    ring = pu2_ring()
+    res = weighted_wgt_lower(ring, WeightAssignment((1, 2)))
+    assert (res.value, res.witness) == reference_search(ring, (1, 2)) == (3, (1, 1))
+
+
+# -- north-star rings within a small node budget ------------------------------
+
+
+def so_mod2_ring(n):
+    """SO(n) mod 2 on the odd generators x_i (i < n), x_i^{t_i} = 0 with t_i
+    the least power of two such that i * t_i >= n."""
+    gens = []
+    for i in range(1, n, 2):
+        t = 1
+        while i * t < n:
+            t *= 2
+        gens.append((f"x{i}", i, t))
+    return RingPresentation(2, gens, name=f"SO{n}_mod2")
+
+
+@pytest.mark.parametrize("n", [20, 24, 48])
+def test_so_mod2_cup_length_closed_form(n):
+    ring = so_mod2_ring(n)
+    tops = tuple(g.trunc - 1 for g in ring.generators)
+    res = cup_length(ring, max_nodes=_NORTH_STAR_NODES)
+    assert (res.value, res.witness) == (sum(tops), tops)
+    res = weighted_wgt_lower(ring, max_nodes=_NORTH_STAR_NODES)
+    assert res.value == sum(tops)
