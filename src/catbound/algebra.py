@@ -200,6 +200,8 @@ class RingPresentation:
         self._eff_trunc: tuple[int | None, ...] = tuple(eff)
         self._subs = tuple(subs)
         self._orders: tuple[int, ...] | None = None
+        # the solver's search caches look rings up by value many times
+        self._hash = hash((p, self.generators, top_degree_hint))
 
     # -- basic queries ----------------------------------------------------
 
@@ -233,7 +235,7 @@ class RingPresentation:
         )
 
     def __hash__(self):
-        return hash((self.p, self.generators, self.top_degree_hint))
+        return self._hash
 
     def __repr__(self):
         return f"RingPresentation({self.name!r}, Z/{self.p}, {len(self.generators)} gens)"

@@ -10,6 +10,7 @@ and are kept as sorted tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .algebra import RingPresentation
@@ -64,14 +65,37 @@ class Catalog:
     products: tuple[ProductRecord, ...] = ()
     facts: tuple[KnownFactRecord, ...] = ()
 
+    # The per-space indexes are built on first use: a linked catalog is
+    # read-only from then on.
+
     def facts_for(self, space: str) -> tuple[KnownFactRecord, ...]:
-        return tuple(f for f in self.facts if f.space == space)
+        return tuple(self._facts_by_space.get(space, ()))
 
     def bundles_with_total(self, total: str) -> list[BundleRecord]:
-        return [b for b in self.bundles.values() if b.total == total]
+        return list(self._bundles_by_total.get(total, ()))
 
     def products_with_total(self, total: str) -> list[ProductRecord]:
-        return [p for p in self.products if p.total == total]
+        return list(self._products_by_total.get(total, ()))
+
+    @cached_property
+    def _facts_by_space(self) -> dict[str, list[KnownFactRecord]]:
+        return _index(self.facts, lambda f: f.space)
+
+    @cached_property
+    def _bundles_by_total(self) -> dict[str, list[BundleRecord]]:
+        return _index(self.bundles.values(), lambda b: b.total)
+
+    @cached_property
+    def _products_by_total(self) -> dict[str, list[ProductRecord]]:
+        return _index(self.products, lambda p: p.total)
+
+
+def _index(records, key) -> dict:
+    """Records grouped by key, each group in the records' own order."""
+    groups: dict = {}
+    for rec in records:
+        groups.setdefault(key(rec), []).append(rec)
+    return groups
 
 
 def _space_info(decl: SpaceDecl) -> SpaceInfo:
@@ -125,7 +149,7 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
 
     catalog = Catalog()
     for name, decl in ring_decls.items():
-        catalog.rings[name] = ring_presentation(decl)
+        catalog.rings[name] = decl.presentation or ring_presentation(decl)
 
     for name, decl in space_decls.items():
         info = _space_info(decl)

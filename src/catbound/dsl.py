@@ -27,6 +27,12 @@ Grammar (statements end with ';', blocks use braces, '#' comments to EOL):
     inv         := "cup" | "sigmacat" | "cat" | "Cat" | "wcat"
     MODULUS     := identifier of the form Z/<prime>
     NAME        := letter, then letters, digits, "_", "(", ")", "/", "-"
+    INT         := decimal digits: regex \\d, Unicode category Nd
+    STRING      := double-quoted, on one line; a backslash escapes '"' or itself
+
+The lexer is one compiled regex.  INT takes exactly the digits int() accepts:
+"٣" reads as 3, while a superscript "²" is an unexpected character.  NAME
+letters and digits are ASCII.  An integer too long for int() is a diagnostic.
 
 "exterior" is sugar for "trunc 2".  "cells-mod d s" states that the base's
 cells sit in dimensions congruent to 0..s mod d.  A top-level "known" names
@@ -37,19 +43,14 @@ declaration is dropped whole, and parsing resumes at the next declaration.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .algebra import AlgebraError, RingPresentation, Substitution
 
 INVARIANTS = ("cup", "sigmacat", "cat", "Cat", "wcat")
 QUALIFIERS = ("lower", "upper", "exact")
 _TOP_KEYWORDS = ("ring", "space", "bundle", "product", "known")
-
-_IDENT_START = set(string.ascii_letters)
-_IDENT_CHARS = set(string.ascii_letters + string.digits + "_()/-")
-_PUNCT = set("{};:=^*")
 
 
 class DslError(ValueError):
@@ -66,7 +67,7 @@ class Diagnostic:
         return f"{self.line}:{self.col}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # ident | int | string | punct | eof
     value: str
@@ -100,6 +101,10 @@ class RingDecl:
     gens: list[GenDecl] = field(default_factory=list)
     rels: list[RelDecl] = field(default_factory=list)
     line: int = field(default=0, compare=False)
+    # built once by the parser's validation and reused by the linker
+    presentation: RingPresentation | None = field(
+        default=None, compare=False, repr=False
+    )
 
     kind = "ring"
 
@@ -196,82 +201,57 @@ class SourceDocument:
 # -- lexer -------------------------------------------------------------------
 
 
+# One alternative per token kind, tried in order, each taking the blanks
+# after it; "bad" takes any character no other alternative accepts, so the
+# matches tile the text (blanks at its very start are a match of their own).
+# A string body runs to the closing quote or the end of the line.
+_TOKEN_RE = re.compile(
+    r"""
+      [ \t\r]+
+    | (?:
+        (?P<newline>\n)
+      | (?P<comment>\#[^\n]*)
+      | "(?P<body>(?:\\["\\]|[^"\n])*)(?P<string>"?)
+      | (?P<punct>[{};:=^*])
+      | (?P<int>\d+)
+      | (?P<ident>[A-Za-z][A-Za-z0-9_()/\-]*)
+      | (?P<bad>.)
+      ) [ \t\r]*
+    """,
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
+
+
 def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None or kind == "comment":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.start() + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            i += 1
-            col += 1
-            buf = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\n":
-                    break
-                if c == "\\" and i + 1 < n and text[i + 1] in '"\\':
-                    buf.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                buf.append(c)
-                i += 1
-                col += 1
-            if not closed:
-                diags.append(
-                    Diagnostic(start_line, start_col, "unterminated string literal")
-                )
-            tokens.append(Token("string", "".join(buf), start_line, start_col))
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        diags.append(
-            Diagnostic(start_line, start_col, f"unexpected character {ch!r}")
-        )
-        i += 1
-        col += 1
-    tokens.append(Token("eof", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "string":
+            value = m.group("body")
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(r"\1", value)
+            if not m.group("string"):
+                diags.append(Diagnostic(line, col, "unterminated string literal"))
+            tokens.append(Token("string", value, line, col))
+        elif kind == "bad":
+            diags.append(Diagnostic(line, col, f"unexpected character {m.group(kind)!r}"))
+        else:
+            tokens.append(Token(kind, m.group(kind), line, col))
+    # The column never advances over a comment, so a comment on the last
+    # line leaves the end-of-file column at its "#".
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens, diags
 
 
@@ -284,8 +264,9 @@ class _Parser:
         self.pos = 0
         self.diags = diags
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # advance() never moves past the final eof token
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -295,9 +276,6 @@ class _Parser:
 
     def error(self, tok: Token, message: str) -> DslError:
         return DslError(f"{tok.line}:{tok.col}:{message}")
-
-    def report(self, tok: Token, message: str) -> None:
-        self.diags.append(Diagnostic(tok.line, tok.col, message))
 
     def expect_punct(self, value: str) -> Token:
         tok = self.peek()
@@ -322,7 +300,13 @@ class _Parser:
         if tok.kind != "int":
             raise self.error(tok, f"expected {what}, found {tok.value!r}")
         self.advance()
-        return int(tok.value)
+        return self.to_int(tok, tok.value, what)
+
+    def to_int(self, tok: Token, digits: str, what: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # beyond the interpreter's int-conversion limit
+            raise self.error(tok, f"{what} is too long ({len(digits)} digits)") from None
 
     def expect_string(self, what: str = "string") -> str:
         tok = self.peek()
@@ -378,7 +362,7 @@ class _Parser:
                 elif self.at_ident("product"):
                     decls.append(self.parse_product())
                 elif self.at_ident("known"):
-                    decls.append(self.parse_known_top())
+                    decls.append(self.parse_known(space=None))
                 else:
                     raise self.error(
                         tok, f"unknown declaration keyword {tok.value!r}"
@@ -400,7 +384,7 @@ class _Parser:
         digits = tok.value[2:]
         if not digits.isdigit():
             raise self.error(tok, f"expected a modulus Z/<p>, found {tok.value!r}")
-        return int(digits)
+        return self.to_int(tok, digits, "modulus")
 
     def parse_ring(self) -> RingDecl:
         start = self.expect_keyword("ring")
@@ -491,7 +475,7 @@ class _Parser:
                 start, f"ring {decl.name!r} must declare at least one generator"
             )
         try:
-            ring_presentation(decl)
+            decl.presentation = ring_presentation(decl)
         except AlgebraError as exc:
             raise self.error(start, f"ring {decl.name!r}: {exc}") from None
 
@@ -546,7 +530,7 @@ class _Parser:
                 self.expect_punct(";")
                 decl.stages.append(StageDecl(index, dim, skeleton, description))
             elif self.at_ident("known"):
-                decl.knowns.append(self.parse_known_body(space=name))
+                decl.knowns.append(self.parse_known(space=name))
             else:
                 raise self.error(
                     tok, f"unknown space statement {tok.value!r}"
@@ -564,41 +548,25 @@ class _Parser:
                 )
         return decl
 
-    def parse_known_body(self, space: str | None) -> KnownFact:
+    def parse_known(self, space: str | None) -> KnownFact:
+        """A known fact: inside a space block `space` names it; at top level
+        (`space` None) the fact names its space after the qualifier."""
         start = self.expect_keyword("known")
         qualifier = "exact"
         if self.peek().kind == "ident" and self.peek().value in QUALIFIERS:
             qualifier = self.advance().value
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value not in INVARIANTS:
-            raise self.error(
-                tok,
-                f"expected an invariant {'/'.join(INVARIANTS)}, found {tok.value!r}",
-            )
-        invariant = self.advance().value
-        self.expect_punct("=")
-        value = self.expect_int("value")
-        self.expect_keyword("from")
-        citation = self.expect_string("citation")
-        self.expect_punct(";")
-        return KnownFact(space, invariant, qualifier, value, citation, line=start.line)
-
-    def parse_known_top(self) -> KnownFact:
-        start = self.expect_keyword("known")
-        qualifier = "exact"
-        if self.peek().kind == "ident" and self.peek().value in QUALIFIERS:
-            qualifier = self.advance().value
-        tok = self.peek()
-        if (
-            tok.kind == "ident"
-            and tok.value in INVARIANTS
-            and self.peek(1).kind == "punct"
-            and self.peek(1).value == "="
-        ):
-            raise self.error(
-                tok, "a top-level known fact must name the space it concerns"
-            )
-        space = self.expect_ident("space name").value
+        if space is None:
+            tok = self.peek()
+            if (
+                tok.kind == "ident"
+                and tok.value in INVARIANTS
+                and self.tokens[self.pos + 1].kind == "punct"
+                and self.tokens[self.pos + 1].value == "="
+            ):
+                raise self.error(
+                    tok, "a top-level known fact must name the space it concerns"
+                )
+            space = self.expect_ident("space name").value
         tok = self.peek()
         if tok.kind != "ident" or tok.value not in INVARIANTS:
             raise self.error(

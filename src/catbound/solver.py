@@ -138,7 +138,11 @@ class Solution:
 
 
 class _RingCache:
-    """cup/weighted searches are pure in the ring, so share them."""
+    """cup/weighted searches are pure in the ring, so share them.
+
+    With unit weights the weighted search is the cup search, so a unit-weight
+    weighted result is the cup result relabelled as weighted, not a second
+    search."""
 
     def __init__(self, max_search: int | None):
         self.max_search = max_search
@@ -157,9 +161,13 @@ class _RingCache:
         key = (ring, loopspace_even)
         if key not in self.weighted:
             weights = WeightAssignment.for_space(ring, loopspace_even)
-            self.weighted[key] = weighted_wgt_lower(
-                ring, weights, **self._kwargs()
-            )
+            if all(w == 1 for w in weights.weights):
+                cup = self.cup_result(ring)
+                self.weighted[key] = CupResult(cup.value, cup.witness, True)
+            else:
+                self.weighted[key] = weighted_wgt_lower(
+                    ring, weights, **self._kwargs()
+                )
         return self.weighted[key]
 
 

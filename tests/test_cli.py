@@ -227,3 +227,13 @@ def test_validate_reports_diagnostics_with_positions(tmp_path, capsys):
     combined = out + err
     assert "bad.lsc:1:" in combined
     assert "prime" in combined
+
+
+def test_validate_reports_a_non_decimal_digit_without_a_traceback(tmp_path, capsys):
+    f = tmp_path / "sup.lsc"
+    f.write_text("space A { dim \u00b2; }\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(f))
+    assert code == 1
+    combined = out + err
+    assert "sup.lsc:1:15: unexpected character '\u00b2'" in combined
+    assert "Traceback" not in combined

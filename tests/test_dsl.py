@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from catbound.algebra import RingPresentation
 from catbound.catalog import LinkError, link
 from catbound.corpus import parse_sources, read_sources
 from catbound.dsl import (
@@ -226,6 +227,41 @@ def test_top_level_fact_must_name_its_space():
     assert "must name the space" in doc.diagnostics[0].message
 
 
+def test_non_decimal_digit_is_an_unexpected_character():
+    doc = parse("space A { dim \u00b2; }")
+    assert [str(d) for d in doc.diagnostics] == [
+        "1:15: unexpected character '\u00b2'",
+        "1:16: expected dimension, found ';'",
+    ]
+    assert doc.declarations == []
+
+
+def test_decimal_digits_outside_ascii_still_parse():
+    doc = parse_clean("space A { dim \u0663; }")
+    assert doc.declarations[0].dim == 3
+
+
+def test_overlong_integer_is_a_diagnostic_and_parsing_resumes():
+    value = "1" * 5000
+    doc = parse(f'known A cat = {value} from "x";\nspace A {{ dim 2; }}')
+    assert [str(d) for d in doc.diagnostics] == [
+        "1:15: value is too long (5000 digits)"
+    ]
+    assert [(d.kind, d.name) for d in doc.declarations] == [("space", "A")]
+
+
+def test_overlong_modulus_is_a_diagnostic_and_parsing_resumes():
+    modulus = "7" * 5000
+    doc = parse(
+        f"ring R over Z/{modulus} {{ gen x : deg 1; }}\n"
+        "ring S over Z/2 { gen y : deg 1 trunc 2; }"
+    )
+    assert [str(d) for d in doc.diagnostics] == [
+        "1:13: modulus is too long (5000 digits)"
+    ]
+    assert [(d.kind, d.name) for d in doc.declarations] == [("ring", "S")]
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.text(max_size=200))
 def test_parse_is_total(text):
@@ -355,3 +391,70 @@ def test_trivial_structure_group_is_a_literal():
         ]
     )
     assert catalog.bundles["b"].structure_group == "trivial"
+
+
+def test_parse_and_link_build_each_ring_once(monkeypatch):
+    built = []
+    init = RingPresentation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["name"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingPresentation, "__init__", counted)
+    docs = parse_sources(read_sources())
+    rings = [d.name for doc in docs for d in doc.declarations if d.kind == "ring"]
+    catalog = link(docs)
+    assert sorted(built) == sorted(rings) == sorted(catalog.rings)
+    assert len(rings) == 16
+
+
+def _assert_indexes_match_scans(catalog):
+    names = list(catalog.spaces) + ["no such space"]
+    for name in names:
+        assert catalog.facts_for(name) == tuple(
+            f for f in catalog.facts if f.space == name
+        )
+        assert catalog.bundles_with_total(name) == [
+            b for b in catalog.bundles.values() if b.total == name
+        ]
+        assert catalog.products_with_total(name) == [
+            p for p in catalog.products if p.total == name
+        ]
+
+
+def test_catalog_indexes_match_linear_scans_on_the_corpus():
+    catalog = link(parse_sources(read_sources()))
+    assert catalog.facts and catalog.bundles and catalog.products
+    _assert_indexes_match_scans(catalog)
+
+
+def test_catalog_indexes_match_linear_scans_across_documents():
+    facts_first = parse_clean(
+        """
+        known upper X cat = 4 from "first";
+        known lower X cup = 1 from "second";
+        known Y Cat = 2 from "third";
+        product P = X * Y;
+        product Q = Y * X;
+        """
+    )
+    spaces = parse_clean(
+        """
+        space X { dim 4; connectivity 1; known cat = 2 from "inline"; }
+        space Y { dim 2; connectivity 1; }
+        space P { dim 6; }
+        space Q { dim 6; }
+        """
+    )
+    bundles = parse_clean(
+        """
+        bundle b2 { fiber Y; base X; total P; structure-group trivial; cells-mod 2 0; }
+        bundle b1 { fiber X; base Y; total P; structure-group trivial; cells-mod 2 0; }
+        bundle b3 { fiber X; base Y; total Q; structure-group trivial; cells-mod 2 1; }
+        """
+    )
+    catalog = link([facts_first, bundles, spaces])
+    assert [b.name for b in catalog.bundles_with_total("P")] == ["b2", "b1"]
+    assert len(catalog.facts_for("X")) == 3
+    _assert_indexes_match_scans(catalog)

@@ -1,7 +1,9 @@
 import pytest
 
+from catbound import solver
 from catbound.catalog import link
 from catbound.corpus import load_corpus
+from catbound.cup import WeightAssignment, weighted_wgt_lower
 from catbound.dsl import parse
 from catbound.solver import Interval, ganea_check, propagate
 
@@ -265,6 +267,85 @@ def test_extra_facts_only_tighten(corpus_solution):
             assert new.lower >= iv.lower
             if iv.upper is not None:
                 assert new.upper is not None and new.upper <= iv.upper
+
+
+# -- work done per ring ------------------------------------------------------------
+
+
+UNIT_WEIGHTS = """
+ring A over Z/2 { gen x1 : deg 1 trunc 8; gen x3 : deg 3 trunc 2; }
+ring B over Z/3 { gen y1 : deg 1; gen y3 : deg 3; gen y5 : deg 5; }
+ring C over Z/2 { gen z1 : deg 1; gen z2 : deg 2 trunc 4; rel z1^2 = z2; }
+space X { dim 10; cohomology A over Z/2; }
+space Y { dim 9; cohomology B over Z/3 complete; loopspace-even; }
+space Z { dim 7; cohomology C over Z/2; }
+"""
+
+
+def _weighted_expectations(catalog):
+    expected = {}
+    for name, info in catalog.spaces.items():
+        if info.ring is not None:
+            weights = WeightAssignment.for_space(info.ring, info.loopspace_even)
+            result = weighted_wgt_lower(info.ring, weights)
+            expected[name] = (
+                weights.weights,
+                result.value,
+                f"weighted witness {result.witness_str(info.ring)}",
+            )
+    return expected
+
+
+def _sigmacat_lower(solution, name):
+    return next(
+        e
+        for e in solution.provenance[name]
+        if e.invariant == "sigmacat" and e.side == "lower"
+    )
+
+
+def _count_weighted_searches(monkeypatch):
+    calls = []
+
+    def counted(ring, weights=None, **kwargs):
+        calls.append((ring.name, weights.weights))
+        return weighted_wgt_lower(ring, weights, **kwargs)
+
+    monkeypatch.setattr(solver, "weighted_wgt_lower", counted)
+    return calls
+
+
+def test_unit_weights_reuse_the_cup_search(monkeypatch):
+    catalog = link([doc(UNIT_WEIGHTS)])
+    expected = _weighted_expectations(catalog)
+    assert all(set(ws) == {1} for ws, _, _ in expected.values())
+    calls = _count_weighted_searches(monkeypatch)
+    s = propagate(catalog)
+    assert calls == []
+    for name, (_, value, detail) in expected.items():
+        entry = _sigmacat_lower(s, name)
+        assert (entry.rule, entry.value, entry.detail) == ("ring-weight", value, detail)
+
+
+def test_weighted_rings_still_run_the_weighted_search(monkeypatch):
+    catalog = load_corpus()
+    expected = _weighted_expectations(catalog)
+    calls = _count_weighted_searches(monkeypatch)
+    s = propagate(catalog)
+    assert ("PU5_mod5", (1, 2, 1, 1, 1)) in calls
+    assert sorted(calls) == sorted(
+        {
+            (catalog.spaces[name].ring.name, ws)
+            for name, (ws, _, _) in expected.items()
+            if set(ws) != {1}
+        }
+    )
+    for name, (_, value, detail) in expected.items():
+        entry = _sigmacat_lower(s, name)
+        if entry.rule == "ring-weight":
+            assert (entry.value, entry.detail) == (value, detail)
+    pu5 = _sigmacat_lower(s, "PU(5)")
+    assert (pu5.rule, pu5.value) == ("ring-weight", 12)
 
 
 # -- the stabilization check ------------------------------------------------------
