@@ -24,16 +24,30 @@ class AlgebraError(ValueError):
     """Raised for invalid presentations or malformed monomial input."""
 
 
+#: Miller-Rabin with these bases is exact for every n < 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test; exact for n < 2^64."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -94,6 +108,11 @@ class RingPresentation:
         top_degree_hint: int | None = None,
         name: str = "R",
     ):
+        if isinstance(p, int) and p >= 2**64:
+            raise AlgebraError(
+                f"modulus is too large ({p.bit_length()} bits; "
+                "primes below 2^64 are supported)"
+            )
         if not isinstance(p, int) or not _is_prime(p):
             raise AlgebraError(f"modulus must be a prime >= 2 (got {p!r})")
         self.p = p

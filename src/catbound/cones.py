@@ -235,12 +235,8 @@ def filtration_ledger(bundle: BundleRecord) -> FiltrationLedger:
     minus (0,0), where n = floor(base_dim/d) and m is the decomposition
     length.  A_i is (d*i - 2)-connected of dimension d*i + s - 1, so the
     piece C(A_i) x C(K_j) has dimension d*i + s + attach_dim(j)."""
-    verdict = check_compatibility(bundle)
-    if not verdict.passed:
-        raise BoundRefused(f"bundle {bundle.name!r}: {verdict.reason}")
+    main_theorem_bound(bundle)  # refuses exactly where the bound refuses
     dec = bundle.fiber_decomposition
-    if dec is None:
-        raise BoundRefused(f"bundle {bundle.name!r}: fiber has no cone decomposition")
     n = bundle.base_dim // bundle.d
     m = dec.length
     attach = {st.index: st.attach_dim for st in dec.stages}

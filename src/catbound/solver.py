@@ -4,13 +4,14 @@ Every space carries one interval per invariant in the chain
 
     cup <= sigmacat <= cat <= Cat
 
-(wcat is recorded when facts mention it but never propagated).  Rules only
-ever raise lower ends and cut upper ends, so the rule set is a family of
-monotone maps on a finite lattice: iterating them in any order until nothing
-changes reaches the same fixpoint.  A seed may shuffle the rule order; the
-result is identical by construction.
+(wcat is recorded when facts mention it but never propagated).  Each rule is
+one generator of candidate bounds (space, invariant, side, value, detail)
+read from the current state.  A candidate only raises a lower end or cuts an
+upper end, so the rules are monotone maps on a finite lattice: applying them
+in any order until nothing changes reaches the same fixpoint.  A seed may
+shuffle the rule order; the result is identical by construction.
 
-Rules:
+Rules, in canonical order:
   ring-cup       longest nonzero product in a presented ring -> cup.lower
                  (and cup.upper when the presentation is declared complete)
   ring-weight    weighted variant -> sigmacat.lower
@@ -22,9 +23,12 @@ Rules:
                  stagewise bound refuses, applied to cat.upper
   chain          lower ends push up the chain, upper ends push down
 
-A space whose interval ends cross (possible only if the declared inputs are
-themselves inconsistent) is reported as a contradiction with a provenance
-entry per side; remaining spaces are unaffected.
+Each bundle is certified once per solve.  Provenance is one more pass over
+the same generators, in canonical order, on the final state: each settled
+end is credited to the first candidate equal to it.  A space whose interval
+ends cross (possible only if the declared inputs are themselves
+inconsistent) is reported as a contradiction with a provenance entry per
+side; remaining spaces are unaffected.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .catalog import Catalog
 from .cones import BoundRefused, general_bundle_bound, main_theorem_bound
-from .cup import CupResult, WeightAssignment, cup_length, weighted_wgt_lower
+from .cup import WeightAssignment, cup_length, weighted_wgt_lower
 
 CHAIN = ("cup", "sigmacat", "cat", "Cat")
 
@@ -138,137 +142,131 @@ class Solution:
 
 
 class _RingCache:
-    """cup/weighted searches are pure in the ring, so share them.
+    """cup/weighted searches are pure in the ring, so share them, each with
+    its witness text formatted once.
 
     With unit weights the weighted search is the cup search, so a unit-weight
     weighted result is the cup result relabelled as weighted, not a second
     search."""
 
     def __init__(self, max_search: int | None):
-        self.max_search = max_search
+        self.kwargs = {} if max_search is None else {"max_nodes": max_search}
         self.cup: dict = {}
         self.weighted: dict = {}
 
-    def _kwargs(self):
-        return {} if self.max_search is None else {"max_nodes": self.max_search}
-
-    def cup_result(self, ring) -> CupResult:
+    def cup_result(self, ring) -> tuple[int, str]:
+        """(value, "witness ...") of the cup search."""
         if ring not in self.cup:
-            self.cup[ring] = cup_length(ring, **self._kwargs())
+            result = cup_length(ring, **self.kwargs)
+            self.cup[ring] = (result.value, f"witness {result.witness_str(ring)}")
         return self.cup[ring]
 
-    def weighted_result(self, ring, loopspace_even: bool) -> CupResult:
+    def weighted_result(self, ring, loopspace_even: bool) -> tuple[int, str]:
+        """(value, "weighted witness ...") of the weighted search."""
         key = (ring, loopspace_even)
         if key not in self.weighted:
             weights = WeightAssignment.for_space(ring, loopspace_even)
             if all(w == 1 for w in weights.weights):
-                cup = self.cup_result(ring)
-                self.weighted[key] = CupResult(cup.value, cup.witness, True)
+                value, witness = self.cup_result(ring)
             else:
-                self.weighted[key] = weighted_wgt_lower(
-                    ring, weights, **self._kwargs()
-                )
+                result = weighted_wgt_lower(ring, weights, **self.kwargs)
+                value, witness = result.value, f"witness {result.witness_str(ring)}"
+            self.weighted[key] = (value, f"weighted {witness}")
         return self.weighted[key]
 
 
-# -- rules -------------------------------------------------------------------
-# Each rule scans the whole catalog and strengthens intervals in place,
-# returning whether anything changed.
-
-
-def _rule_ring_cup(catalog, states, cache) -> bool:
-    changed = False
-    for name, info in catalog.spaces.items():
-        if info.ring is None:
-            continue
-        result = cache.cup_result(info.ring)
-        iv = states[name].intervals["cup"]
-        changed |= iv.raise_lower(result.value)
-        if info.ring_complete:
-            changed |= iv.cut_upper(result.value)
-    return changed
-
-
-def _rule_ring_weight(catalog, states, cache) -> bool:
-    changed = False
-    for name, info in catalog.spaces.items():
-        if info.ring is None:
-            continue
-        result = cache.weighted_result(info.ring, info.loopspace_even)
-        changed |= states[name].intervals["sigmacat"].raise_lower(result.value)
-    return changed
-
-
-def _rule_recorded_fact(catalog, states, cache) -> bool:
-    changed = False
-    for fact in catalog.facts:
-        iv = states[fact.space].intervals[fact.invariant]
-        if fact.qualifier in ("lower", "exact"):
-            changed |= iv.raise_lower(fact.value)
-        if fact.qualifier in ("upper", "exact"):
-            changed |= iv.cut_upper(fact.value)
-    return changed
-
-
-def _rule_dimension(catalog, states, cache) -> bool:
-    changed = False
-    for name, info in catalog.spaces.items():
-        if info.dim is not None:
-            changed |= states[name].intervals["Cat"].cut_upper(info.dim)
-    return changed
-
-
-def _rule_cone_bundle(catalog, states, cache) -> bool:
-    changed = False
-    for bundle in catalog.bundles.values():
+def _certify(catalog: Catalog) -> list:
+    """Every bundle, in name order, with its stagewise bound, or None where
+    the certificate refuses it: one certification per bundle per solve."""
+    certified = []
+    for bundle in sorted(catalog.bundles.values(), key=lambda b: b.name):
         try:
             bound = main_theorem_bound(bundle)
         except BoundRefused:
-            continue
-        changed |= states[bundle.total].intervals["Cat"].cut_upper(bound)
-    return changed
+            bound = None
+        certified.append((bundle, bound))
+    return certified
 
 
-def _rule_product(catalog, states, cache) -> bool:
-    changed = False
+# -- rules -------------------------------------------------------------------
+# Each rule yields candidate bounds (space, invariant, side, value, detail)
+# from the current state; `bundles` is `_certify`'s list.
+
+
+def _rule_ring_cup(catalog, states, cache, bundles):
+    for name, info in catalog.spaces.items():
+        if info.ring is not None:
+            value, witness = cache.cup_result(info.ring)
+            yield name, "cup", "lower", value, witness
+            if info.ring_complete:
+                yield name, "cup", "upper", value, "complete presentation"
+
+
+def _rule_ring_weight(catalog, states, cache, bundles):
+    for name, info in catalog.spaces.items():
+        if info.ring is not None:
+            value, witness = cache.weighted_result(info.ring, info.loopspace_even)
+            yield name, "sigmacat", "lower", value, witness
+
+
+def _rule_recorded_fact(catalog, states, cache, bundles):
+    for fact in catalog.facts:
+        if fact.qualifier in ("lower", "exact"):
+            yield fact.space, fact.invariant, "lower", fact.value, fact.citation
+        if fact.qualifier in ("upper", "exact"):
+            yield fact.space, fact.invariant, "upper", fact.value, fact.citation
+
+
+def _rule_dimension(catalog, states, cache, bundles):
+    for name, info in catalog.spaces.items():
+        if info.dim is not None:
+            yield name, "Cat", "upper", info.dim, f"dim {info.dim}"
+
+
+def _rule_cone_bundle(catalog, states, cache, bundles):
+    for bundle, bound in bundles:
+        if bound is not None:
+            m = bundle.fiber_decomposition.length
+            detail = f"bundle {bundle.name}: {m} + {bundle.base_dim}//{bundle.d}"
+            yield bundle.total, "Cat", "upper", bound, detail
+
+
+def _rule_product(catalog, states, cache, bundles):
     for prod in catalog.products:
         left = states[prod.left].intervals
         right = states[prod.right].intervals
-        total = states[prod.total].intervals
         for inv in ("cat", "Cat"):
             a, b = left[inv].upper, right[inv].upper
             if a is not None and b is not None:
-                changed |= total[inv].cut_upper(a + b)
-    return changed
+                detail = f"{prod.left} x {prod.right}: {a} + {b}"
+                yield prod.total, inv, "upper", a + b, detail
 
 
-def _rule_fiber_base(catalog, states, cache) -> bool:
-    changed = False
-    for bundle in catalog.bundles.values():
-        try:
-            main_theorem_bound(bundle)
-        except BoundRefused:
-            pass
-        else:
+def _rule_fiber_base(catalog, states, cache, bundles):
+    # only where the stagewise bound refuses
+    for bundle, bound in bundles:
+        if bound is not None:
             continue
         f = states[bundle.fiber].intervals["cat"].upper
         b = states[bundle.base].intervals["cat"].upper
-        if f is None or b is None:
-            continue
-        bound = general_bundle_bound(f, b)
-        changed |= states[bundle.total].intervals["cat"].cut_upper(bound)
-    return changed
+        if f is not None and b is not None:
+            detail = f"bundle {bundle.name}: ({f}+1)({b}+1)-1"
+            yield bundle.total, "cat", "upper", general_bundle_bound(f, b), detail
 
 
-def _rule_chain(catalog, states, cache) -> bool:
-    changed = False
-    for state in states.values():
-        for lo_inv, hi_inv in zip(CHAIN, CHAIN[1:]):
-            lo, hi = state.intervals[lo_inv], state.intervals[hi_inv]
-            changed |= hi.raise_lower(lo.lower)
-            if hi.upper is not None:
-                changed |= lo.cut_upper(hi.upper)
-    return changed
+_CHAIN_STEPS = tuple(
+    (lo, hi, f"{lo} lower end", f"{hi} upper end") for lo, hi in zip(CHAIN, CHAIN[1:])
+)
+
+
+def _rule_chain(catalog, states, cache, bundles):
+    for name, state in states.items():
+        intervals = state.intervals
+        for lo, hi, lower_detail, upper_detail in _CHAIN_STEPS:
+            yield name, hi, "lower", intervals[lo].lower, lower_detail
+            upper = intervals[hi].upper
+            if upper is not None:
+                yield name, lo, "upper", upper, upper_detail
 
 
 _RULES = {
@@ -298,150 +296,69 @@ def propagate(
     order = list(_RULE_NAMES)
     if rule_seed is not None:
         random.Random(rule_seed).shuffle(order)
-    cache = _RingCache(max_search)
+    rule_args = (catalog, states, _RingCache(max_search), _certify(catalog))
+    intervals_of = {name: state.intervals for name, state in states.items()}
 
     changed = True
     while changed:
         changed = False
         for rule_name in order:
-            changed |= _RULES[rule_name](catalog, states, cache)
+            for space, inv, side, value, _ in _RULES[rule_name](*rule_args):
+                iv = intervals_of[space][inv]
+                if side == "lower":
+                    changed |= iv.raise_lower(value)
+                else:
+                    changed |= iv.cut_upper(value)
 
     solution = Solution(catalog, states, {}, [])
-    _attach_provenance(solution, cache)
+    _attach_provenance(solution, rule_args)
     return solution
 
 
 # -- provenance --------------------------------------------------------------
-# Justifications are reconstructed against the fixpoint rather than logged
-# during iteration, so the report does not depend on the rule order: for each
-# settled bound we name the first rule (in the canonical order) that yields
-# exactly that bound from the final state.
+# Justifications are read off the fixpoint rather than logged during
+# iteration, so the report does not depend on the rule order: each settled
+# end goes to the first candidate, in canonical rule order, equal to it.
 
 
-def _justify(solution, cache, name, invariant, side, value) -> Provenance:
-    catalog = solution.catalog
+def _attach_provenance(solution: Solution, rule_args: tuple) -> None:
     states = solution.states
-    info = catalog.spaces[name]
+    found: dict[tuple[str, str, str], Provenance] = {}
+    for rule_name in _RULE_NAMES:
+        for space, inv, side, value, detail in _RULES[rule_name](*rule_args):
+            key = (space, inv, side)
+            if key not in found:
+                iv = states[space].intervals[inv]
+                if value == (iv.lower if side == "lower" else iv.upper):
+                    found[key] = Provenance(space, inv, side, value, rule_name, detail)
 
-    def hit(rule, detail):
-        return Provenance(name, invariant, side, value, rule, detail)
+    def justify(name, inv, side, value):
+        entry = found.get((name, inv, side))
+        return entry or Provenance(name, inv, side, value, "derived", "")
 
-    if side == "lower":
-        if invariant == "cup" and info.ring is not None:
-            result = cache.cup_result(info.ring)
-            if result.value == value:
-                return hit("ring-cup", f"witness {result.witness_str(info.ring)}")
-        if invariant == "sigmacat" and info.ring is not None:
-            result = cache.weighted_result(info.ring, info.loopspace_even)
-            if result.value == value:
-                return hit(
-                    "ring-weight",
-                    f"weighted witness {result.witness_str(info.ring)}",
-                )
-        for fact in catalog.facts_for(name):
-            if (
-                fact.invariant == invariant
-                and fact.qualifier in ("lower", "exact")
-                and fact.value == value
-            ):
-                return hit("recorded-fact", fact.citation)
-        pos = CHAIN.index(invariant) if invariant in CHAIN else -1
-        if pos > 0:
-            below = states[name].intervals[CHAIN[pos - 1]]
-            if below.lower == value:
-                return hit("chain", f"{CHAIN[pos - 1]} lower end")
-        return hit("derived", "")
-
-    # upper side
-    if invariant == "cup" and info.ring is not None and info.ring_complete:
-        result = cache.cup_result(info.ring)
-        if result.value == value:
-            return hit("ring-cup", "complete presentation")
-    for fact in catalog.facts_for(name):
-        if (
-            fact.invariant == invariant
-            and fact.qualifier in ("upper", "exact")
-            and fact.value == value
-        ):
-            return hit("recorded-fact", fact.citation)
-    if invariant == "Cat":
-        if info.dim == value:
-            return hit("dimension", f"dim {info.dim}")
-        for bundle in sorted(catalog.bundles_with_total(name), key=lambda b: b.name):
-            try:
-                bound = main_theorem_bound(bundle)
-            except BoundRefused:
-                continue
-            if bound == value:
-                m = bundle.fiber_decomposition.length
-                return hit(
-                    "cone-bundle",
-                    f"bundle {bundle.name}: {m} + {bundle.base_dim}//{bundle.d}",
-                )
-    if invariant in ("cat", "Cat"):
-        for prod in catalog.products_with_total(name):
-            a = states[prod.left].intervals[invariant].upper
-            b = states[prod.right].intervals[invariant].upper
-            if a is not None and b is not None and a + b == value:
-                return hit("product", f"{prod.left} x {prod.right}: {a} + {b}")
-    if invariant == "cat":
-        for bundle in sorted(catalog.bundles_with_total(name), key=lambda b: b.name):
-            try:
-                main_theorem_bound(bundle)
-            except BoundRefused:
-                pass
-            else:
-                continue
-            f = states[bundle.fiber].intervals["cat"].upper
-            b = states[bundle.base].intervals["cat"].upper
-            if f is not None and b is not None and general_bundle_bound(f, b) == value:
-                return hit(
-                    "fiber-base",
-                    f"bundle {bundle.name}: ({f}+1)({b}+1)-1",
-                )
-    pos = CHAIN.index(invariant) if invariant in CHAIN else len(CHAIN)
-    if 0 <= pos < len(CHAIN) - 1:
-        above = states[name].intervals[CHAIN[pos + 1]]
-        if above.upper == value:
-            return hit("chain", f"{CHAIN[pos + 1]} upper end")
-    return hit("derived", "")
-
-
-def _attach_provenance(solution: Solution, cache) -> None:
-    for name in sorted(solution.states):
-        state = solution.states[name]
+    for name in sorted(states):
         entries = []
-        invariants = [inv for inv in CHAIN] + (
-            ["wcat"] if state.has_wcat else []
-        )
-        for inv in invariants:
-            iv = state.intervals[inv]
+        contradiction = None
+        # chain invariants first, then wcat: the order the intervals are made
+        for inv, iv in states[name].intervals.items():
             lower_p = upper_p = None
             if iv.lower > 0:
-                lower_p = _justify(solution, cache, name, inv, "lower", iv.lower)
+                lower_p = justify(name, inv, "lower", iv.lower)
                 entries.append(lower_p)
             if iv.upper is not None:
-                upper_p = _justify(solution, cache, name, inv, "upper", iv.upper)
+                upper_p = justify(name, inv, "upper", iv.upper)
                 entries.append(upper_p)
-            if iv.crossed:
+            if iv.crossed and contradiction is None:
                 # bounds crossed: the declared inputs for this space are
-                # inconsistent; report both sides and leave the space out of
-                # any further reading
+                # inconsistent; report both sides of the first crossing (one
+                # report per space is enough) and leave the space out of any
+                # further reading
                 if lower_p is None:
                     lower_p = Provenance(name, inv, "lower", iv.lower, "trivial", "")
-                solution.contradictions.append(
-                    Contradiction(name, inv, lower_p, upper_p)
-                )
+                contradiction = Contradiction(name, inv, lower_p, upper_p)
         solution.provenance[name] = entries
-    solution.contradictions.sort(key=lambda c: (c.space, CHAIN.index(c.invariant)))
-    # one report per space is enough
-    seen = set()
-    unique = []
-    for c in solution.contradictions:
-        if c.space not in seen:
-            seen.add(c.space)
-            unique.append(c)
-    solution.contradictions[:] = unique
+        if contradiction is not None:
+            solution.contradictions.append(contradiction)
 
 
 def ganea_check(solution: Solution, space: str) -> GaneaResult:

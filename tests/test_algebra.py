@@ -18,6 +18,7 @@ from catbound.algebra import (
     normal_form,
     scale,
 )
+from catbound.algebra import _is_prime
 from reference_search import linear_nilpotency_order, random_presentation
 
 
@@ -179,6 +180,61 @@ def test_scale_by_modulus_is_zero():
 def test_modulus_must_be_prime(p):
     with pytest.raises(AlgebraError, match="prime"):
         RingPresentation(p, [("x", 1, 2)])
+
+
+def _trial_division(n):
+    """Reference primality test: slow, plainly right."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    for n in range(10**5):
+        assert _is_prime(n) == _trial_division(n), n
+
+
+def test_is_prime_agrees_with_trial_division_on_random_32_bit_numbers():
+    rng = random.Random(20261018)
+    numbers = [rng.getrandbits(32) for _ in range(300)]
+    numbers += [rng.getrandbits(32) | 1 for _ in range(300)]
+    for n in numbers:
+        assert _is_prime(n) == _trial_division(n), n
+
+
+def test_is_prime_on_large_known_cases():
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(2**64 - 59)  # the largest prime below 2^64
+    assert _is_prime(100000000000000003)
+    assert not _is_prime(1000000007 * 1000000009)
+    # a strong pseudoprime to every base up to 23
+    assert not _is_prime(3825123056546413051)
+
+
+def test_large_prime_modulus_is_accepted():
+    ring = RingPresentation(2**61 - 1, [("x", 1, 2)])
+    assert ring.p == 2**61 - 1
+
+
+@pytest.mark.parametrize("p", [2**64, 2**64 + 13, 10**40])
+def test_modulus_from_2_to_the_64_is_too_large(p):
+    with pytest.raises(AlgebraError) as info:
+        RingPresentation(p, [("x", 1, 2)])
+    assert str(info.value) == (
+        f"modulus is too large ({p.bit_length()} bits; "
+        "primes below 2^64 are supported)"
+    )
+
+
+def test_composite_modulus_message_names_the_modulus():
+    with pytest.raises(AlgebraError) as info:
+        RingPresentation(1000001, [("x", 1, 2)])
+    assert str(info.value) == "modulus must be a prime >= 2 (got 1000001)"
 
 
 def test_duplicate_generator_names_rejected():

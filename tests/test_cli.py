@@ -103,6 +103,8 @@ def test_table_json(capsys):
     pu3 = data["spaces"]["PU(3)"]
     assert pu3["intervals"]["cup"] == {"lower": 4, "upper": 6, "determined": False}
     assert pu3["ganea_rule"] == "sigmacat-equality"
+    # every interval, Ganea verdict and provenance entry, byte for byte
+    assert out == (GOLDEN / "table.json").read_text()
 
 
 def test_check_ganea(capsys):
@@ -227,6 +229,48 @@ def test_validate_reports_diagnostics_with_positions(tmp_path, capsys):
     combined = out + err
     assert "bad.lsc:1:" in combined
     assert "prime" in combined
+
+
+def test_validate_decides_large_moduli_promptly(tmp_path, capsys):
+    # both need a primality test faster than trial division to the square root
+    prime = tmp_path / "bigp.lsc"
+    prime.write_text("ring R over Z/100000000000000003 { gen x : deg 1 trunc 2; }\n")
+    assert run(capsys, "validate", str(prime)) == (
+        0,
+        "ok: 1 rings, 0 spaces, 0 bundles, 0 facts, 0 products\n",
+        "",
+    )
+    semi = tmp_path / "semi.lsc"
+    semi.write_text("ring R over Z/1000000016000000063 { gen x : deg 1 trunc 2; }\n")
+    code, out, err = run(capsys, "validate", str(semi))
+    assert code == 1
+    assert (
+        "semi.lsc:1:1: ring 'R': modulus must be a prime >= 2 "
+        "(got 1000000016000000063)"
+    ) in out + err
+    assert "Traceback" not in out + err
+
+
+def test_validate_reports_a_modulus_too_large_to_decide(tmp_path, capsys):
+    f = tmp_path / "huge.lsc"
+    f.write_text(f"ring R over Z/{2**64} {{ gen x : deg 1 trunc 2; }}\n")
+    code, out, err = run(capsys, "validate", str(f))
+    assert code == 1
+    assert (
+        "huge.lsc:1:1: ring 'R': modulus is too large "
+        "(65 bits; primes below 2^64 are supported)"
+    ) in out + err
+    assert "Traceback" not in out + err
+
+
+def test_composite_modulus_text_is_unchanged(tmp_path, capsys):
+    f = tmp_path / "smallp.lsc"
+    f.write_text("# composite\nring Q over Z/1000001 { gen x : deg 1 trunc 2; }\n")
+    code, out, err = run(capsys, "validate", str(f))
+    assert code == 1
+    assert (
+        "smallp.lsc:2:1: ring 'Q': modulus must be a prime >= 2 (got 1000001)"
+    ) in out + err
 
 
 def test_validate_reports_a_non_decimal_digit_without_a_traceback(tmp_path, capsys):

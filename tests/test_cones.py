@@ -265,3 +265,32 @@ def test_ledger_refuses_uncertified_bundles():
     b = principal("b", "F", 7, [3], certificate=CompatibilityCertificate())
     with pytest.raises(BoundRefused):
         filtration_ledger(b)
+
+
+def test_ledger_refuses_exactly_as_the_bound_does():
+    undecomposed = BundleRecord(
+        name="v",
+        total="V",
+        fiber="F",
+        base="B",
+        structure_group="G",
+        d=1,
+        s=0,
+        base_dim=4,
+        certificate=CompatibilityCertificate("verified", "checked by hand"),
+    )
+    refused = [
+        principal("none", "F", 7, [3], certificate=CompatibilityCertificate()),
+        principal("shifted", "F", 7, [3], d=2, s=1),
+        undecomposed,
+    ]
+    for b in refused:
+        with pytest.raises(BoundRefused) as bound:
+            main_theorem_bound(b)
+        with pytest.raises(BoundRefused) as ledger:
+            filtration_ledger(b)
+        assert ledger.value.reason == bound.value.reason
+    assert "fiber has no cone decomposition" in ledger.value.reason
+    assert filtration_ledger(principal("b", "F", 7, [3])).total_bound == (
+        main_theorem_bound(principal("b", "F", 7, [3]))
+    )

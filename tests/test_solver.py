@@ -2,6 +2,7 @@ import pytest
 
 from catbound import solver
 from catbound.catalog import link
+from catbound.cones import main_theorem_bound
 from catbound.corpus import load_corpus
 from catbound.cup import WeightAssignment, weighted_wgt_lower
 from catbound.dsl import parse
@@ -267,6 +268,105 @@ def test_extra_facts_only_tighten(corpus_solution):
             assert new.lower >= iv.lower
             if iv.upper is not None:
                 assert new.upper is not None and new.upper <= iv.upper
+
+
+def test_a_crossed_wcat_interval_is_a_contradiction_not_a_crash():
+    catalog = link(
+        [
+            doc(
+                """
+                space X {
+                  dim 5;
+                  known lower wcat = 4 from "one source";
+                  known upper wcat = 3 from "another";
+                }
+                space Y {
+                  dim 5;
+                  known lower wcat = 4 from "one source";
+                  known upper wcat = 3 from "another";
+                  known cat = 4 from "fine";
+                  known upper Cat = 3 from "too strong";
+                }
+                """
+            )
+        ]
+    )
+    s = propagate(catalog)
+    assert [(c.space, c.invariant) for c in s.contradictions] == [
+        ("X", "wcat"),
+        ("Y", "cat"),
+    ]
+    x = s.contradictions[0]
+    assert (x.lower.value, x.upper.value) == (4, 3)
+    assert "one source" in x.lower.detail and "another" in x.upper.detail
+
+
+# -- one definition per rule ---------------------------------------------------------
+
+
+def test_each_bundle_is_certified_once_per_solve(monkeypatch):
+    catalog = load_corpus()
+    calls = []
+
+    def counted(bundle):
+        calls.append(bundle.name)
+        return main_theorem_bound(bundle)
+
+    monkeypatch.setattr(solver, "main_theorem_bound", counted)
+    propagate(catalog)
+    assert len(calls) == len(catalog.bundles) == 12
+    assert sorted(calls) == sorted(catalog.bundles)
+
+
+def _cat_upper(solution, name):
+    return next(
+        e
+        for e in solution.provenance[name]
+        if e.invariant == "Cat" and e.side == "upper"
+    )
+
+
+TIED_BUNDLES = """
+space F {{ dim 3; stage 1 dim 3 skeleton "cell"; }}
+space B {{ dim 6; connectivity 1; }}
+space T {{ dim {total_dim}; }}
+{bundles}
+"""
+
+
+def _tied_bundle(name):
+    return (
+        f"bundle {name} {{ fiber F; base B; total T; structure-group F; "
+        "cells-mod 2 0; compatibility skeletal; }"
+    )
+
+
+def test_tied_bundles_credit_the_name_first():
+    # zeta is declared first, but alpha comes first by name
+    text = TIED_BUNDLES.format(
+        total_dim=20,
+        bundles=_tied_bundle("zeta") + "\n" + _tied_bundle("alpha"),
+    )
+    s = propagate(link([doc(text)]))
+    entry = _cat_upper(s, "T")
+    assert (entry.rule, entry.value) == ("cone-bundle", 4)
+    assert entry.detail == "bundle alpha: 1 + 6//2"
+
+
+def test_a_dimension_tie_is_credited_to_dimension():
+    # the bundle gives 1 + 6//2 = 4, and so does dim T
+    text = TIED_BUNDLES.format(total_dim=4, bundles=_tied_bundle("b"))
+    s = propagate(link([doc(text)]))
+    entry = _cat_upper(s, "T")
+    assert (entry.rule, entry.value, entry.detail) == ("dimension", 4, "dim 4")
+
+
+def test_corpus_provenance_justifies_every_interval_end(corpus_solution):
+    for name, entries in corpus_solution.provenance.items():
+        for e in entries:
+            assert e.rule != "derived", e
+            iv = corpus_solution.interval(name, e.invariant)
+            assert e.value == (iv.lower if e.side == "lower" else iv.upper), e
 
 
 # -- work done per ring ------------------------------------------------------------
