@@ -9,19 +9,14 @@ recorded facts.
 
 from .algebra import (
     AlgebraError,
-    Element,
     Generator,
     Monomial,
     RingPresentation,
     Substitution,
-    add,
     degree,
-    element,
-    multiply,
     multiply_monomials,
     nilpotency_order,
     normal_form,
-    scale,
 )
 from .catalog import Catalog, KnownFactRecord, LinkError, ProductRecord, SpaceInfo, link
 from .cones import (
@@ -75,7 +70,6 @@ __all__ = [
     "CorpusError",
     "CupResult",
     "Diagnostic",
-    "Element",
     "FiltrationLedger",
     "GaneaResult",
     "Generator",
@@ -93,12 +87,10 @@ __all__ = [
     "Substitution",
     "Verdict",
     "WeightAssignment",
-    "add",
     "check_compatibility",
     "cup_bruteforce_oracle",
     "cup_length",
     "degree",
-    "element",
     "filtration_ledger",
     "ganea_check",
     "general_bundle_bound",
@@ -106,7 +98,6 @@ __all__ = [
     "link",
     "load_corpus",
     "main_theorem_bound",
-    "multiply",
     "multiply_monomials",
     "nilpotency_order",
     "normal_form",
@@ -115,6 +106,5 @@ __all__ = [
     "propagate",
     "render",
     "ring_presentation",
-    "scale",
     "weighted_wgt_lower",
 ]

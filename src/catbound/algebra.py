@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-_NILPOTENCY_FALLBACK_CAP = 4096
-
 
 class AlgebraError(ValueError):
     """Raised for invalid presentations or malformed monomial input."""
@@ -81,16 +79,6 @@ class Monomial:
         return self.coeff == 0
 
 
-@dataclass(frozen=True)
-class Element:
-    """A sum of normal-form monomials with pairwise distinct exponent vectors."""
-
-    terms: tuple[Monomial, ...]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
 class RingPresentation:
     """An ordered, finitely presented graded-commutative Z/p algebra.
 
@@ -142,7 +130,8 @@ class RingPresentation:
         if top_degree_hint is not None and top_degree_hint < 1:
             raise AlgebraError("top_degree_hint must be positive when given")
         self.top_degree_hint = top_degree_hint
-        self._odd = tuple(g.degree % 2 == 1 for g in gens)
+        odd = [g.degree % 2 == 1 for g in gens]
+        self._odd = tuple(i for i in range(len(gens)) if odd[i])
 
         # Normalize rules: zero-target substitutions become truncations.
         trunc = [g.trunc for g in gens]
@@ -194,7 +183,7 @@ class RingPresentation:
                 )
             if subs[i] is not None:
                 raise AlgebraError(f"generator {src!r} has two substitutions")
-            if p != 2 and self._odd[i]:
+            if p != 2 and odd[i]:
                 raise AlgebraError(
                     f"odd-degree generator {src!r} squares to zero over Z/{p}; "
                     "a substitution with nonzero target is inconsistent"
@@ -208,14 +197,18 @@ class RingPresentation:
         # rule for odd-degree generators over an odd prime.
         eff: list[int | None] = list(trunc)
         for i, g in enumerate(gens):
-            if p != 2 and self._odd[i] and subs[i] is None:
+            if p != 2 and odd[i] and subs[i] is None:
                 if eff[i] is not None and eff[i] != 2:
                     raise AlgebraError(
                         f"odd-degree generator {g.name!r} over Z/{p} squares to "
                         f"zero; truncation {eff[i]} is inconsistent"
                     )
                 eff[i] = 2
-        self._declared_trunc = tuple(trunc)
+            if eff[i] is None and subs[i] is None:
+                raise AlgebraError(
+                    f"generator {g.name!r} has neither a truncation nor a relation; "
+                    "it is not nilpotent, so the algebra is not finite-dimensional"
+                )
         self._eff_trunc: tuple[int | None, ...] = tuple(eff)
         self._subs = tuple(subs)
         self._orders: tuple[int, ...] | None = None
@@ -277,35 +270,24 @@ class RingPresentation:
         return Monomial(coeff % self.p, tuple(exps))
 
     def monomial_word(self, word: Sequence[str], coeff: int = 1) -> Monomial:
-        """Build a monomial from an ordered factor word, accumulating the
-        Koszul sign needed to sort it, then normalize."""
-        idxs = [self.index(w) for w in word]
-        parity = 0
-        for a in range(len(idxs)):
-            if not self._odd[idxs[a]]:
-                continue
-            for b in range(a + 1, len(idxs)):
-                if idxs[b] < idxs[a] and self._odd[idxs[b]]:
-                    parity ^= 1
-        exps = [0] * self.ngens
-        for i in idxs:
-            exps[i] += 1
-        c = (-coeff if parity else coeff) % self.p
-        return normal_form(Monomial(c, tuple(exps)), self)
-
-    def element(self, monomials: Iterable[Monomial]) -> Element:
-        return element(monomials, self)
+        """The product of the factors of word, left to right, times coeff, in
+        normal form (Koszul signs included)."""
+        m = Monomial(coeff % self.p, (0,) * self.ngens)
+        for name in word:
+            exps = [0] * self.ngens
+            exps[self.index(name)] = 1
+            m = multiply_monomials(m, Monomial(1, tuple(exps)), self)
+        return m
 
 
-def _koszul_parity(u: Sequence[int], v: Sequence[int], odd: Sequence[bool]) -> int:
-    """Parity of odd-odd inversions when the sorted word u is followed by v."""
+def _koszul_parity(u: Sequence[int], v: Sequence[int], odd: Sequence[int]) -> int:
+    """Parity of odd-odd inversions when the sorted word u is followed by v;
+    odd lists the indices of the odd-degree generators in increasing order."""
     parity = 0
-    pref = 0  # running count (mod 2) of odd factors of v with index < a
-    for a in range(len(u)):
-        if odd[a]:
-            if (u[a] & 1) and (pref & 1):
-                parity ^= 1
-            pref ^= v[a] & 1
+    pref = 0  # parity of the odd factors of v with index < a
+    for a in odd:
+        parity ^= u[a] & pref
+        pref ^= v[a] & 1
     return parity
 
 
@@ -327,15 +309,11 @@ def normal_form(m: Monomial, ring: RingPresentation) -> Monomial:
             t, tc, texps = sub
             while e[i] >= t:
                 e[i] -= t
-                # The replaced block sits left of every factor with a larger
-                # index, so only the suffix contributes Koszul inversions.
-                parity = 0
-                pref = 0
-                for a in range(i + 1, ring.ngens):
-                    if odd[a]:
-                        if (texps[a] & 1) and (pref & 1):
-                            parity ^= 1
-                        pref ^= e[a] & 1
+                # The target sits left of e's later factors.  Counting e from
+                # index 0 keeps the parity: an even-degree source has an even
+                # number of odd-degree target factors, and an odd-degree one
+                # is rewritten only over Z/2.
+                parity = _koszul_parity(texps, e, odd)
                 c = (c * tc * (-1 if parity else 1)) % p
                 if c == 0:
                     return ring.zero_monomial()
@@ -362,52 +340,19 @@ def multiply_monomials(u: Monomial, v: Monomial, ring: RingPresentation) -> Mono
     return normal_form(Monomial(c, exps), ring)
 
 
-def element(monomials: Iterable[Monomial], ring: RingPresentation) -> Element:
-    """Normalize and merge monomials into an Element (terms sorted by exponents)."""
-    acc: dict[tuple[int, ...], int] = {}
-    for m in monomials:
-        nm = normal_form(m, ring)
-        if nm.is_zero():
-            continue
-        acc[nm.exps] = (acc.get(nm.exps, 0) + nm.coeff) % ring.p
-    terms = tuple(
-        Monomial(c, x) for x, c in sorted(acc.items()) if c != 0
-    )
-    return Element(terms)
-
-
-def add(u: Element, v: Element, ring: RingPresentation) -> Element:
-    return element(u.terms + v.terms, ring)
-
-
-def scale(u: Element, c: int, ring: RingPresentation) -> Element:
-    return element((Monomial(m.coeff * c, m.exps) for m in u.terms), ring)
-
-
-def multiply(u: Element, v: Element, ring: RingPresentation) -> Element:
-    """Product of two Elements: all pairwise monomial products, merged."""
-    out = []
-    for a in u.terms:
-        for b in v.terms:
-            out.append(multiply_monomials(a, b, ring))
-    return element(out, ring)
-
-
-def _power_bound(ring: RingPresentation, i: int) -> int | None:
-    """A finite exponent known to kill generator i on its own, if any."""
+def _power_bound(ring: RingPresentation, i: int) -> int:
+    """The exponent of generator i's own truncation or substitution."""
     if ring._eff_trunc[i] is not None:
         return ring._eff_trunc[i]
-    if ring._subs[i] is not None:
-        return ring._subs[i][0]
-    return None
+    return ring._subs[i][0]
 
 
 def nilpotency_order(name: str, ring: RingPresentation) -> int:
     """Least k with g^k = 0.  Capped by ceil(hint/deg)+1 when a top-degree
-    hint exists, else by the product of all per-generator bounds; exceeding
-    the cap signals a non-nilpotent generator, hence an invalid presentation
-    (these algebras are finite-dimensional).  Powers only grow the exponents
-    that truncations test, so g^k = 0 is monotone in k: double, then bisect."""
+    hint exists, else by the product of all per-generator bounds, which every
+    valid presentation meets; exceeding the hint's cap is an error.  Powers
+    only grow the exponents that truncations test, so g^k = 0 is monotone in
+    k: double, then bisect."""
     i = ring.index(name)
     d = ring.generators[i].degree
     if ring.top_degree_hint is not None:
@@ -415,11 +360,7 @@ def nilpotency_order(name: str, ring: RingPresentation) -> int:
     else:
         cap = 1
         for j in range(ring.ngens):
-            b = _power_bound(ring, j)
-            if b is None:
-                cap = _NILPOTENCY_FALLBACK_CAP
-                break
-            cap *= b
+            cap *= _power_bound(ring, j)
     exps = [0] * ring.ngens
 
     def vanishes(k: int) -> bool:

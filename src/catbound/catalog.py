@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .algebra import RingPresentation
-from .cones import BundleRecord, CompatibilityCertificate, ConeDecomposition, ConeStage
+from .cones import BundleRecord, ConeDecomposition, ConeError
 from .dsl import (
     BundleDecl,
     KnownFact,
@@ -100,15 +100,8 @@ def _index(records, key) -> dict:
 
 def _space_info(decl: SpaceDecl) -> SpaceInfo:
     decomposition = None
-    if decl.stages:
-        stages = [
-            ConeStage(st.index, st.dim, st.description, st.skeleton)
-            for st in decl.stages
-        ]
-        decomposition = ConeDecomposition(decl.name, stages)
-    elif decl.dim == 0:
-        # a point is a cone tower of length zero
-        decomposition = ConeDecomposition(decl.name, [])
+    if decl.stages or decl.dim == 0:  # a point is a cone tower of length zero
+        decomposition = ConeDecomposition(decl.name, tuple(decl.stages))
     return SpaceInfo(
         name=decl.name,
         dim=decl.dim,
@@ -205,29 +198,27 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
             raise LinkError(
                 f"bundle {name!r}: base {decl.base!r} has no declared dim"
             )
-        if base.dim != 0 and base.dim < decl.d:
-            raise LinkError(
-                f"bundle {name!r}: base dim {base.dim} is smaller than the "
-                f"cell period {decl.d}"
+        try:
+            record = BundleRecord(
+                name=name,
+                total=decl.total,
+                fiber=decl.fiber,
+                base=decl.base,
+                structure_group=decl.structure_group,
+                d=decl.d,
+                s=decl.s,
+                base_dim=base.dim,
+                fiber_decomposition=catalog.spaces[decl.fiber].decomposition,
+                certificate=decl.certificate,
             )
+        except ConeError as exc:
+            raise LinkError(str(exc)) from None
         if (base.connectivity or 0) < decl.d - 1:
             raise LinkError(
                 f"bundle {name!r}: cells-mod {decl.d} needs a "
                 f"{decl.d - 1}-connected base"
             )
-        fiber = catalog.spaces[decl.fiber]
-        catalog.bundles[name] = BundleRecord(
-            name=name,
-            total=decl.total,
-            fiber=decl.fiber,
-            base=decl.base,
-            structure_group=decl.structure_group,
-            d=decl.d,
-            s=decl.s,
-            base_dim=base.dim,
-            fiber_decomposition=fiber.decomposition,
-            certificate=CompatibilityCertificate(decl.cert_kind, decl.cert_reason),
-        )
+        catalog.bundles[name] = record
 
     facts = set()
     for fact in fact_decls:

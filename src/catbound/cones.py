@@ -8,6 +8,9 @@ concentrated in dimensions 0..s mod d, a stagewise-compressible decomposition
 of the fibre (recorded here as a certificate) gives
 Cat X <= m + floor(dimB / d).  Without any certificate only the coarse
 product-style bound (Cat F + 1)(Cat B + 1) - 1 applies.
+
+The records below check the theorem's hypotheses when they are built; the
+parser and the linker report a ConeError's text as it stands.
 """
 
 from __future__ import annotations
@@ -48,12 +51,11 @@ class ConeDecomposition:
         for k, st in enumerate(self.stages, start=1):
             if st.index != k:
                 raise ConeError(
-                    f"stages of {self.space!r} must be numbered 1..m in order "
-                    f"(stage {st.index} at position {k})"
+                    f"space {self.space!r}: stages must be numbered 1..m in order"
                 )
             if st.attach_dim < 1:
                 raise ConeError(
-                    f"stage {st.index} of {self.space!r} needs attach_dim >= 1"
+                    f"space {self.space!r}: stage {st.index} needs dim >= 1"
                 )
 
     @property
@@ -100,17 +102,22 @@ class BundleRecord:
     )
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConeError(f"bundle {self.name!r}: d must be >= 1")
-        if not 0 <= self.s <= self.d - 1:
-            raise ConeError(f"bundle {self.name!r}: s must satisfy 0 <= s <= d-1")
+        check_cells_mod(self.name, self.d, self.s)
         if self.base_dim < 0:
             raise ConeError(f"bundle {self.name!r}: base dimension must be >= 0")
         if self.base_dim != 0 and self.base_dim < self.d:
             raise ConeError(
-                f"bundle {self.name!r}: base dimension {self.base_dim} is "
-                f"positive but below d={self.d}"
+                f"bundle {self.name!r}: base dim {self.base_dim} is smaller "
+                f"than the cell period {self.d}"
             )
+
+
+def check_cells_mod(bundle: str, d: int, s: int) -> None:
+    """The theorem's cell hypothesis: period d >= 1, residues 0 <= s <= d-1."""
+    if d < 1:
+        raise ConeError(f"bundle {bundle!r}: d must be >= 1")
+    if not 0 <= s <= d - 1:
+        raise ConeError(f"bundle {bundle!r}: s must satisfy 0 <= s <= d-1")
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,7 @@ def main_theorem_bound(bundle: BundleRecord) -> int:
         raise BoundRefused(
             f"bundle {bundle.name!r}: fiber has no cone decomposition"
         )
-    return dec.length + bundle.base_dim // bundle.d
+    return dec.length + james_ganea_bound(bundle.base_dim, bundle.d)
 
 
 def product_bound(cat_x: int, cat_y: int) -> int:
@@ -237,7 +244,7 @@ def filtration_ledger(bundle: BundleRecord) -> FiltrationLedger:
     piece C(A_i) x C(K_j) has dimension d*i + s + attach_dim(j)."""
     main_theorem_bound(bundle)  # refuses exactly where the bound refuses
     dec = bundle.fiber_decomposition
-    n = bundle.base_dim // bundle.d
+    n = james_ganea_bound(bundle.base_dim, bundle.d)
     m = dec.length
     attach = {st.index: st.attach_dim for st in dec.stages}
     stages = []

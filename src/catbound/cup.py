@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Mapping
 
 from .algebra import (
     AlgebraError,
@@ -77,11 +76,6 @@ class CupResult:
     value: int
     witness: tuple[int, ...]
     weighted: bool
-
-    def witness_powers(self, ring: RingPresentation) -> dict[str, int]:
-        return {
-            g.name: e for g, e in zip(ring.generators, self.witness) if e > 0
-        }
 
     def witness_str(self, ring: RingPresentation) -> str:
         parts = []

@@ -47,6 +47,13 @@ import re
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraError, RingPresentation, Substitution
+from .cones import (
+    CompatibilityCertificate,
+    ConeDecomposition,
+    ConeError,
+    ConeStage,
+    check_cells_mod,
+)
 
 INVARIANTS = ("cup", "sigmacat", "cat", "Cat", "wcat")
 QUALIFIERS = ("lower", "upper", "exact")
@@ -126,14 +133,6 @@ class KnownFact:
 
 
 @dataclass
-class StageDecl:
-    index: int
-    dim: int
-    skeleton: bool
-    description: str
-
-
-@dataclass
 class CohomologyRef:
     ring: str
     p: int
@@ -148,7 +147,7 @@ class SpaceDecl:
     cohomology: CohomologyRef | None = None
     loopspace_even: bool = False
     knowns: list[KnownFact] = field(default_factory=list)
-    stages: list[StageDecl] = field(default_factory=list)
+    stages: list[ConeStage] = field(default_factory=list)
     line: int = field(default=0, compare=False)
 
     kind = "space"
@@ -163,8 +162,9 @@ class BundleDecl:
     structure_group: str
     d: int
     s: int
-    cert_kind: str = "none"
-    cert_reason: str = ""
+    certificate: CompatibilityCertificate = field(
+        default_factory=CompatibilityCertificate
+    )
     line: int = field(default=0, compare=False)
 
     kind = "bundle"
@@ -469,6 +469,13 @@ class _Parser:
         self.expect_punct(";")
         return RelDecl(gen, exponent, coeff, tuple(powers))
 
+    def checked(self, tok: Token, check, *args):
+        """check(*args), with a ConeError turned into a diagnostic at tok."""
+        try:
+            return check(*args)
+        except ConeError as exc:
+            raise self.error(tok, str(exc)) from None
+
     def validate_ring(self, decl: RingDecl, start: Token) -> None:
         if not decl.gens:
             raise self.error(
@@ -528,7 +535,7 @@ class _Parser:
                     skeleton = True
                 description = self.expect_string("stage description")
                 self.expect_punct(";")
-                decl.stages.append(StageDecl(index, dim, skeleton, description))
+                decl.stages.append(ConeStage(index, dim, description, skeleton))
             elif self.at_ident("known"):
                 decl.knowns.append(self.parse_known(space=name))
             else:
@@ -536,16 +543,7 @@ class _Parser:
                     tok, f"unknown space statement {tok.value!r}"
                 )
         self.expect_punct("}")
-        for k, st in enumerate(decl.stages, start=1):
-            if st.index != k:
-                raise self.error(
-                    start,
-                    f"space {name!r}: stages must be numbered 1..m in order",
-                )
-            if st.dim < 1:
-                raise self.error(
-                    start, f"space {name!r}: stage {st.index} needs dim >= 1"
-                )
+        self.checked(start, ConeDecomposition, name, tuple(decl.stages))
         return decl
 
     def parse_known(self, space: str | None) -> KnownFact:
@@ -585,7 +583,7 @@ class _Parser:
         start = self.expect_keyword("bundle")
         name = self.expect_ident("bundle name").value
         fields: dict[str, object] = {}
-        cert_kind, cert_reason = "none", ""
+        certificate = CompatibilityCertificate()
         self.expect_punct("{")
         while not (self.peek().kind == "punct" and self.peek().value == "}"):
             tok = self.peek()
@@ -611,19 +609,15 @@ class _Parser:
                 self.expect_punct(";")
             elif self.at_ident("compatibility"):
                 self.advance()
-                if cert_kind != "none":
+                if certificate.kind != "none":
                     raise self.error(tok, f"bundle {name!r}: repeated compatibility")
                 kind_tok = self.expect_ident("certificate kind")
+                reason = ""
                 if kind_tok.value == "verified":
-                    cert_kind = "verified"
-                    cert_reason = self.expect_string("justification")
-                elif kind_tok.value in ("skeletal", "trivial", "none"):
-                    cert_kind = kind_tok.value
-                else:
-                    raise self.error(
-                        kind_tok,
-                        f"unknown certificate kind {kind_tok.value!r}",
-                    )
+                    reason = self.expect_string("justification")
+                certificate = self.checked(
+                    kind_tok, CompatibilityCertificate, kind_tok.value, reason
+                )
                 self.expect_punct(";")
             else:
                 raise self.error(tok, f"unknown bundle statement {tok.value!r}")
@@ -632,23 +626,16 @@ class _Parser:
             if key not in fields:
                 label = "cells-mod" if key == "d" else key
                 raise self.error(start, f"bundle {name!r} is missing {label}")
-        d, s = fields["d"], fields["s"]
-        if d < 1:
-            raise self.error(start, f"bundle {name!r}: d must be >= 1")
-        if not 0 <= s <= d - 1:
-            raise self.error(
-                start, f"bundle {name!r}: s must satisfy 0 <= s <= d-1"
-            )
+        self.checked(start, check_cells_mod, name, fields["d"], fields["s"])
         return BundleDecl(
             name,
             fiber=fields["fiber"],
             base=fields["base"],
             total=fields["total"],
             structure_group=fields["structure-group"],
-            d=d,
-            s=s,
-            cert_kind=cert_kind,
-            cert_reason=cert_reason,
+            d=fields["d"],
+            s=fields["s"],
+            certificate=certificate,
             line=start.line,
         )
 
@@ -739,7 +726,7 @@ def render(doc: SourceDocument) -> str:
             for st in decl.stages:
                 skel = " skeleton" if st.skeleton else ""
                 desc = st.description.replace("\\", "\\\\").replace('"', '\\"')
-                out.append(f'  stage {st.index} dim {st.dim}{skel} "{desc}";')
+                out.append(f'  stage {st.index} dim {st.attach_dim}{skel} "{desc}";')
             for fact in decl.knowns:
                 out.append("  " + _render_known(fact, top_level=False))
             out.append("}")
@@ -750,11 +737,12 @@ def render(doc: SourceDocument) -> str:
             out.append(f"  total {decl.total};")
             out.append(f"  structure-group {decl.structure_group};")
             out.append(f"  cells-mod {decl.d} {decl.s};")
-            if decl.cert_kind == "verified":
-                reason = decl.cert_reason.replace("\\", "\\\\").replace('"', '\\"')
+            cert = decl.certificate
+            if cert.kind == "verified":
+                reason = cert.reason.replace("\\", "\\\\").replace('"', '\\"')
                 out.append(f'  compatibility verified "{reason}";')
-            elif decl.cert_kind != "none":
-                out.append(f"  compatibility {decl.cert_kind};")
+            elif cert.kind != "none":
+                out.append(f"  compatibility {cert.kind};")
             out.append("}")
         elif isinstance(decl, ProductDecl):
             out.append(f"product {decl.total} = {decl.left} * {decl.right};")

@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass, field
 
 from .catalog import Catalog
-from .cones import BoundRefused, general_bundle_bound, main_theorem_bound
+from .cones import BoundRefused, general_bundle_bound, main_theorem_bound, product_bound
 from .cup import WeightAssignment, cup_length, weighted_wgt_lower
 
 CHAIN = ("cup", "sigmacat", "cat", "Cat")
@@ -239,7 +239,7 @@ def _rule_product(catalog, states, cache, bundles):
             a, b = left[inv].upper, right[inv].upper
             if a is not None and b is not None:
                 detail = f"{prod.left} x {prod.right}: {a} + {b}"
-                yield prod.total, inv, "upper", a + b, detail
+                yield prod.total, inv, "upper", product_bound(a, b), detail
 
 
 def _rule_fiber_base(catalog, states, cache, bundles):

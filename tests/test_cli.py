@@ -273,6 +273,35 @@ def test_composite_modulus_text_is_unchanged(tmp_path, capsys):
     ) in out + err
 
 
+def test_validate_rejects_a_generator_that_is_never_nilpotent(tmp_path, capsys):
+    f = tmp_path / "poly.lsc"
+    f.write_text("ring R over Z/2 { gen x : deg 2; }\n")
+    code, out, err = run(capsys, "validate", str(f))
+    assert code == 1
+    assert (
+        "poly.lsc:1:1: ring 'R': generator 'x' has neither a truncation "
+        "nor a relation; "
+    ) in out + err
+    assert "Traceback" not in out + err
+
+
+def test_validate_places_a_blank_verified_reason_at_its_kind(tmp_path, capsys):
+    f = tmp_path / "ver.lsc"
+    f.write_text(
+        'space F { dim 3; stage 1 dim 3 "top"; }\n'
+        "space B { dim 4; connectivity 3; }\n"
+        "space T { dim 7; }\n"
+        "bundle b { fiber F; base B; total T; structure-group trivial; "
+        'cells-mod 4 0; compatibility verified "  "; }\n'
+    )
+    code, out, err = run(capsys, "validate", str(f))
+    assert code == 1
+    assert out.endswith(
+        "ver.lsc:4:92: a verified certificate needs a nonempty reason\n"
+    )
+    assert err == ""
+
+
 def test_validate_reports_a_non_decimal_digit_without_a_traceback(tmp_path, capsys):
     f = tmp_path / "sup.lsc"
     f.write_text("space A { dim \u00b2; }\n", encoding="utf-8")

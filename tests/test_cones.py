@@ -193,7 +193,7 @@ def test_general_bound_never_beats_a_certified_one_here():
 def test_stages_must_be_numbered_consecutively():
     with pytest.raises(ConeError, match="numbered 1..m"):
         ConeDecomposition("X", (ConeStage(2, 3),))
-    with pytest.raises(ConeError, match="attach_dim >= 1"):
+    with pytest.raises(ConeError, match="needs dim >= 1"):
         ConeDecomposition("X", (ConeStage(1, 0),))
 
 
@@ -202,7 +202,7 @@ def test_bundle_record_validation():
         BundleRecord("b", "T", "F", "B", "F", 0, 0, 7)
     with pytest.raises(ConeError, match="0 <= s <= d-1"):
         BundleRecord("b", "T", "F", "B", "F", 2, 2, 8)
-    with pytest.raises(ConeError, match="below d"):
+    with pytest.raises(ConeError, match="smaller than the cell period"):
         BundleRecord("b", "T", "F", "B", "F", 2, 0, 1)
     BundleRecord("b", "T", "F", "B", "F", 2, 0, 0)  # a point base is fine
 

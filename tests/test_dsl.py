@@ -5,6 +5,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from catbound.algebra import RingPresentation
 from catbound.catalog import LinkError, link
+from catbound.cones import (
+    BundleRecord,
+    CompatibilityCertificate,
+    ConeDecomposition,
+    ConeError,
+    ConeStage,
+)
 from catbound.corpus import parse_sources, read_sources
 from catbound.dsl import (
     KnownFact,
@@ -219,6 +226,59 @@ def test_stage_numbering_is_checked():
     )
     assert not doc.ok
     assert "numbered 1..m" in doc.diagnostics[0].message
+
+
+def _bundle(body):
+    return (
+        "bundle b { fiber F; base B; total T; structure-group F; "
+        f"{body} }}"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, record, at",
+    [
+        (
+            'space X { dim 8; stage 1 dim 5 "a"; stage 3 dim 8 "c"; }',
+            lambda: ConeDecomposition("X", (ConeStage(1, 5), ConeStage(3, 8))),
+            (1, 1),
+        ),
+        (
+            'space X { dim 8; stage 1 dim 0 "a"; }',
+            lambda: ConeDecomposition("X", (ConeStage(1, 0),)),
+            (1, 1),
+        ),
+        (
+            _bundle("cells-mod 0 0;"),
+            lambda: BundleRecord("b", "T", "F", "B", "F", 0, 0, 8),
+            (1, 1),
+        ),
+        (
+            _bundle("cells-mod 2 2;"),
+            lambda: BundleRecord("b", "T", "F", "B", "F", 2, 2, 8),
+            (1, 1),
+        ),
+        (
+            _bundle("cells-mod 1 0; compatibility bogus;"),
+            lambda: CompatibilityCertificate("bogus"),
+            (1, 86),
+        ),
+        (
+            _bundle('cells-mod 1 0; compatibility verified "  ";'),
+            lambda: CompatibilityCertificate("verified", "  "),
+            (1, 86),
+        ),
+    ],
+    ids=["numbering", "stage-dim", "period", "residue", "kind", "blank-reason"],
+)
+def test_parser_reports_the_record_check_verbatim(text, record, at):
+    with pytest.raises(ConeError) as info:
+        record()
+    doc = parse(text)
+    assert [(d.line, d.col, d.message) for d in doc.diagnostics] == [
+        (*at, str(info.value))
+    ]
+    assert doc.declarations == []
 
 
 def test_top_level_fact_must_name_its_space():
