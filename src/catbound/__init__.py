@@ -18,7 +18,7 @@ from .algebra import (
     nilpotency_order,
     normal_form,
 )
-from .catalog import Catalog, KnownFactRecord, LinkError, ProductRecord, SpaceInfo, link
+from .catalog import Catalog, LinkError, SpaceInfo, link
 from .cones import (
     BoundRefused,
     BundleRecord,
@@ -44,7 +44,15 @@ from .cup import (
     cup_length,
     weighted_wgt_lower,
 )
-from .dsl import Diagnostic, SourceDocument, parse, render, ring_presentation
+from .dsl import (
+    Diagnostic,
+    KnownFact,
+    ProductDecl,
+    SourceDocument,
+    parse,
+    render,
+    ring_presentation,
+)
 from .solver import (
     Contradiction,
     GaneaResult,
@@ -74,10 +82,10 @@ __all__ = [
     "GaneaResult",
     "Generator",
     "Interval",
-    "KnownFactRecord",
+    "KnownFact",
     "LinkError",
     "Monomial",
-    "ProductRecord",
+    "ProductDecl",
     "Provenance",
     "RingPresentation",
     "SearchBudgetExceeded",

@@ -10,7 +10,6 @@ and are kept as sorted tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 from .algebra import RingPresentation
@@ -30,22 +29,6 @@ class LinkError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class KnownFactRecord:
-    space: str
-    invariant: str
-    qualifier: str  # lower | upper | exact
-    value: int
-    citation: str
-
-
-@dataclass(frozen=True)
-class ProductRecord:
-    total: str
-    left: str
-    right: str
-
-
 @dataclass
 class SpaceInfo:
     name: str
@@ -62,40 +45,8 @@ class Catalog:
     rings: dict[str, RingPresentation] = field(default_factory=dict)
     spaces: dict[str, SpaceInfo] = field(default_factory=dict)
     bundles: dict[str, BundleRecord] = field(default_factory=dict)
-    products: tuple[ProductRecord, ...] = ()
-    facts: tuple[KnownFactRecord, ...] = ()
-
-    # The per-space indexes are built on first use: a linked catalog is
-    # read-only from then on.
-
-    def facts_for(self, space: str) -> tuple[KnownFactRecord, ...]:
-        return tuple(self._facts_by_space.get(space, ()))
-
-    def bundles_with_total(self, total: str) -> list[BundleRecord]:
-        return list(self._bundles_by_total.get(total, ()))
-
-    def products_with_total(self, total: str) -> list[ProductRecord]:
-        return list(self._products_by_total.get(total, ()))
-
-    @cached_property
-    def _facts_by_space(self) -> dict[str, list[KnownFactRecord]]:
-        return _index(self.facts, lambda f: f.space)
-
-    @cached_property
-    def _bundles_by_total(self) -> dict[str, list[BundleRecord]]:
-        return _index(self.bundles.values(), lambda b: b.total)
-
-    @cached_property
-    def _products_by_total(self) -> dict[str, list[ProductRecord]]:
-        return _index(self.products, lambda p: p.total)
-
-
-def _index(records, key) -> dict:
-    """Records grouped by key, each group in the records' own order."""
-    groups: dict = {}
-    for rec in records:
-        groups.setdefault(key(rec), []).append(rec)
-    return groups
+    products: tuple[ProductDecl, ...] = ()
+    facts: tuple[KnownFact, ...] = ()
 
 
 def _space_info(decl: SpaceDecl) -> SpaceInfo:
@@ -220,25 +171,18 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
             )
         catalog.bundles[name] = record
 
-    facts = set()
     for fact in fact_decls:
         if fact.space not in catalog.spaces:
             raise LinkError(
                 f"known fact refers to undeclared space {fact.space!r}"
             )
-        facts.add(
-            KnownFactRecord(
-                fact.space, fact.invariant, fact.qualifier, fact.value, fact.citation
-            )
-        )
     catalog.facts = tuple(
         sorted(
-            facts,
+            set(fact_decls),
             key=lambda f: (f.space, f.invariant, f.qualifier, f.value, f.citation),
         )
     )
 
-    products = set()
     for prod in product_decls:
         for role, ref in (
             ("total", prod.total),
@@ -249,8 +193,7 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                 raise LinkError(
                     f"product statement: {role} {ref!r} is not a declared space"
                 )
-        products.add(ProductRecord(prod.total, prod.left, prod.right))
     catalog.products = tuple(
-        sorted(products, key=lambda r: (r.total, r.left, r.right))
+        sorted(set(product_decls), key=lambda r: (r.total, r.left, r.right))
     )
     return catalog

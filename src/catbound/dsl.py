@@ -36,9 +36,15 @@ letters and digits are ASCII.  An integer too long for int() is a diagnostic.
 
 "exterior" is sugar for "trunc 2".  "cells-mod d s" states that the base's
 cells sit in dimensions congruent to 0..s mod d.  A top-level "known" names
-the space it concerns; inside a space block the space is implicit.  Parsing
-is total: errors become diagnostics with line and column, the offending
-declaration is dropped whole, and parsing resumes at the next declaration.
+the space it concerns; inside a space block the space is implicit.
+
+Statements are dispatched on their leading keyword through one table per
+block (top level, ring, generator attributes, space, bundle), read by one
+block loop.  A single-valued statement or attribute (every one but gen, rel,
+stage, known and loopspace-even) may appear once per block; "trunc" and
+"exterior" fill the same truncation.  Parsing is total: errors become
+diagnostics with line and column, the offending declaration is dropped
+whole, and parsing resumes at the next declaration.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraError, RingPresentation, Substitution
+from .algebra import AlgebraError, Generator, RingPresentation, Substitution
 from .cones import (
     CompatibilityCertificate,
     ConeDecomposition,
@@ -57,7 +63,6 @@ from .cones import (
 
 INVARIANTS = ("cup", "sigmacat", "cat", "Cat", "wcat")
 QUALIFIERS = ("lower", "upper", "exact")
-_TOP_KEYWORDS = ("ring", "space", "bundle", "product", "known")
 
 
 class DslError(ValueError):
@@ -86,14 +91,6 @@ class Token:
 
 
 @dataclass
-class GenDecl:
-    name: str
-    degree: int
-    trunc: int | None = None
-    weight: int = 1
-
-
-@dataclass
 class RelDecl:
     gen: str
     exponent: int
@@ -105,7 +102,7 @@ class RelDecl:
 class RingDecl:
     name: str
     p: int
-    gens: list[GenDecl] = field(default_factory=list)
+    gens: list[Generator] = field(default_factory=list)
     rels: list[RelDecl] = field(default_factory=list)
     line: int = field(default=0, compare=False)
     # built once by the parser's validation and reused by the linker
@@ -116,7 +113,7 @@ class RingDecl:
     kind = "ring"
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnownFact:
     space: str | None
     invariant: str
@@ -170,7 +167,7 @@ class BundleDecl:
     kind = "bundle"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProductDecl:
     total: str
     left: str
@@ -295,6 +292,14 @@ class _Parser:
             raise self.error(tok, f"expected {word!r}, found {tok.value!r}")
         return self.advance()
 
+    def accept(self, word: str) -> bool:
+        """Consume the optional keyword `word` if it comes next."""
+        tok = self.peek()
+        if tok.kind == "ident" and tok.value == word:
+            self.advance()
+            return True
+        return False
+
     def expect_int(self, what: str = "integer") -> int:
         tok = self.peek()
         if tok.kind != "int":
@@ -315,9 +320,12 @@ class _Parser:
         self.advance()
         return tok.value
 
-    def at_ident(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == value
+    def checked(self, tok: Token, check, *args):
+        """check(*args), with a ConeError turned into a diagnostic at tok."""
+        try:
+            return check(*args)
+        except ConeError as exc:
+            raise self.error(tok, str(exc)) from None
 
     def skip_declaration(self) -> None:
         """Panic-mode recovery: drop tokens until the next top-level keyword
@@ -336,37 +344,56 @@ class _Parser:
                     if depth == 0:
                         return
                     continue
-            elif (
-                depth == 0
-                and tok.kind == "ident"
-                and tok.value in _TOP_KEYWORDS
-            ):
+            elif depth == 0 and tok.kind == "ident" and tok.value in self.TOP:
                 return
             self.advance()
+
+    # -- dispatch ------------------------------------------------------------
+
+    def lookup(self, table: dict, unknown: str):
+        """The table entry for the next token, which must be an identifier
+        the table holds; otherwise the `unknown` message, formatted with the
+        token's text.  Consumes nothing."""
+        tok = self.peek()
+        entry = table.get(tok.value) if tok.kind == "ident" else None
+        if entry is None:
+            raise self.error(tok, unknown.format(repr(tok.value)))
+        return entry
+
+    def block(self, table, target, kind, name, unknown, close="}") -> set:
+        """Statements up to and including the `close` punctuation; returns
+        the slots they filled.  The table maps each keyword to (slot,
+        handler): a statement with a slot may appear once per block (None:
+        it may repeat), and handler(self, keyword_token, target) reads what
+        follows the keyword.  Only a braced block opens with "{" and can be
+        left unclosed; generator attributes run to the ";"."""
+        braced = close == "}"
+        if braced:
+            self.expect_punct("{")
+        filled: set[str] = set()
+        while True:
+            tok = self.peek()
+            if tok.kind == "punct" and tok.value == close:
+                self.advance()
+                return filled
+            if tok.kind == "eof" and braced:
+                raise self.error(tok, f"unclosed {kind} block {name!r}")
+            slot, handler = self.lookup(table, unknown)
+            if slot is not None:
+                if slot in filled:
+                    raise self.error(tok, f"{kind} {name!r}: repeated {slot}")
+                filled.add(slot)
+            handler(self, self.advance(), target)
 
     # -- declarations ------------------------------------------------------
 
     def parse_document(self, path: str | None) -> SourceDocument:
         decls: list[Declaration] = []
-        while True:
+        while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind == "eof":
-                break
             try:
-                if self.at_ident("ring"):
-                    decls.append(self.parse_ring())
-                elif self.at_ident("space"):
-                    decls.append(self.parse_space())
-                elif self.at_ident("bundle"):
-                    decls.append(self.parse_bundle())
-                elif self.at_ident("product"):
-                    decls.append(self.parse_product())
-                elif self.at_ident("known"):
-                    decls.append(self.parse_known(space=None))
-                else:
-                    raise self.error(
-                        tok, f"unknown declaration keyword {tok.value!r}"
-                    )
+                handler = self.lookup(self.TOP, "unknown declaration keyword {}")
+                decls.append(handler(self, self.advance()))
             except DslError as exc:
                 line, col, message = str(exc).split(":", 2)
                 self.diags.append(Diagnostic(int(line), int(col), message))
@@ -386,74 +413,54 @@ class _Parser:
             raise self.error(tok, f"expected a modulus Z/<p>, found {tok.value!r}")
         return self.to_int(tok, digits, "modulus")
 
-    def parse_ring(self) -> RingDecl:
-        start = self.expect_keyword("ring")
+    def parse_ring(self, start: Token) -> RingDecl:
         name = self.expect_ident("ring name").value
         self.expect_keyword("over")
-        p = self.parse_modulus()
-        decl = RingDecl(name, p, line=start.line)
-        self.expect_punct("{")
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
-            if self.peek().kind == "eof":
-                raise self.error(self.peek(), f"unclosed ring block {name!r}")
-            if self.at_ident("gen"):
-                decl.gens.append(self.parse_gen())
-            elif self.at_ident("rel"):
-                decl.rels.append(self.parse_rel())
-            else:
-                raise self.error(
-                    self.peek(),
-                    f"unknown ring statement {self.peek().value!r} "
-                    "(expected gen or rel)",
-                )
-        self.expect_punct("}")
-        self.validate_ring(decl, start)
+        decl = RingDecl(name, self.parse_modulus(), line=start.line)
+        unknown = "unknown ring statement {} (expected gen or rel)"
+        self.block(self.RING, decl, "ring", name, unknown)
+        if not decl.gens:
+            raise self.error(
+                start, f"ring {name!r} must declare at least one generator"
+            )
+        try:
+            decl.presentation = ring_presentation(decl)
+        except AlgebraError as exc:
+            raise self.error(start, f"ring {name!r}: {exc}") from None
         return decl
 
-    def parse_gen(self) -> GenDecl:
-        self.expect_keyword("gen")
+    def parse_gen(self, _, ring: RingDecl) -> None:
         name = self.expect_ident("generator name").value
         self.expect_punct(":")
         self.expect_keyword("deg")
         degree = self.expect_int("degree")
-        trunc: int | None = None
-        weight = 1
-        while not (self.peek().kind == "punct" and self.peek().value == ";"):
-            tok = self.peek()
-            if self.at_ident("trunc"):
-                self.advance()
-                if trunc is not None:
-                    raise self.error(tok, f"generator {name!r}: repeated truncation")
-                trunc = self.expect_int("truncation")
-            elif self.at_ident("exterior"):
-                self.advance()
-                if trunc is not None:
-                    raise self.error(tok, f"generator {name!r}: repeated truncation")
-                trunc = 2
-            elif self.at_ident("weight"):
-                self.advance()
-                weight = self.expect_int("weight")
-            else:
-                raise self.error(
-                    tok, f"unknown generator attribute {tok.value!r}"
-                )
-        self.expect_punct(";")
-        return GenDecl(name, degree, trunc, weight)
+        attrs: dict[str, int] = {}
+        unknown = "unknown generator attribute {}"
+        self.block(self.GEN, attrs, "generator", name, unknown, close=";")
+        ring.gens.append(Generator(name, degree, **attrs))
 
-    def parse_rel(self) -> RelDecl:
-        self.expect_keyword("rel")
+    def gen_trunc(self, _, attrs: dict) -> None:
+        attrs["trunc"] = self.expect_int("truncation")
+
+    def gen_exterior(self, _, attrs: dict) -> None:
+        attrs["trunc"] = 2
+
+    def gen_weight(self, _, attrs: dict) -> None:
+        attrs["weight"] = self.expect_int("weight")
+
+    def parse_rel(self, _, ring: RingDecl) -> None:
         gen = self.expect_ident("generator name").value
         self.expect_punct("^")
         exponent = self.expect_int("exponent")
         self.expect_punct("=")
         coeff = 1
         powers: list[tuple[str, int]] = []
-        tok = self.peek()
-        if tok.kind == "int":
+        if self.peek().kind == "int":
             coeff = self.expect_int()
             if coeff == 0:
                 self.expect_punct(";")
-                return RelDecl(gen, exponent, 0, ())
+                ring.rels.append(RelDecl(gen, exponent, 0, ()))
+                return
             self.expect_punct("*")
         while True:
             pname = self.expect_ident("generator name").value
@@ -467,89 +474,50 @@ class _Parser:
                 continue
             break
         self.expect_punct(";")
-        return RelDecl(gen, exponent, coeff, tuple(powers))
+        ring.rels.append(RelDecl(gen, exponent, coeff, tuple(powers)))
 
-    def checked(self, tok: Token, check, *args):
-        """check(*args), with a ConeError turned into a diagnostic at tok."""
-        try:
-            return check(*args)
-        except ConeError as exc:
-            raise self.error(tok, str(exc)) from None
-
-    def validate_ring(self, decl: RingDecl, start: Token) -> None:
-        if not decl.gens:
-            raise self.error(
-                start, f"ring {decl.name!r} must declare at least one generator"
-            )
-        try:
-            decl.presentation = ring_presentation(decl)
-        except AlgebraError as exc:
-            raise self.error(start, f"ring {decl.name!r}: {exc}") from None
-
-    def parse_space(self) -> SpaceDecl:
-        start = self.expect_keyword("space")
+    def parse_space(self, start: Token) -> SpaceDecl:
         name = self.expect_ident("space name").value
         decl = SpaceDecl(name, line=start.line)
-        self.expect_punct("{")
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
-            tok = self.peek()
-            if tok.kind == "eof":
-                raise self.error(tok, f"unclosed space block {name!r}")
-            if self.at_ident("dim"):
-                self.advance()
-                if decl.dim is not None:
-                    raise self.error(tok, f"space {name!r}: repeated dim")
-                decl.dim = self.expect_int("dimension")
-                self.expect_punct(";")
-            elif self.at_ident("connectivity"):
-                self.advance()
-                if decl.connectivity is not None:
-                    raise self.error(tok, f"space {name!r}: repeated connectivity")
-                decl.connectivity = self.expect_int("connectivity")
-                self.expect_punct(";")
-            elif self.at_ident("cohomology"):
-                self.advance()
-                if decl.cohomology is not None:
-                    raise self.error(tok, f"space {name!r}: repeated cohomology")
-                ring = self.expect_ident("ring name").value
-                self.expect_keyword("over")
-                p = self.parse_modulus()
-                complete = False
-                if self.at_ident("complete"):
-                    self.advance()
-                    complete = True
-                self.expect_punct(";")
-                decl.cohomology = CohomologyRef(ring, p, complete)
-            elif self.at_ident("loopspace-even"):
-                self.advance()
-                self.expect_punct(";")
-                decl.loopspace_even = True
-            elif self.at_ident("stage"):
-                self.advance()
-                index = self.expect_int("stage index")
-                self.expect_keyword("dim")
-                dim = self.expect_int("stage dimension")
-                skeleton = False
-                if self.at_ident("skeleton"):
-                    self.advance()
-                    skeleton = True
-                description = self.expect_string("stage description")
-                self.expect_punct(";")
-                decl.stages.append(ConeStage(index, dim, description, skeleton))
-            elif self.at_ident("known"):
-                decl.knowns.append(self.parse_known(space=name))
-            else:
-                raise self.error(
-                    tok, f"unknown space statement {tok.value!r}"
-                )
-        self.expect_punct("}")
+        self.block(self.SPACE, decl, "space", name, "unknown space statement {}")
         self.checked(start, ConeDecomposition, name, tuple(decl.stages))
         return decl
 
-    def parse_known(self, space: str | None) -> KnownFact:
+    def space_dim(self, _, decl: SpaceDecl) -> None:
+        decl.dim = self.expect_int("dimension")
+        self.expect_punct(";")
+
+    def space_connectivity(self, _, decl: SpaceDecl) -> None:
+        decl.connectivity = self.expect_int("connectivity")
+        self.expect_punct(";")
+
+    def space_cohomology(self, _, decl: SpaceDecl) -> None:
+        ring = self.expect_ident("ring name").value
+        self.expect_keyword("over")
+        p = self.parse_modulus()
+        complete = self.accept("complete")
+        self.expect_punct(";")
+        decl.cohomology = CohomologyRef(ring, p, complete)
+
+    def space_loopspace_even(self, _, decl: SpaceDecl) -> None:
+        self.expect_punct(";")
+        decl.loopspace_even = True
+
+    def space_stage(self, _, decl: SpaceDecl) -> None:
+        index = self.expect_int("stage index")
+        self.expect_keyword("dim")
+        dim = self.expect_int("stage dimension")
+        skeleton = self.accept("skeleton")
+        description = self.expect_string("stage description")
+        self.expect_punct(";")
+        decl.stages.append(ConeStage(index, dim, description, skeleton))
+
+    def space_known(self, start: Token, decl: SpaceDecl) -> None:
+        decl.knowns.append(self.parse_known(start, space=decl.name))
+
+    def parse_known(self, start: Token, space: str | None = None) -> KnownFact:
         """A known fact: inside a space block `space` names it; at top level
         (`space` None) the fact names its space after the qualifier."""
-        start = self.expect_keyword("known")
         qualifier = "exact"
         if self.peek().kind == "ident" and self.peek().value in QUALIFIERS:
             qualifier = self.advance().value
@@ -579,68 +547,38 @@ class _Parser:
         self.expect_punct(";")
         return KnownFact(space, invariant, qualifier, value, citation, line=start.line)
 
-    def parse_bundle(self) -> BundleDecl:
-        start = self.expect_keyword("bundle")
+    def parse_bundle(self, start: Token) -> BundleDecl:
         name = self.expect_ident("bundle name").value
         fields: dict[str, object] = {}
-        certificate = CompatibilityCertificate()
-        self.expect_punct("{")
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
-            tok = self.peek()
-            if tok.kind == "eof":
-                raise self.error(tok, f"unclosed bundle block {name!r}")
-            if tok.kind == "ident" and tok.value in (
-                "fiber",
-                "base",
-                "total",
-                "structure-group",
-            ):
-                key = self.advance().value
-                if key in fields:
-                    raise self.error(tok, f"bundle {name!r}: repeated {key}")
-                fields[key] = self.expect_ident(f"{key} space name").value
-                self.expect_punct(";")
-            elif self.at_ident("cells-mod"):
-                self.advance()
-                if "d" in fields:
-                    raise self.error(tok, f"bundle {name!r}: repeated cells-mod")
-                fields["d"] = self.expect_int("period d")
-                fields["s"] = self.expect_int("residue bound s")
-                self.expect_punct(";")
-            elif self.at_ident("compatibility"):
-                self.advance()
-                if certificate.kind != "none":
-                    raise self.error(tok, f"bundle {name!r}: repeated compatibility")
-                kind_tok = self.expect_ident("certificate kind")
-                reason = ""
-                if kind_tok.value == "verified":
-                    reason = self.expect_string("justification")
-                certificate = self.checked(
-                    kind_tok, CompatibilityCertificate, kind_tok.value, reason
-                )
-                self.expect_punct(";")
-            else:
-                raise self.error(tok, f"unknown bundle statement {tok.value!r}")
-        self.expect_punct("}")
-        for key in ("fiber", "base", "total", "structure-group", "d"):
-            if key not in fields:
-                label = "cells-mod" if key == "d" else key
-                raise self.error(start, f"bundle {name!r} is missing {label}")
+        unknown = "unknown bundle statement {}"
+        filled = self.block(self.BUNDLE, fields, "bundle", name, unknown)
+        for slot in ("fiber", "base", "total", "structure-group", "cells-mod"):
+            if slot not in filled:
+                raise self.error(start, f"bundle {name!r} is missing {slot}")
         self.checked(start, check_cells_mod, name, fields["d"], fields["s"])
-        return BundleDecl(
-            name,
-            fiber=fields["fiber"],
-            base=fields["base"],
-            total=fields["total"],
-            structure_group=fields["structure-group"],
-            d=fields["d"],
-            s=fields["s"],
-            certificate=certificate,
-            line=start.line,
-        )
+        return BundleDecl(name, **fields, line=start.line)
 
-    def parse_product(self) -> ProductDecl:
-        start = self.expect_keyword("product")
+    def bundle_space(self, keyword: Token, fields: dict) -> None:
+        role = keyword.value
+        fields[role.replace("-", "_")] = self.expect_ident(f"{role} space name").value
+        self.expect_punct(";")
+
+    def bundle_cells_mod(self, _, fields: dict) -> None:
+        fields["d"] = self.expect_int("period d")
+        fields["s"] = self.expect_int("residue bound s")
+        self.expect_punct(";")
+
+    def bundle_compatibility(self, _, fields: dict) -> None:
+        kind_tok = self.expect_ident("certificate kind")
+        reason = ""
+        if kind_tok.value == "verified":
+            reason = self.expect_string("justification")
+        fields["certificate"] = self.checked(
+            kind_tok, CompatibilityCertificate, kind_tok.value, reason
+        )
+        self.expect_punct(";")
+
+    def parse_product(self, start: Token) -> ProductDecl:
         total = self.expect_ident("space name").value
         self.expect_punct("=")
         left = self.expect_ident("factor name").value
@@ -648,6 +586,38 @@ class _Parser:
         right = self.expect_ident("factor name").value
         self.expect_punct(";")
         return ProductDecl(total, left, right, line=start.line)
+
+    # One keyword table per block.  Top-level handlers take the keyword token
+    # and return the declaration; block entries are (slot, handler), see block.
+    TOP = {
+        "ring": parse_ring,
+        "space": parse_space,
+        "bundle": parse_bundle,
+        "product": parse_product,
+        "known": parse_known,
+    }
+    RING = {"gen": (None, parse_gen), "rel": (None, parse_rel)}
+    GEN = {
+        "trunc": ("truncation", gen_trunc),
+        "exterior": ("truncation", gen_exterior),
+        "weight": ("weight", gen_weight),
+    }
+    SPACE = {
+        "dim": ("dim", space_dim),
+        "connectivity": ("connectivity", space_connectivity),
+        "cohomology": ("cohomology", space_cohomology),
+        "loopspace-even": (None, space_loopspace_even),
+        "stage": (None, space_stage),
+        "known": (None, space_known),
+    }
+    BUNDLE = {
+        "fiber": ("fiber", bundle_space),
+        "base": ("base", bundle_space),
+        "total": ("total", bundle_space),
+        "structure-group": ("structure-group", bundle_space),
+        "cells-mod": ("cells-mod", bundle_cells_mod),
+        "compatibility": ("compatibility", bundle_compatibility),
+    }
 
 
 def parse(text: str, path: str | None = None) -> SourceDocument:
@@ -666,7 +636,7 @@ def ring_presentation(decl: RingDecl) -> RingPresentation:
         subs[rel.gen] = Substitution(rel.exponent, rel.coeff, rel.powers)
     return RingPresentation(
         decl.p,
-        [(g.name, g.degree, g.trunc, g.weight) for g in decl.gens],
+        decl.gens,
         substitutions=subs,
         name=decl.name,
     )

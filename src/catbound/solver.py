@@ -9,7 +9,8 @@ one generator of candidate bounds (space, invariant, side, value, detail)
 read from the current state.  A candidate only raises a lower end or cuts an
 upper end, so the rules are monotone maps on a finite lattice: applying them
 in any order until nothing changes reaches the same fixpoint.  A seed may
-shuffle the rule order; the result is identical by construction.
+shuffle the rule order; the result is identical by construction.  The first
+five rules read only the catalog and run in the first pass alone.
 
 Rules, in canonical order:
   ring-cup       longest nonzero product in a presented ring -> cup.lower
@@ -52,6 +53,11 @@ _RULE_NAMES = (
     "fiber-base",
     "chain",
 )
+
+# These rules read only the catalog, so their candidates are the same on every
+# pass, and a satisfied candidate stays satisfied: the fixpoint applies them in
+# its first pass only.
+_STATIC_RULES = ("ring-cup", "ring-weight", "recorded-fact", "dimension", "cone-bundle")
 
 
 @dataclass
@@ -286,10 +292,11 @@ def propagate(
     rule_seed: int | None = None,
     max_search: int | None = None,
 ) -> Solution:
+    with_wcat = {f.space for f in catalog.facts if f.invariant == "wcat"}
     states = {}
     for name in catalog.spaces:
         intervals = {inv: Interval() for inv in CHAIN}
-        if any(f.invariant == "wcat" for f in catalog.facts_for(name)):
+        if name in with_wcat:
             intervals["wcat"] = Interval()
         states[name] = SpaceState(name, intervals)
 
@@ -309,6 +316,7 @@ def propagate(
                     changed |= iv.raise_lower(value)
                 else:
                     changed |= iv.cut_upper(value)
+        order = [rule_name for rule_name in order if rule_name not in _STATIC_RULES]
 
     solution = Solution(catalog, states, {}, [])
     _attach_provenance(solution, rule_args)

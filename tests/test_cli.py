@@ -285,6 +285,30 @@ def test_validate_rejects_a_generator_that_is_never_nilpotent(tmp_path, capsys):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize(
+    "text, diagnostic",
+    [
+        (
+            "ring W over Z/2 {\n  gen x : deg 2 trunc 3 weight 2 weight 1;\n}\n",
+            "2:34: generator 'x': repeated weight",
+        ),
+        (
+            "space F { dim 3; }\nspace B { dim 7; }\nspace T { dim 10; }\n"
+            "bundle b { fiber F; base B; total T; structure-group F; cells-mod 1 0;\n"
+            "  compatibility none; compatibility skeletal; }\n",
+            "5:23: bundle 'b': repeated compatibility",
+        ),
+    ],
+    ids=["weight", "compatibility-after-none"],
+)
+def test_validate_rejects_a_repeated_single_valued_statement(
+    tmp_path, capsys, text, diagnostic
+):
+    f = tmp_path / "r.lsc"
+    f.write_text(text)
+    assert run(capsys, "validate", str(f)) == (1, f"r.lsc:{diagnostic}\n", "")
+
+
 def test_validate_places_a_blank_verified_reason_at_its_kind(tmp_path, capsys):
     f = tmp_path / "ver.lsc"
     f.write_text(

@@ -15,6 +15,7 @@ from catbound.cones import (
 from catbound.corpus import parse_sources, read_sources
 from catbound.dsl import (
     KnownFact,
+    ProductDecl,
     RingDecl,
     SpaceDecl,
     parse,
@@ -469,27 +470,7 @@ def test_parse_and_link_build_each_ring_once(monkeypatch):
     assert len(rings) == 16
 
 
-def _assert_indexes_match_scans(catalog):
-    names = list(catalog.spaces) + ["no such space"]
-    for name in names:
-        assert catalog.facts_for(name) == tuple(
-            f for f in catalog.facts if f.space == name
-        )
-        assert catalog.bundles_with_total(name) == [
-            b for b in catalog.bundles.values() if b.total == name
-        ]
-        assert catalog.products_with_total(name) == [
-            p for p in catalog.products if p.total == name
-        ]
-
-
-def test_catalog_indexes_match_linear_scans_on_the_corpus():
-    catalog = link(parse_sources(read_sources()))
-    assert catalog.facts and catalog.bundles and catalog.products
-    _assert_indexes_match_scans(catalog)
-
-
-def test_catalog_indexes_match_linear_scans_across_documents():
+def test_link_gathers_facts_and_products_across_documents():
     facts_first = parse_clean(
         """
         known upper X cat = 4 from "first";
@@ -515,6 +496,140 @@ def test_catalog_indexes_match_linear_scans_across_documents():
         """
     )
     catalog = link([facts_first, bundles, spaces])
-    assert [b.name for b in catalog.bundles_with_total("P")] == ["b2", "b1"]
-    assert len(catalog.facts_for("X")) == 3
-    _assert_indexes_match_scans(catalog)
+    assert catalog.facts == (
+        KnownFact("X", "cat", "exact", 2, "inline"),
+        KnownFact("X", "cat", "upper", 4, "first"),
+        KnownFact("X", "cup", "lower", 1, "second"),
+        KnownFact("Y", "Cat", "exact", 2, "third"),
+    )
+    assert catalog.products == (ProductDecl("P", "X", "Y"), ProductDecl("Q", "Y", "X"))
+    assert list(catalog.bundles) == ["b2", "b1", "b3"]
+
+
+# Each malformed document is followed by a clean `space A`, which recovery
+# must keep.
+@pytest.mark.parametrize(
+    "text, diagnostics, survivors",
+    [
+        (
+            "ring R over Z/2 { gen x : deg 1 trunc 2; foo; }",
+            ["1:42: unknown ring statement 'foo' (expected gen or rel)"],
+            [],
+        ),
+        (
+            "ring R over Z/2 { gen x : deg 1 bogus 2; }",
+            ["1:33: unknown generator attribute 'bogus'"],
+            [],
+        ),
+        ("space X { dim 1; frob 2; }", ["1:18: unknown space statement 'frob'"], []),
+        (
+            "bundle b { fiber F; wobble; }",
+            ["1:21: unknown bundle statement 'wobble'"],
+            [],
+        ),
+        (
+            "space X { connectivity 1; connectivity 2; }",
+            ["1:27: space 'X': repeated connectivity"],
+            [],
+        ),
+        (
+            "space X { cohomology R over Z/2; cohomology S over Z/2; }",
+            ["1:34: space 'X': repeated cohomology"],
+            [],
+        ),
+        (
+            "ring R over Z/2 { gen x : deg 1 trunc 2 trunc 3; }",
+            ["1:41: generator 'x': repeated truncation"],
+            [],
+        ),
+        (
+            "ring R over Z/2 { gen x : deg 1 trunc 4 exterior; }",
+            ["1:41: generator 'x': repeated truncation"],
+            [],
+        ),
+        ("bundle b { fiber F; fiber G; }", ["1:21: bundle 'b': repeated fiber"], []),
+        ("bundle b { base F; base G; }", ["1:20: bundle 'b': repeated base"], []),
+        ("bundle b { total F; total G; }", ["1:21: bundle 'b': repeated total"], []),
+        (
+            "bundle b { structure-group F; structure-group G; }",
+            ["1:31: bundle 'b': repeated structure-group"],
+            [],
+        ),
+        (
+            "bundle b { cells-mod 1 0; cells-mod 2 0; }",
+            ["1:27: bundle 'b': repeated cells-mod"],
+            [],
+        ),
+        (
+            "bundle b { compatibility skeletal; compatibility trivial; }",
+            ["1:36: bundle 'b': repeated compatibility"],
+            [],
+        ),
+        (
+            "bundle b { fiber F; base B; total T; cells-mod 1 0; }",
+            ["1:1: bundle 'b' is missing structure-group"],
+            [],
+        ),
+        (
+            "ring R over Z/2 { }",
+            ["1:1: ring 'R' must declare at least one generator"],
+            [],
+        ),
+        (
+            'space X { known lower bogus = 2 from "x"; }',
+            ["1:23: expected an invariant cup/sigmacat/cat/Cat/wcat, found 'bogus'"],
+            [],
+        ),
+        (
+            "space X { dim 1; ring R over Z/2 { gen x : deg 1 trunc 2; } }",
+            [
+                "1:18: unknown space statement 'ring'",
+                "1:61: unknown declaration keyword '}'",
+            ],
+            [("ring", "R")],
+        ),
+        ('space X { "dim" 3; }', ["1:11: unknown space statement 'dim'"], []),
+    ],
+    ids=[
+        "ring-statement",
+        "gen-attribute",
+        "space-statement",
+        "bundle-statement",
+        "repeated-connectivity",
+        "repeated-cohomology",
+        "repeated-trunc",
+        "repeated-exterior",
+        "repeated-fiber",
+        "repeated-base",
+        "repeated-total",
+        "repeated-structure-group",
+        "repeated-cells-mod",
+        "repeated-compatibility",
+        "missing",
+        "no-generator",
+        "invariant",
+        "ring-in-space",
+        "string-keyword",
+    ],
+)
+def test_each_diagnostic_at_its_token_and_what_recovery_keeps(
+    text, diagnostics, survivors
+):
+    doc = parse(text + "\nspace A { dim 1; }")
+    assert [str(d) for d in doc.diagnostics] == diagnostics
+    assert [(d.kind, d.name) for d in doc.declarations] == survivors + [("space", "A")]
+
+
+@pytest.mark.parametrize(
+    "text, diagnostic",
+    [
+        ("ring R over Z/2 { gen x : deg 1 trunc 2;", "2:41: unclosed ring block 'R'"),
+        ("space X { dim 1;", "2:17: unclosed space block 'X'"),
+        ("bundle b { fiber F;", "2:20: unclosed bundle block 'b'"),
+    ],
+    ids=["ring", "space", "bundle"],
+)
+def test_an_unclosed_block_keeps_the_declarations_before_it(text, diagnostic):
+    doc = parse("space A { dim 1; }\n" + text)
+    assert [str(d) for d in doc.diagnostics] == [diagnostic]
+    assert [(d.kind, d.name) for d in doc.declarations] == [("space", "A")]

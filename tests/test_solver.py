@@ -318,6 +318,29 @@ def test_each_bundle_is_certified_once_per_solve(monkeypatch):
     assert sorted(calls) == sorted(catalog.bundles)
 
 
+@pytest.mark.parametrize("rule_seed", [None, 3])
+def test_static_rules_run_in_the_first_pass_and_for_provenance(monkeypatch, rule_seed):
+    calls = dict.fromkeys(solver._RULES, 0)
+
+    def counted(name, rule):
+        def wrapper(*args):
+            calls[name] += 1
+            return rule(*args)
+
+        return wrapper
+
+    for name, rule in list(solver._RULES.items()):
+        monkeypatch.setitem(solver._RULES, name, counted(name, rule))
+    propagate(load_corpus(), rule_seed=rule_seed)
+    assert {name: calls[name] for name in solver._STATIC_RULES} == dict.fromkeys(
+        solver._STATIC_RULES, 2
+    )
+    # the state-dependent rules run on every pass (the corpus needs several)
+    # and once more for provenance
+    dynamic = {calls[name] for name in calls if name not in solver._STATIC_RULES}
+    assert len(dynamic) == 1 and dynamic.pop() > 3
+
+
 def _cat_upper(solution, name):
     return next(
         e
