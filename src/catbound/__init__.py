@@ -18,7 +18,7 @@ from .algebra import (
     nilpotency_order,
     normal_form,
 )
-from .catalog import Catalog, LinkError, SpaceInfo, link
+from .catalog import Catalog, LinkError, link
 from .cones import (
     BoundRefused,
     BundleRecord,
@@ -91,7 +91,6 @@ __all__ = [
     "SearchBudgetExceeded",
     "Solution",
     "SourceDocument",
-    "SpaceInfo",
     "Substitution",
     "Verdict",
     "WeightAssignment",

@@ -5,24 +5,22 @@ linking gathers them all first and then resolves names, so the result does
 not depend on declaration order.  Rings, spaces and bundles share one
 namespace; known facts and product statements describe already-named things
 and are kept as sorted tuples.
+
+The catalog holds the records the parser built: each ring's presentation,
+and the space and bundle records with their cross-references filled in (a
+space's presented ring, a bundle's base dimension and fibre decomposition).
+Linking only resolves names and checks cross-references; it leaves the parsed
+documents as they are, filling records in through dataclasses.replace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .algebra import RingPresentation
-from .cones import BundleRecord, ConeDecomposition, ConeError
-from .dsl import (
-    BundleDecl,
-    KnownFact,
-    ProductDecl,
-    RingDecl,
-    SourceDocument,
-    SpaceDecl,
-    ring_presentation,
-)
+from .cones import BundleRecord, ConeError
+from .dsl import KnownFact, ProductDecl, RingDecl, SourceDocument, SpaceDecl
 
 
 class LinkError(ValueError):
@@ -30,42 +28,18 @@ class LinkError(ValueError):
 
 
 @dataclass
-class SpaceInfo:
-    name: str
-    dim: int | None = None
-    connectivity: int | None = None
-    ring: RingPresentation | None = None
-    ring_complete: bool = False
-    loopspace_even: bool = False
-    decomposition: ConeDecomposition | None = None
-
-
-@dataclass
 class Catalog:
     rings: dict[str, RingPresentation] = field(default_factory=dict)
-    spaces: dict[str, SpaceInfo] = field(default_factory=dict)
+    spaces: dict[str, SpaceDecl] = field(default_factory=dict)
     bundles: dict[str, BundleRecord] = field(default_factory=dict)
     products: tuple[ProductDecl, ...] = ()
     facts: tuple[KnownFact, ...] = ()
 
 
-def _space_info(decl: SpaceDecl) -> SpaceInfo:
-    decomposition = None
-    if decl.stages or decl.dim == 0:  # a point is a cone tower of length zero
-        decomposition = ConeDecomposition(decl.name, tuple(decl.stages))
-    return SpaceInfo(
-        name=decl.name,
-        dim=decl.dim,
-        connectivity=decl.connectivity,
-        loopspace_even=decl.loopspace_even,
-        decomposition=decomposition,
-    )
-
-
 def link(docs: Iterable[SourceDocument]) -> Catalog:
     ring_decls: dict[str, RingDecl] = {}
     space_decls: dict[str, SpaceDecl] = {}
-    bundle_decls: dict[str, BundleDecl] = {}
+    bundle_decls: dict[str, BundleRecord] = {}
     fact_decls: list[KnownFact] = []
     product_decls: list[ProductDecl] = []
     named: dict[str, str] = {}
@@ -88,15 +62,14 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                 ring_decls[decl.name] = decl
             elif isinstance(decl, SpaceDecl):
                 space_decls[decl.name] = decl
-            elif isinstance(decl, BundleDecl):
+            else:
                 bundle_decls[decl.name] = decl
 
     catalog = Catalog()
     for name, decl in ring_decls.items():
-        catalog.rings[name] = decl.presentation or ring_presentation(decl)
+        catalog.rings[name] = decl.presentation
 
     for name, decl in space_decls.items():
-        info = _space_info(decl)
         if decl.cohomology is not None:
             ref = decl.cohomology
             ring = catalog.rings.get(ref.ring)
@@ -109,21 +82,20 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                     f"space {name!r} states cohomology over Z/{ref.p} but "
                     f"ring {ref.ring!r} is presented over Z/{ring.p}"
                 )
-            info.ring = ring
-            info.ring_complete = ref.complete
-        if info.decomposition is not None and info.dim is not None:
-            stages = info.decomposition.stages
-            if stages and stages[-1].attach_dim != info.dim:
+            decl = replace(decl, ring=ring)
+        stages = decl.stages
+        if stages and decl.dim is not None:
+            if stages[-1].attach_dim != decl.dim:
                 raise LinkError(
                     f"space {name!r}: final stage has dim "
-                    f"{stages[-1].attach_dim}, expected the space dim {info.dim}"
+                    f"{stages[-1].attach_dim}, expected the space dim {decl.dim}"
                 )
             for a, b in zip(stages, stages[1:]):
                 if b.attach_dim < a.attach_dim:
                     raise LinkError(
                         f"space {name!r}: stage dims must be nondecreasing"
                     )
-        catalog.spaces[name] = info
+        catalog.spaces[name] = decl
         fact_decls.extend(decl.knowns)
 
     for name, decl in bundle_decls.items():
@@ -150,17 +122,10 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                 f"bundle {name!r}: base {decl.base!r} has no declared dim"
             )
         try:
-            record = BundleRecord(
-                name=name,
-                total=decl.total,
-                fiber=decl.fiber,
-                base=decl.base,
-                structure_group=decl.structure_group,
-                d=decl.d,
-                s=decl.s,
+            record = replace(
+                decl,
                 base_dim=base.dim,
                 fiber_decomposition=catalog.spaces[decl.fiber].decomposition,
-                certificate=decl.certificate,
             )
         except ConeError as exc:
             raise LinkError(str(exc)) from None

@@ -163,24 +163,18 @@ def _resolve_ring(catalog: Catalog, name: str):
     and the loopspace-even flag (False when addressed as a bare ring)."""
     if name in catalog.rings:
         return catalog.rings[name], False
-    info = catalog.spaces.get(name)
-    if info is not None:
-        if info.ring is None:
+    space = catalog.spaces.get(name)
+    if space is not None:
+        if space.ring is None:
             raise CliError(f"space {name!r} has no cohomology presentation")
-        return info.ring, info.loopspace_even
+        return space.ring, space.loopspace_even
     raise CliError(f"no ring or space named {name!r}")
-
-
-def _search_kwargs(args) -> dict:
-    if getattr(args, "max_search", None) is None:
-        return {}
-    return {"max_nodes": args.max_search}
 
 
 def cmd_cup(args) -> int:
     catalog = load_corpus(args.corpus)
     ring, _ = _resolve_ring(catalog, args.name)
-    result = cup_length(ring, **_search_kwargs(args))
+    result = cup_length(ring, max_nodes=args.max_search)
     if args.format == "json":
         print(
             _dump(
@@ -202,7 +196,7 @@ def cmd_wgt(args) -> int:
     catalog = load_corpus(args.corpus)
     ring, loopspace_even = _resolve_ring(catalog, args.name)
     weights = WeightAssignment.for_space(ring, loopspace_even)
-    result = weighted_wgt_lower(ring, weights, **_search_kwargs(args))
+    result = weighted_wgt_lower(ring, weights, max_nodes=args.max_search)
     pairs = list(zip((g.name for g in ring.generators), weights.weights))
     if args.format == "json":
         print(

@@ -95,14 +95,21 @@ class BundleRecord:
     structure_group: str
     d: int
     s: int
-    base_dim: int
+    # the linker fills these two in from the base and fiber spaces
+    base_dim: int = 0
     fiber_decomposition: ConeDecomposition | None = None
     certificate: CompatibilityCertificate = field(
         default_factory=CompatibilityCertificate
     )
 
+    kind = "bundle"
+
     def __post_init__(self):
-        check_cells_mod(self.name, self.d, self.s)
+        # the theorem's cell hypothesis: period d >= 1, residues 0 <= s <= d-1
+        if self.d < 1:
+            raise ConeError(f"bundle {self.name!r}: d must be >= 1")
+        if not 0 <= self.s <= self.d - 1:
+            raise ConeError(f"bundle {self.name!r}: s must satisfy 0 <= s <= d-1")
         if self.base_dim < 0:
             raise ConeError(f"bundle {self.name!r}: base dimension must be >= 0")
         if self.base_dim != 0 and self.base_dim < self.d:
@@ -110,14 +117,6 @@ class BundleRecord:
                 f"bundle {self.name!r}: base dim {self.base_dim} is smaller "
                 f"than the cell period {self.d}"
             )
-
-
-def check_cells_mod(bundle: str, d: int, s: int) -> None:
-    """The theorem's cell hypothesis: period d >= 1, residues 0 <= s <= d-1."""
-    if d < 1:
-        raise ConeError(f"bundle {bundle!r}: d must be >= 1")
-    if not 0 <= s <= d - 1:
-        raise ConeError(f"bundle {bundle!r}: s must satisfy 0 <= s <= d-1")
 
 
 @dataclass(frozen=True)

@@ -90,12 +90,15 @@ class CupResult:
 # Level i tries e_i from its top (nilpotency order minus one, clipped to the
 # degree hint) down to 0, each as one product mono * x_i^e.  A zero product is
 # skipped, not a stop, since a smaller power may survive; a bound strictly
-# below the best is a stop.  Each product with e > 0 is one node of max_nodes.
+# below the best is a stop.  Each product with e > 0 is one node of max_nodes,
+# and None stands for DEFAULT_MAX_NODES.
 def _search(
     ring: RingPresentation,
     weights: tuple[int, ...],
-    max_nodes: int,
+    max_nodes: int | None,
 ) -> CupResult:
+    if max_nodes is None:
+        max_nodes = DEFAULT_MAX_NODES
     n = ring.ngens
     tops = [k - 1 for k in ring.nilpotency_orders()]
     hint = ring.top_degree_hint
@@ -144,7 +147,7 @@ def _search(
     return CupResult(best_val, best_wit, False)
 
 
-def cup_length(ring: RingPresentation, max_nodes: int = DEFAULT_MAX_NODES) -> CupResult:
+def cup_length(ring: RingPresentation, max_nodes: int | None = None) -> CupResult:
     """Longest nonzero product of generators: max sum(e_i) over exponent
     vectors whose monomial survives normalization.  The empty product counts
     as zero, so a presentation with no nonzero positive-degree monomial has
@@ -155,7 +158,7 @@ def cup_length(ring: RingPresentation, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
 def weighted_wgt_lower(
     ring: RingPresentation,
     weights: WeightAssignment | None = None,
-    max_nodes: int = DEFAULT_MAX_NODES,
+    max_nodes: int | None = None,
 ) -> CupResult:
     """Max sum(w_i * e_i) over nonzero exponent vectors: a lower bound for
     the category weight of any space with this cohomology.  With unit weights

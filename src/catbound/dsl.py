@@ -44,7 +44,10 @@ block loop.  A single-valued statement or attribute (every one but gen, rel,
 stage, known and loopspace-even) may appear once per block; "trunc" and
 "exterior" fill the same truncation.  Parsing is total: errors become
 diagnostics with line and column, the offending declaration is dropped
-whole, and parsing resumes at the next declaration.
+whole, and parsing resumes after the closing brace of the block the error
+occurred in, or, for an error outside a block, at the next declaration
+keyword.  A block missing its "}" therefore takes the declarations after it
+down with it, still with one diagnostic.
 """
 
 from __future__ import annotations
@@ -54,11 +57,11 @@ from dataclasses import dataclass, field
 
 from .algebra import AlgebraError, Generator, RingPresentation, Substitution
 from .cones import (
+    BundleRecord,
     CompatibilityCertificate,
     ConeDecomposition,
     ConeError,
     ConeStage,
-    check_cells_mod,
 )
 
 INVARIANTS = ("cup", "sigmacat", "cat", "Cat", "wcat")
@@ -91,20 +94,11 @@ class Token:
 
 
 @dataclass
-class RelDecl:
-    gen: str
-    exponent: int
-    coeff: int
-    powers: tuple[tuple[str, int], ...]
-
-
-@dataclass
 class RingDecl:
     name: str
     p: int
     gens: list[Generator] = field(default_factory=list)
-    rels: list[RelDecl] = field(default_factory=list)
-    line: int = field(default=0, compare=False)
+    rels: list[tuple[str, Substitution]] = field(default_factory=list)
     # built once by the parser's validation and reused by the linker
     presentation: RingPresentation | None = field(
         default=None, compare=False, repr=False
@@ -120,13 +114,8 @@ class KnownFact:
     qualifier: str
     value: int
     citation: str
-    line: int = field(default=0, compare=False)
 
     kind = "fact"
-
-    @property
-    def name(self):
-        return f"{self.space}:{self.invariant}"
 
 
 @dataclass
@@ -145,26 +134,15 @@ class SpaceDecl:
     loopspace_even: bool = False
     knowns: list[KnownFact] = field(default_factory=list)
     stages: list[ConeStage] = field(default_factory=list)
-    line: int = field(default=0, compare=False)
+    # built by the parser from the stages; a point is a cone tower of length
+    # zero, and any other space without stages has none
+    decomposition: ConeDecomposition | None = field(
+        default=None, compare=False, repr=False
+    )
+    # the presented ring `cohomology` names, filled in by the linker
+    ring: RingPresentation | None = field(default=None, compare=False, repr=False)
 
     kind = "space"
-
-
-@dataclass
-class BundleDecl:
-    name: str
-    fiber: str
-    base: str
-    total: str
-    structure_group: str
-    d: int
-    s: int
-    certificate: CompatibilityCertificate = field(
-        default_factory=CompatibilityCertificate
-    )
-    line: int = field(default=0, compare=False)
-
-    kind = "bundle"
 
 
 @dataclass(frozen=True)
@@ -172,16 +150,11 @@ class ProductDecl:
     total: str
     left: str
     right: str
-    line: int = field(default=0, compare=False)
 
     kind = "product"
 
-    @property
-    def name(self):
-        return self.total
 
-
-Declaration = RingDecl | SpaceDecl | BundleDecl | ProductDecl | KnownFact
+Declaration = RingDecl | SpaceDecl | BundleRecord | ProductDecl | KnownFact
 
 
 @dataclass
@@ -260,6 +233,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.diags = diags
+        self.in_block = False  # inside a braced block; see block
 
     def peek(self) -> Token:
         # advance() never moves past the final eof token
@@ -320,17 +294,20 @@ class _Parser:
         self.advance()
         return tok.value
 
-    def checked(self, tok: Token, check, *args):
-        """check(*args), with a ConeError turned into a diagnostic at tok."""
+    def checked(self, tok: Token, check, *args, **kwargs):
+        """check(*args, **kwargs), with a ConeError turned into a diagnostic
+        at tok."""
         try:
-            return check(*args)
+            return check(*args, **kwargs)
         except ConeError as exc:
             raise self.error(tok, str(exc)) from None
 
     def skip_declaration(self) -> None:
-        """Panic-mode recovery: drop tokens until the next top-level keyword
-        at brace depth zero."""
-        depth = 0
+        """Panic-mode recovery: drop tokens through the closing brace of the
+        block the error left open, or, outside a block, until the next
+        top-level keyword at brace depth zero."""
+        depth = 1 if self.in_block else 0
+        self.in_block = False
         while True:
             tok = self.peek()
             if tok.kind == "eof":
@@ -366,15 +343,20 @@ class _Parser:
         handler): a statement with a slot may appear once per block (None:
         it may repeat), and handler(self, keyword_token, target) reads what
         follows the keyword.  Only a braced block opens with "{" and can be
-        left unclosed; generator attributes run to the ";"."""
+        left unclosed; generator attributes run to the ";".  An error raised
+        inside a braced block leaves in_block set, so that recovery skips
+        the rest of the block."""
         braced = close == "}"
         if braced:
             self.expect_punct("{")
+            self.in_block = True
         filled: set[str] = set()
         while True:
             tok = self.peek()
             if tok.kind == "punct" and tok.value == close:
                 self.advance()
+                if braced:
+                    self.in_block = False
                 return filled
             if tok.kind == "eof" and braced:
                 raise self.error(tok, f"unclosed {kind} block {name!r}")
@@ -416,7 +398,7 @@ class _Parser:
     def parse_ring(self, start: Token) -> RingDecl:
         name = self.expect_ident("ring name").value
         self.expect_keyword("over")
-        decl = RingDecl(name, self.parse_modulus(), line=start.line)
+        decl = RingDecl(name, self.parse_modulus())
         unknown = "unknown ring statement {} (expected gen or rel)"
         self.block(self.RING, decl, "ring", name, unknown)
         if not decl.gens:
@@ -459,7 +441,7 @@ class _Parser:
             coeff = self.expect_int()
             if coeff == 0:
                 self.expect_punct(";")
-                ring.rels.append(RelDecl(gen, exponent, 0, ()))
+                ring.rels.append((gen, Substitution(exponent, 0, ())))
                 return
             self.expect_punct("*")
         while True:
@@ -474,13 +456,16 @@ class _Parser:
                 continue
             break
         self.expect_punct(";")
-        ring.rels.append(RelDecl(gen, exponent, coeff, tuple(powers)))
+        ring.rels.append((gen, Substitution(exponent, coeff, tuple(powers))))
 
     def parse_space(self, start: Token) -> SpaceDecl:
         name = self.expect_ident("space name").value
-        decl = SpaceDecl(name, line=start.line)
+        decl = SpaceDecl(name)
         self.block(self.SPACE, decl, "space", name, "unknown space statement {}")
-        self.checked(start, ConeDecomposition, name, tuple(decl.stages))
+        if decl.stages or decl.dim == 0:
+            decl.decomposition = self.checked(
+                start, ConeDecomposition, name, tuple(decl.stages)
+            )
         return decl
 
     def space_dim(self, _, decl: SpaceDecl) -> None:
@@ -512,10 +497,10 @@ class _Parser:
         self.expect_punct(";")
         decl.stages.append(ConeStage(index, dim, description, skeleton))
 
-    def space_known(self, start: Token, decl: SpaceDecl) -> None:
-        decl.knowns.append(self.parse_known(start, space=decl.name))
+    def space_known(self, keyword: Token, decl: SpaceDecl) -> None:
+        decl.knowns.append(self.parse_known(keyword, space=decl.name))
 
-    def parse_known(self, start: Token, space: str | None = None) -> KnownFact:
+    def parse_known(self, _, space: str | None = None) -> KnownFact:
         """A known fact: inside a space block `space` names it; at top level
         (`space` None) the fact names its space after the qualifier."""
         qualifier = "exact"
@@ -545,9 +530,9 @@ class _Parser:
         self.expect_keyword("from")
         citation = self.expect_string("citation")
         self.expect_punct(";")
-        return KnownFact(space, invariant, qualifier, value, citation, line=start.line)
+        return KnownFact(space, invariant, qualifier, value, citation)
 
-    def parse_bundle(self, start: Token) -> BundleDecl:
+    def parse_bundle(self, start: Token) -> BundleRecord:
         name = self.expect_ident("bundle name").value
         fields: dict[str, object] = {}
         unknown = "unknown bundle statement {}"
@@ -555,8 +540,7 @@ class _Parser:
         for slot in ("fiber", "base", "total", "structure-group", "cells-mod"):
             if slot not in filled:
                 raise self.error(start, f"bundle {name!r} is missing {slot}")
-        self.checked(start, check_cells_mod, name, fields["d"], fields["s"])
-        return BundleDecl(name, **fields, line=start.line)
+        return self.checked(start, BundleRecord, name, **fields)
 
     def bundle_space(self, keyword: Token, fields: dict) -> None:
         role = keyword.value
@@ -578,14 +562,14 @@ class _Parser:
         )
         self.expect_punct(";")
 
-    def parse_product(self, start: Token) -> ProductDecl:
+    def parse_product(self, _) -> ProductDecl:
         total = self.expect_ident("space name").value
         self.expect_punct("=")
         left = self.expect_ident("factor name").value
         self.expect_punct("*")
         right = self.expect_ident("factor name").value
         self.expect_punct(";")
-        return ProductDecl(total, left, right, line=start.line)
+        return ProductDecl(total, left, right)
 
     # One keyword table per block.  Top-level handlers take the keyword token
     # and return the declaration; block entries are (slot, handler), see block.
@@ -630,10 +614,10 @@ def parse(text: str, path: str | None = None) -> SourceDocument:
 def ring_presentation(decl: RingDecl) -> RingPresentation:
     """Build the algebra object a ring declaration denotes (validating it)."""
     subs: dict[str, Substitution] = {}
-    for rel in decl.rels:
-        if rel.gen in subs:
-            raise AlgebraError(f"two relations on generator {rel.gen!r}")
-        subs[rel.gen] = Substitution(rel.exponent, rel.coeff, rel.powers)
+    for gen, sub in decl.rels:
+        if gen in subs:
+            raise AlgebraError(f"two relations on generator {gen!r}")
+        subs[gen] = sub
     return RingPresentation(
         decl.p,
         decl.gens,
@@ -669,7 +653,7 @@ def render(doc: SourceDocument) -> str:
                 if g.weight != 1:
                     attrs += f" weight {g.weight}"
                 out.append(f"  gen {g.name} : deg {g.degree}{attrs};")
-            for r in decl.rels:
+            for gen, r in decl.rels:
                 if r.coeff == 0:
                     rhs = "0"
                 else:
@@ -679,7 +663,7 @@ def render(doc: SourceDocument) -> str:
                     rhs = " * ".join(parts)
                     if r.coeff != 1:
                         rhs = f"{r.coeff} * {rhs}"
-                out.append(f"  rel {r.gen}^{r.exponent} = {rhs};")
+                out.append(f"  rel {gen}^{r.exponent} = {rhs};")
             out.append("}")
         elif isinstance(decl, SpaceDecl):
             out.append(f"space {decl.name} {{")
@@ -700,7 +684,7 @@ def render(doc: SourceDocument) -> str:
             for fact in decl.knowns:
                 out.append("  " + _render_known(fact, top_level=False))
             out.append("}")
-        elif isinstance(decl, BundleDecl):
+        elif isinstance(decl, BundleRecord):
             out.append(f"bundle {decl.name} {{")
             out.append(f"  fiber {decl.fiber};")
             out.append(f"  base {decl.base};")

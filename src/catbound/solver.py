@@ -119,11 +119,7 @@ class GaneaResult:
 
 @dataclass
 class SpaceState:
-    name: str
     intervals: dict[str, Interval] = field(default_factory=dict)
-
-    def interval(self, invariant: str) -> Interval:
-        return self.intervals[invariant]
 
     @property
     def has_wcat(self) -> bool:
@@ -132,7 +128,6 @@ class SpaceState:
 
 @dataclass
 class Solution:
-    catalog: Catalog
     states: dict[str, SpaceState]
     provenance: dict[str, list[Provenance]]
     contradictions: list[Contradiction]
@@ -156,14 +151,14 @@ class _RingCache:
     search."""
 
     def __init__(self, max_search: int | None):
-        self.kwargs = {} if max_search is None else {"max_nodes": max_search}
+        self.max_nodes = max_search
         self.cup: dict = {}
         self.weighted: dict = {}
 
     def cup_result(self, ring) -> tuple[int, str]:
         """(value, "witness ...") of the cup search."""
         if ring not in self.cup:
-            result = cup_length(ring, **self.kwargs)
+            result = cup_length(ring, max_nodes=self.max_nodes)
             self.cup[ring] = (result.value, f"witness {result.witness_str(ring)}")
         return self.cup[ring]
 
@@ -175,7 +170,7 @@ class _RingCache:
             if all(w == 1 for w in weights.weights):
                 value, witness = self.cup_result(ring)
             else:
-                result = weighted_wgt_lower(ring, weights, **self.kwargs)
+                result = weighted_wgt_lower(ring, weights, max_nodes=self.max_nodes)
                 value, witness = result.value, f"witness {result.witness_str(ring)}"
             self.weighted[key] = (value, f"weighted {witness}")
         return self.weighted[key]
@@ -200,18 +195,18 @@ def _certify(catalog: Catalog) -> list:
 
 
 def _rule_ring_cup(catalog, states, cache, bundles):
-    for name, info in catalog.spaces.items():
-        if info.ring is not None:
-            value, witness = cache.cup_result(info.ring)
+    for name, space in catalog.spaces.items():
+        if space.ring is not None:
+            value, witness = cache.cup_result(space.ring)
             yield name, "cup", "lower", value, witness
-            if info.ring_complete:
+            if space.cohomology.complete:
                 yield name, "cup", "upper", value, "complete presentation"
 
 
 def _rule_ring_weight(catalog, states, cache, bundles):
-    for name, info in catalog.spaces.items():
-        if info.ring is not None:
-            value, witness = cache.weighted_result(info.ring, info.loopspace_even)
+    for name, space in catalog.spaces.items():
+        if space.ring is not None:
+            value, witness = cache.weighted_result(space.ring, space.loopspace_even)
             yield name, "sigmacat", "lower", value, witness
 
 
@@ -224,9 +219,9 @@ def _rule_recorded_fact(catalog, states, cache, bundles):
 
 
 def _rule_dimension(catalog, states, cache, bundles):
-    for name, info in catalog.spaces.items():
-        if info.dim is not None:
-            yield name, "Cat", "upper", info.dim, f"dim {info.dim}"
+    for name, space in catalog.spaces.items():
+        if space.dim is not None:
+            yield name, "Cat", "upper", space.dim, f"dim {space.dim}"
 
 
 def _rule_cone_bundle(catalog, states, cache, bundles):
@@ -298,7 +293,7 @@ def propagate(
         intervals = {inv: Interval() for inv in CHAIN}
         if name in with_wcat:
             intervals["wcat"] = Interval()
-        states[name] = SpaceState(name, intervals)
+        states[name] = SpaceState(intervals)
 
     order = list(_RULE_NAMES)
     if rule_seed is not None:
@@ -318,7 +313,7 @@ def propagate(
                     changed |= iv.cut_upper(value)
         order = [rule_name for rule_name in order if rule_name not in _STATIC_RULES]
 
-    solution = Solution(catalog, states, {}, [])
+    solution = Solution(states, {}, [])
     _attach_provenance(solution, rule_args)
     return solution
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from catbound.cli import main
+from catbound.corpus import load_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,6 +106,25 @@ def test_table_json(capsys):
     assert pu3["ganea_rule"] == "sigmacat-equality"
     # every interval, Ganea verdict and provenance entry, byte for byte
     assert out == (GOLDEN / "table.json").read_text()
+
+
+def bundle_transcript(capsys) -> str:
+    """`bound` and `ledger`, text and JSON, on every shipped bundle: each
+    command's line, exit code, stdout and stderr."""
+    parts = []
+    for name in sorted(load_corpus().bundles):
+        for command in ("bound", "ledger"):
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, command, name, "--format", fmt)
+                parts.append(f"$ catbound {command} {name} --format {fmt}\n")
+                parts.append(f"exit {code}\n{out}")
+                if err:
+                    parts.append(f"stderr: {err}")
+    return "".join(parts)
+
+
+def test_bundle_commands_match_the_golden_file(capsys):
+    assert bundle_transcript(capsys) == (GOLDEN / "bundles.txt").read_text()
 
 
 def test_check_ganea(capsys):

@@ -91,8 +91,8 @@ def test_relation_forms():
         """
     )
     rel_ring, zero_ring = doc.declarations
-    assert rel_ring.rels[0].coeff == 2
-    assert rel_ring.rels[0].powers == (("b", 1), ("c", 1))
+    assert rel_ring.rels[0][1].coeff == 2
+    assert rel_ring.rels[0][1].powers == (("b", 1), ("c", 1))
     pres = ring_presentation(rel_ring)
     assert pres.substitutions["a"].coeff == 2
     assert ring_presentation(zero_ring).effective_truncation("x") == 4
@@ -179,6 +179,12 @@ def test_unexpected_character():
     doc = parse("ring R @ Z/2 {}")
     assert not doc.ok
     assert "unexpected character" in doc.diagnostics[0].message
+
+
+def test_a_missing_closing_brace_swallows_the_declarations_after_it():
+    doc = parse("space X { dim 1;\nspace Y { dim 2; }\nspace Z { dim 3; }")
+    assert [str(d) for d in doc.diagnostics] == ["2:1: unknown space statement 'space'"]
+    assert doc.declarations == []
 
 
 def test_recovery_keeps_later_declarations():
@@ -470,6 +476,38 @@ def test_parse_and_link_build_each_ring_once(monkeypatch):
     assert len(rings) == 16
 
 
+def test_parse_and_link_build_each_decomposition_once(monkeypatch):
+    built = []
+    post_init = ConeDecomposition.__post_init__
+
+    def counted(self):
+        built.append(self.space)
+        post_init(self)
+
+    monkeypatch.setattr(ConeDecomposition, "__post_init__", counted)
+    docs = parse_sources(read_sources())
+    spaces = [d for doc in docs for d in doc.declarations if d.kind == "space"]
+    decomposed = [d.name for d in spaces if d.stages or d.dim == 0]
+    catalog = link(docs)
+    assert sorted(built) == sorted(decomposed)
+    assert len(decomposed) == 7
+    for decl in spaces:
+        assert catalog.spaces[decl.name].decomposition is decl.decomposition
+    for bundle in catalog.bundles.values():
+        fiber = catalog.spaces[bundle.fiber]
+        assert bundle.fiber_decomposition is fiber.decomposition
+
+
+def test_link_leaves_the_parsed_documents_as_they_are():
+    docs = parse_sources(read_sources())
+    before = [[(d, vars(d).copy()) for d in doc.declarations] for doc in docs]
+    catalog = link(docs)
+    for doc, decls in zip(docs, before):
+        assert [(d, vars(d)) for d in doc.declarations] == decls
+    assert catalog.spaces["SO(5)"].ring is catalog.rings["SO5_mod2"]
+    assert catalog.bundles["so5"].base_dim == 7
+
+
 def test_link_gathers_facts_and_products_across_documents():
     facts_first = parse_clean(
         """
@@ -582,13 +620,15 @@ def test_link_gathers_facts_and_products_across_documents():
         ),
         (
             "space X { dim 1; ring R over Z/2 { gen x : deg 1 trunc 2; } }",
-            [
-                "1:18: unknown space statement 'ring'",
-                "1:61: unknown declaration keyword '}'",
-            ],
-            [("ring", "R")],
+            ["1:18: unknown space statement 'ring'"],
+            [],
         ),
         ('space X { "dim" 3; }', ["1:11: unknown space statement 'dim'"], []),
+        (
+            'space X { dim; known cat = 1 from "s"; }',
+            ["1:14: expected dimension, found ';'"],
+            [],
+        ),
     ],
     ids=[
         "ring-statement",
@@ -610,6 +650,7 @@ def test_link_gathers_facts_and_products_across_documents():
         "invariant",
         "ring-in-space",
         "string-keyword",
+        "rest-of-block",
     ],
 )
 def test_each_diagnostic_at_its_token_and_what_recovery_keeps(
