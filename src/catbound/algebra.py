@@ -14,8 +14,7 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class AlgebraError(ValueError):
@@ -49,8 +48,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A ring generator: name, degree >= 1, optional truncation, search weight."""
 
     name: str
@@ -59,8 +57,7 @@ class Generator:
     weight: int = 1
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(NamedTuple):
     """Rewrite rule g^exponent -> coeff * prod(powers), later generators only."""
 
     exponent: int
@@ -68,8 +65,7 @@ class Substitution:
     powers: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """coeff * prod(g_i^exps[i]) with exps indexed by ring generator order."""
 
     coeff: int

@@ -10,13 +10,13 @@ The catalog holds the records the parser built: each ring's presentation,
 and the space and bundle records with their cross-references filled in (a
 space's presented ring, a bundle's base dimension and fibre decomposition).
 Linking only resolves names and checks cross-references; it leaves the parsed
-documents as they are, filling records in through dataclasses.replace.
+documents as they are, filling in copies of the records through `_replace`
+(which, for a bundle, runs the record's checks again).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebra import RingPresentation
 from .cones import BundleRecord, ConeError
@@ -27,13 +27,12 @@ class LinkError(ValueError):
     pass
 
 
-@dataclass
-class Catalog:
-    rings: dict[str, RingPresentation] = field(default_factory=dict)
-    spaces: dict[str, SpaceDecl] = field(default_factory=dict)
-    bundles: dict[str, BundleRecord] = field(default_factory=dict)
-    products: tuple[ProductDecl, ...] = ()
-    facts: tuple[KnownFact, ...] = ()
+class Catalog(NamedTuple):
+    rings: dict[str, RingPresentation]
+    spaces: dict[str, SpaceDecl]
+    bundles: dict[str, BundleRecord]
+    products: tuple[ProductDecl, ...]
+    facts: tuple[KnownFact, ...]
 
 
 def link(docs: Iterable[SourceDocument]) -> Catalog:
@@ -65,14 +64,12 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
             else:
                 bundle_decls[decl.name] = decl
 
-    catalog = Catalog()
-    for name, decl in ring_decls.items():
-        catalog.rings[name] = decl.presentation
-
+    rings = {name: decl.presentation for name, decl in ring_decls.items()}
+    spaces: dict[str, SpaceDecl] = {}
     for name, decl in space_decls.items():
         if decl.cohomology is not None:
             ref = decl.cohomology
-            ring = catalog.rings.get(ref.ring)
+            ring = rings.get(ref.ring)
             if ring is None:
                 raise LinkError(
                     f"space {name!r} refers to undeclared ring {ref.ring!r}"
@@ -82,7 +79,7 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                     f"space {name!r} states cohomology over Z/{ref.p} but "
                     f"ring {ref.ring!r} is presented over Z/{ring.p}"
                 )
-            decl = replace(decl, ring=ring)
+            decl = decl._replace(ring=ring)
         stages = decl.stages
         if stages and decl.dim is not None:
             if stages[-1].attach_dim != decl.dim:
@@ -95,37 +92,37 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                     raise LinkError(
                         f"space {name!r}: stage dims must be nondecreasing"
                     )
-        catalog.spaces[name] = decl
+        spaces[name] = decl
         fact_decls.extend(decl.knowns)
 
+    bundles: dict[str, BundleRecord] = {}
     for name, decl in bundle_decls.items():
         for role, ref in (
             ("fiber", decl.fiber),
             ("base", decl.base),
             ("total", decl.total),
         ):
-            if ref not in catalog.spaces:
+            if ref not in spaces:
                 raise LinkError(
                     f"bundle {name!r}: {role} {ref!r} is not a declared space"
                 )
         if (
             decl.structure_group != "trivial"
-            and decl.structure_group not in catalog.spaces
+            and decl.structure_group not in spaces
         ):
             raise LinkError(
                 f"bundle {name!r}: structure group {decl.structure_group!r} "
                 "is not a declared space (or the literal trivial)"
             )
-        base = catalog.spaces[decl.base]
+        base = spaces[decl.base]
         if base.dim is None:
             raise LinkError(
                 f"bundle {name!r}: base {decl.base!r} has no declared dim"
             )
         try:
-            record = replace(
-                decl,
+            record = decl._replace(
                 base_dim=base.dim,
-                fiber_decomposition=catalog.spaces[decl.fiber].decomposition,
+                fiber_decomposition=spaces[decl.fiber].decomposition,
             )
         except ConeError as exc:
             raise LinkError(str(exc)) from None
@@ -134,19 +131,13 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                 f"bundle {name!r}: cells-mod {decl.d} needs a "
                 f"{decl.d - 1}-connected base"
             )
-        catalog.bundles[name] = record
+        bundles[name] = record
 
     for fact in fact_decls:
-        if fact.space not in catalog.spaces:
+        if fact.space not in spaces:
             raise LinkError(
                 f"known fact refers to undeclared space {fact.space!r}"
             )
-    catalog.facts = tuple(
-        sorted(
-            set(fact_decls),
-            key=lambda f: (f.space, f.invariant, f.qualifier, f.value, f.citation),
-        )
-    )
 
     for prod in product_decls:
         for role, ref in (
@@ -154,11 +145,11 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
             ("left factor", prod.left),
             ("right factor", prod.right),
         ):
-            if ref not in catalog.spaces:
+            if ref not in spaces:
                 raise LinkError(
                     f"product statement: {role} {ref!r} is not a declared space"
                 )
-    catalog.products = tuple(
-        sorted(set(product_decls), key=lambda r: (r.total, r.left, r.right))
-    )
-    return catalog
+    # records sort as tuples of their fields; duplicates collapse
+    facts = tuple(sorted(set(fact_decls)))
+    products = tuple(sorted(set(product_decls)))
+    return Catalog(rings, spaces, bundles, products, facts)

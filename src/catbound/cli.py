@@ -10,7 +10,6 @@ the rule order a seed picks.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .algebra import AlgebraError
@@ -44,6 +43,8 @@ _ERRORS = (
 
 
 def _dump(obj) -> str:
+    import json  # only --format json needs it
+
     return json.dumps(obj, indent=2, sort_keys=True)
 
 

@@ -15,7 +15,7 @@ parser and the linker report a ConeError's text as it stands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class ConeError(ValueError):
@@ -30,8 +30,23 @@ class BoundRefused(RuntimeError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ConeStage:
+class _Checked:
+    """Mixin for a NamedTuple record that checks the theorem's hypotheses
+    when it is built: `_check` raises ConeError.  `_replace` goes through the
+    constructor, so a filled-in copy is checked again."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class ConeStage(NamedTuple):
     """Stage i attaches the cone on some complex K_i; attach_dim is the
     dimension of C(K_i), i.e. of the new top cells.  skeleton marks stages
     that are literal skeleta of the decomposed space."""
@@ -42,12 +57,15 @@ class ConeStage:
     skeleton: bool = False
 
 
-@dataclass(frozen=True)
-class ConeDecomposition:
+class _ConeDecomposition(NamedTuple):
     space: str
     stages: tuple[ConeStage, ...] = ()
 
-    def __post_init__(self):
+
+class ConeDecomposition(_Checked, _ConeDecomposition):
+    __slots__ = ()
+
+    def _check(self):
         for k, st in enumerate(self.stages, start=1):
             if st.index != k:
                 raise ConeError(
@@ -71,23 +89,22 @@ class ConeDecomposition:
 CERTIFICATE_KINDS = ("none", "skeletal", "trivial", "verified")
 
 
-@dataclass(frozen=True)
-class CompatibilityCertificate:
+class _CompatibilityCertificate(NamedTuple):
     kind: str = "none"
     reason: str = ""
 
-    def __post_init__(self):
+
+class CompatibilityCertificate(_Checked, _CompatibilityCertificate):
+    __slots__ = ()
+
+    def _check(self):
         if self.kind not in CERTIFICATE_KINDS:
             raise ConeError(f"unknown certificate kind {self.kind!r}")
         if self.kind == "verified" and not self.reason.strip():
             raise ConeError("a verified certificate needs a nonempty reason")
 
 
-@dataclass(frozen=True)
-class BundleRecord:
-    """F -> total -> base with structure group G; d, s describe the base's
-    cell structure (base is (d-1)-connected, cells in dims 0..s mod d)."""
-
+class _BundleRecord(NamedTuple):
     name: str
     total: str
     fiber: str
@@ -98,13 +115,17 @@ class BundleRecord:
     # the linker fills these two in from the base and fiber spaces
     base_dim: int = 0
     fiber_decomposition: ConeDecomposition | None = None
-    certificate: CompatibilityCertificate = field(
-        default_factory=CompatibilityCertificate
-    )
+    certificate: CompatibilityCertificate = CompatibilityCertificate()
 
+
+class BundleRecord(_Checked, _BundleRecord):
+    """F -> total -> base with structure group G; d, s describe the base's
+    cell structure (base is (d-1)-connected, cells in dims 0..s mod d)."""
+
+    __slots__ = ()
     kind = "bundle"
 
-    def __post_init__(self):
+    def _check(self):
         # the theorem's cell hypothesis: period d >= 1, residues 0 <= s <= d-1
         if self.d < 1:
             raise ConeError(f"bundle {self.name!r}: d must be >= 1")
@@ -119,8 +140,7 @@ class BundleRecord:
             )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     passed: bool
     rule: str | None
     reason: str
@@ -212,8 +232,7 @@ def general_bundle_bound(cat_fiber: int, cat_base: int) -> int:
     return (cat_fiber + 1) * (cat_base + 1) - 1
 
 
-@dataclass(frozen=True)
-class LedgerStage:
+class LedgerStage(NamedTuple):
     """Stage k of the filtration of the total space: the pieces glued on at
     that stage, as pairs (i, j) meaning C(A_i) x C(K_j), with i = 0 or j = 0
     for the one-sided pieces.  dims holds dim(piece), aligned with pieces."""
@@ -223,8 +242,7 @@ class LedgerStage:
     dims: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FiltrationLedger:
+class FiltrationLedger(NamedTuple):
     bundle: str
     n: int
     m: int

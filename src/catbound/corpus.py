@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .catalog import Catalog, link
@@ -15,17 +14,10 @@ class CorpusError(ValueError):
 
 def read_sources(path: str | Path | None = None) -> list[tuple[str, str]]:
     """(display name, text) pairs, sorted by name.  None means the corpus
-    shipped inside the package; a directory means its *.lsc files; a file
+    shipped inside the package, found next to this module (importlib.resources
+    imports inspect on Python 3.12); a directory means its *.lsc files; a file
     means just that file."""
-    if path is None:
-        root = resources.files(__package__) / "corpus"
-        pairs = [
-            (entry.name, entry.read_text(encoding="utf-8"))
-            for entry in root.iterdir()
-            if entry.name.endswith(".lsc")
-        ]
-        return sorted(pairs)
-    p = Path(path)
+    p = Path(__file__).with_name("corpus") if path is None else Path(path)
     if p.is_dir():
         return [
             (f.name, f.read_text(encoding="utf-8"))

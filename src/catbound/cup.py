@@ -19,8 +19,8 @@ best, so the reported witness is the lexicographically smallest maximiser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _cartesian
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraError,
@@ -38,8 +38,7 @@ class SearchBudgetExceeded(RuntimeError):
     """The exponent-vector search outgrew its node budget."""
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
+class WeightAssignment(NamedTuple):
     """Per-generator weights, aligned with the ring's generator order."""
 
     weights: tuple[int, ...]
@@ -67,8 +66,7 @@ class WeightAssignment:
         return cls(tuple(ws))
 
 
-@dataclass(frozen=True)
-class CupResult:
+class CupResult(NamedTuple):
     """Outcome of a search: the maximum, one witness vector, and whether
     non-unit weights were in play.  The witness is the lexicographically
     smallest exponent vector attaining the maximum."""

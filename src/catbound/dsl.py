@@ -53,7 +53,7 @@ down with it, still with one diagnostic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import AlgebraError, Generator, RingPresentation, Substitution
 from .cones import (
@@ -72,8 +72,7 @@ class DslError(ValueError):
     """Internal parse failure; always converted into a Diagnostic."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     col: int
     message: str
@@ -82,33 +81,35 @@ class Diagnostic:
         return f"{self.line}:{self.col}: {self.message}"
 
 
-@dataclass(slots=True)
 class Token:
-    kind: str  # ident | int | string | punct | eof
-    value: str
-    line: int
-    col: int
+    # a __slots__ class, not a tuple: it is smaller, and a large catalog
+    # holds tens of thousands of tokens at once
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind  # ident | int | string | punct | eof
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 # -- AST -------------------------------------------------------------------
+# Each declaration is built once, when its block is read; the linker fills
+# in a copy, never the parsed record.
 
 
-@dataclass
-class RingDecl:
+class RingDecl(NamedTuple):
     name: str
     p: int
-    gens: list[Generator] = field(default_factory=list)
-    rels: list[tuple[str, Substitution]] = field(default_factory=list)
+    gens: list[Generator]
+    rels: list[tuple[str, Substitution]]
     # built once by the parser's validation and reused by the linker
-    presentation: RingPresentation | None = field(
-        default=None, compare=False, repr=False
-    )
+    presentation: RingPresentation | None = None
 
     kind = "ring"
 
 
-@dataclass(frozen=True)
-class KnownFact:
+class KnownFact(NamedTuple):
     space: str | None
     invariant: str
     qualifier: str
@@ -118,35 +119,30 @@ class KnownFact:
     kind = "fact"
 
 
-@dataclass
-class CohomologyRef:
+class CohomologyRef(NamedTuple):
     ring: str
     p: int
     complete: bool = False
 
 
-@dataclass
-class SpaceDecl:
+class SpaceDecl(NamedTuple):
     name: str
+    knowns: list[KnownFact]
+    stages: list[ConeStage]
     dim: int | None = None
     connectivity: int | None = None
     cohomology: CohomologyRef | None = None
     loopspace_even: bool = False
-    knowns: list[KnownFact] = field(default_factory=list)
-    stages: list[ConeStage] = field(default_factory=list)
     # built by the parser from the stages; a point is a cone tower of length
     # zero, and any other space without stages has none
-    decomposition: ConeDecomposition | None = field(
-        default=None, compare=False, repr=False
-    )
+    decomposition: ConeDecomposition | None = None
     # the presented ring `cohomology` names, filled in by the linker
-    ring: RingPresentation | None = field(default=None, compare=False, repr=False)
+    ring: RingPresentation | None = None
 
     kind = "space"
 
 
-@dataclass(frozen=True)
-class ProductDecl:
+class ProductDecl(NamedTuple):
     total: str
     left: str
     right: str
@@ -157,8 +153,7 @@ class ProductDecl:
 Declaration = RingDecl | SpaceDecl | BundleRecord | ProductDecl | KnownFact
 
 
-@dataclass
-class SourceDocument:
+class SourceDocument(NamedTuple):
     path: str | None
     declarations: list[Declaration]
     diagnostics: list[Diagnostic]
@@ -398,20 +393,21 @@ class _Parser:
     def parse_ring(self, start: Token) -> RingDecl:
         name = self.expect_ident("ring name").value
         self.expect_keyword("over")
-        decl = RingDecl(name, self.parse_modulus())
+        p = self.parse_modulus()
+        parts = {"gens": [], "rels": []}
         unknown = "unknown ring statement {} (expected gen or rel)"
-        self.block(self.RING, decl, "ring", name, unknown)
-        if not decl.gens:
+        self.block(self.RING, parts, "ring", name, unknown)
+        if not parts["gens"]:
             raise self.error(
                 start, f"ring {name!r} must declare at least one generator"
             )
+        decl = RingDecl(name, p, **parts)
         try:
-            decl.presentation = ring_presentation(decl)
+            return decl._replace(presentation=ring_presentation(decl))
         except AlgebraError as exc:
             raise self.error(start, f"ring {name!r}: {exc}") from None
-        return decl
 
-    def parse_gen(self, _, ring: RingDecl) -> None:
+    def parse_gen(self, _, parts: dict) -> None:
         name = self.expect_ident("generator name").value
         self.expect_punct(":")
         self.expect_keyword("deg")
@@ -419,7 +415,7 @@ class _Parser:
         attrs: dict[str, int] = {}
         unknown = "unknown generator attribute {}"
         self.block(self.GEN, attrs, "generator", name, unknown, close=";")
-        ring.gens.append(Generator(name, degree, **attrs))
+        parts["gens"].append(Generator(name, degree, **attrs))
 
     def gen_trunc(self, _, attrs: dict) -> None:
         attrs["trunc"] = self.expect_int("truncation")
@@ -430,7 +426,7 @@ class _Parser:
     def gen_weight(self, _, attrs: dict) -> None:
         attrs["weight"] = self.expect_int("weight")
 
-    def parse_rel(self, _, ring: RingDecl) -> None:
+    def parse_rel(self, _, parts: dict) -> None:
         gen = self.expect_ident("generator name").value
         self.expect_punct("^")
         exponent = self.expect_int("exponent")
@@ -441,7 +437,7 @@ class _Parser:
             coeff = self.expect_int()
             if coeff == 0:
                 self.expect_punct(";")
-                ring.rels.append((gen, Substitution(exponent, 0, ())))
+                parts["rels"].append((gen, Substitution(exponent, 0, ())))
                 return
             self.expect_punct("*")
         while True:
@@ -456,49 +452,49 @@ class _Parser:
                 continue
             break
         self.expect_punct(";")
-        ring.rels.append((gen, Substitution(exponent, coeff, tuple(powers))))
+        parts["rels"].append((gen, Substitution(exponent, coeff, tuple(powers))))
 
     def parse_space(self, start: Token) -> SpaceDecl:
         name = self.expect_ident("space name").value
-        decl = SpaceDecl(name)
-        self.block(self.SPACE, decl, "space", name, "unknown space statement {}")
-        if decl.stages or decl.dim == 0:
-            decl.decomposition = self.checked(
-                start, ConeDecomposition, name, tuple(decl.stages)
+        fields = {"name": name, "knowns": [], "stages": []}
+        self.block(self.SPACE, fields, "space", name, "unknown space statement {}")
+        if fields["stages"] or fields.get("dim") == 0:
+            fields["decomposition"] = self.checked(
+                start, ConeDecomposition, name, tuple(fields["stages"])
             )
-        return decl
+        return SpaceDecl(**fields)
 
-    def space_dim(self, _, decl: SpaceDecl) -> None:
-        decl.dim = self.expect_int("dimension")
+    def space_dim(self, _, fields: dict) -> None:
+        fields["dim"] = self.expect_int("dimension")
         self.expect_punct(";")
 
-    def space_connectivity(self, _, decl: SpaceDecl) -> None:
-        decl.connectivity = self.expect_int("connectivity")
+    def space_connectivity(self, _, fields: dict) -> None:
+        fields["connectivity"] = self.expect_int("connectivity")
         self.expect_punct(";")
 
-    def space_cohomology(self, _, decl: SpaceDecl) -> None:
+    def space_cohomology(self, _, fields: dict) -> None:
         ring = self.expect_ident("ring name").value
         self.expect_keyword("over")
         p = self.parse_modulus()
         complete = self.accept("complete")
         self.expect_punct(";")
-        decl.cohomology = CohomologyRef(ring, p, complete)
+        fields["cohomology"] = CohomologyRef(ring, p, complete)
 
-    def space_loopspace_even(self, _, decl: SpaceDecl) -> None:
+    def space_loopspace_even(self, _, fields: dict) -> None:
         self.expect_punct(";")
-        decl.loopspace_even = True
+        fields["loopspace_even"] = True
 
-    def space_stage(self, _, decl: SpaceDecl) -> None:
+    def space_stage(self, _, fields: dict) -> None:
         index = self.expect_int("stage index")
         self.expect_keyword("dim")
         dim = self.expect_int("stage dimension")
         skeleton = self.accept("skeleton")
         description = self.expect_string("stage description")
         self.expect_punct(";")
-        decl.stages.append(ConeStage(index, dim, description, skeleton))
+        fields["stages"].append(ConeStage(index, dim, description, skeleton))
 
-    def space_known(self, keyword: Token, decl: SpaceDecl) -> None:
-        decl.knowns.append(self.parse_known(keyword, space=decl.name))
+    def space_known(self, keyword: Token, fields: dict) -> None:
+        fields["knowns"].append(self.parse_known(keyword, space=fields["name"]))
 
     def parse_known(self, _, space: str | None = None) -> KnownFact:
         """A known fact: inside a space block `space` names it; at top level
@@ -629,13 +625,17 @@ def ring_presentation(decl: RingDecl) -> RingPresentation:
 # -- renderer ----------------------------------------------------------------
 
 
+def _quote(text: str) -> str:
+    """text as a STRING literal: the inverse of the lexer's _ESCAPE_RE."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _render_known(fact: KnownFact, top_level: bool) -> str:
     qual = "" if fact.qualifier == "exact" else f" {fact.qualifier}"
     space = f" {fact.space}" if top_level else ""
-    citation = fact.citation.replace("\\", "\\\\").replace('"', '\\"')
     return (
         f"known{qual}{space} {fact.invariant} = {fact.value} "
-        f'from "{citation}";'
+        f"from {_quote(fact.citation)};"
     )
 
 
@@ -679,8 +679,8 @@ def render(doc: SourceDocument) -> str:
                 out.append("  loopspace-even;")
             for st in decl.stages:
                 skel = " skeleton" if st.skeleton else ""
-                desc = st.description.replace("\\", "\\\\").replace('"', '\\"')
-                out.append(f'  stage {st.index} dim {st.attach_dim}{skel} "{desc}";')
+                desc = _quote(st.description)
+                out.append(f"  stage {st.index} dim {st.attach_dim}{skel} {desc};")
             for fact in decl.knowns:
                 out.append("  " + _render_known(fact, top_level=False))
             out.append("}")
@@ -693,8 +693,7 @@ def render(doc: SourceDocument) -> str:
             out.append(f"  cells-mod {decl.d} {decl.s};")
             cert = decl.certificate
             if cert.kind == "verified":
-                reason = cert.reason.replace("\\", "\\\\").replace('"', '\\"')
-                out.append(f'  compatibility verified "{reason}";')
+                out.append(f"  compatibility verified {_quote(cert.reason)};")
             elif cert.kind != "none":
                 out.append(f"  compatibility {cert.kind};")
             out.append("}")

@@ -34,8 +34,7 @@ side; remaining spaces are unaffected.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import Catalog
 from .cones import BoundRefused, general_bundle_bound, main_theorem_bound, product_bound
@@ -60,10 +59,20 @@ _RULE_NAMES = (
 _STATIC_RULES = ("ring-cup", "ring-weight", "recorded-fact", "dimension", "cone-bundle")
 
 
-@dataclass
 class Interval:
-    lower: int = 0
-    upper: int | None = None  # None is "no upper bound known"
+    __slots__ = ("lower", "upper")  # mutable: every fixpoint step moves an end
+
+    def __init__(self, lower: int = 0, upper: int | None = None):
+        self.lower = lower
+        self.upper = upper  # None is "no upper bound known"
+
+    def __eq__(self, other):
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return (self.lower, self.upper) == (other.lower, other.upper)
+
+    def __repr__(self):
+        return f"Interval(lower={self.lower!r}, upper={self.upper!r})"
 
     @property
     def determined(self) -> bool:
@@ -92,8 +101,7 @@ class Interval:
         return f"[{self.lower},{hi}]"
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     space: str
     invariant: str
     side: str  # lower | upper
@@ -102,32 +110,28 @@ class Provenance:
     detail: str
 
 
-@dataclass
-class Contradiction:
+class Contradiction(NamedTuple):
     space: str
     invariant: str
     lower: Provenance
     upper: Provenance
 
 
-@dataclass
-class GaneaResult:
+class GaneaResult(NamedTuple):
     space: str
     status: str  # holds | unknown
     rule: str | None  # cup-equality | sigmacat-equality
 
 
-@dataclass
-class SpaceState:
-    intervals: dict[str, Interval] = field(default_factory=dict)
+class SpaceState(NamedTuple):
+    intervals: dict[str, Interval]
 
     @property
     def has_wcat(self) -> bool:
         return "wcat" in self.intervals
 
 
-@dataclass
-class Solution:
+class Solution(NamedTuple):
     states: dict[str, SpaceState]
     provenance: dict[str, list[Provenance]]
     contradictions: list[Contradiction]
@@ -297,6 +301,8 @@ def propagate(
 
     order = list(_RULE_NAMES)
     if rule_seed is not None:
+        import random  # only a seeded solve needs it
+
         random.Random(rule_seed).shuffle(order)
     rule_args = (catalog, states, _RingCache(max_search), _certify(catalog))
     intervals_of = {name: state.intervals for name, state in states.items()}

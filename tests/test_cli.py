@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -354,3 +357,31 @@ def test_validate_reports_a_non_decimal_digit_without_a_traceback(tmp_path, caps
     combined = out + err
     assert "sup.lsc:1:15: unexpected character '\u00b2'" in combined
     assert "Traceback" not in combined
+
+
+# -- import footprint ------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("flags", [(), ("-X", "dev", "-W", "error")], ids=["plain", "dev"])
+@pytest.mark.parametrize(
+    "statement",
+    ["import catbound, catbound.cli", "from catbound import cli; cli.main(['table'])"],
+    ids=["import", "table"],
+)
+def test_import_footprint(flags, statement):
+    """A fresh interpreter loads neither the dataclass machinery nor json,
+    on import or through a text-format table."""
+    code = (
+        f"import sys\n{statement}\n"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -478,13 +478,13 @@ def test_parse_and_link_build_each_ring_once(monkeypatch):
 
 def test_parse_and_link_build_each_decomposition_once(monkeypatch):
     built = []
-    post_init = ConeDecomposition.__post_init__
+    check = ConeDecomposition._check
 
     def counted(self):
         built.append(self.space)
-        post_init(self)
+        check(self)
 
-    monkeypatch.setattr(ConeDecomposition, "__post_init__", counted)
+    monkeypatch.setattr(ConeDecomposition, "_check", counted)
     docs = parse_sources(read_sources())
     spaces = [d for doc in docs for d in doc.declarations if d.kind == "space"]
     decomposed = [d.name for d in spaces if d.stages or d.dim == 0]
@@ -500,10 +500,14 @@ def test_parse_and_link_build_each_decomposition_once(monkeypatch):
 
 def test_link_leaves_the_parsed_documents_as_they_are():
     docs = parse_sources(read_sources())
-    before = [[(d, vars(d).copy()) for d in doc.declarations] for doc in docs]
+    # the repr also covers the contents of the list fields
+    def snapshot(doc):
+        return [(d, d._asdict(), repr(d)) for d in doc.declarations]
+
+    before = [snapshot(doc) for doc in docs]
     catalog = link(docs)
     for doc, decls in zip(docs, before):
-        assert [(d, vars(d)) for d in doc.declarations] == decls
+        assert snapshot(doc) == decls
     assert catalog.spaces["SO(5)"].ring is catalog.rings["SO5_mod2"]
     assert catalog.bundles["so5"].base_dim == 7
 

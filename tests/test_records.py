@@ -1,0 +1,163 @@
+"""Record semantics: value records are immutable NamedTuples, the three
+checking records run their checks in every constructor (linking included),
+and the two mutable records are __slots__ classes."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from catbound.algebra import Substitution
+from catbound.catalog import LinkError, link
+from catbound.cones import BundleRecord, ConeError, check_compatibility, filtration_ledger
+from catbound.corpus import parse_sources, read_sources
+from catbound.cup import WeightAssignment, cup_length
+from catbound.dsl import KnownFact, ProductDecl, _lex, _quote, parse, render
+from catbound.solver import Interval, ganea_check, propagate
+
+BUNDLE = """
+space F { dim 3; connectivity 2; stage 1 dim 3 skeleton "the 3-sphere"; }
+space B { dim 7; }
+space T { dim 10; }
+bundle b { fiber F; base B; total T; structure-group F; cells-mod 1 0;
+           compatibility skeletal; }
+"""
+
+
+def parse_clean(text):
+    doc = parse(text)
+    assert doc.ok, [str(d) for d in doc.diagnostics]
+    return doc
+
+
+def every_record():
+    doc = parse_clean(
+        BUNDLE
+        + "ring R over Z/2 { gen x : deg 1 trunc 4; }\n"
+        + 'space X { dim 4; cohomology R over Z/2; known cat = 3 from "s"; }\n'
+        + "product P = X * X; space P { dim 8; }\n"
+    )
+    catalog = link([doc])
+    solution = propagate(catalog)
+    ring = catalog.rings["R"]
+    bundle = catalog.bundles["b"]
+    ledger = filtration_ledger(bundle)
+    space = catalog.spaces["X"]
+    return [
+        ring.generators[0],
+        Substitution(2, 1, (("x", 1),)),
+        ring.one(),
+        catalog.spaces["F"].stages[0],
+        bundle.fiber_decomposition,
+        bundle.certificate,
+        bundle,
+        check_compatibility(bundle),
+        ledger.stages[0],
+        ledger,
+        WeightAssignment.ones(ring),
+        cup_length(ring),
+        parse("space").diagnostics[0],
+        catalog.facts[0],
+        catalog.products[0],
+        space.cohomology,
+        next(d for d in doc.declarations if d.kind == "ring"),
+        space,
+        doc,
+        catalog,
+        solution.provenance["X"][0],
+        ganea_check(solution, "X"),
+        solution.states["X"],
+        solution,
+    ]
+
+
+@pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
+def test_value_records_are_immutable(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert not hasattr(record, "__dict__")
+
+
+def test_interval_and_token_are_slots_classes():
+    iv = Interval()
+    iv.lower, iv.upper = 2, 3
+    assert str(iv) == "[2,3]"
+    tokens, _ = _lex("space")
+    for obj in (iv, tokens[0]):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.extra = None
+
+
+def test_solutions_compare_by_value():
+    doc = parse_clean(BUNDLE + 'known T cat = 2 from "s";')
+    catalog = link([doc])
+    assert propagate(catalog, rule_seed=5) == propagate(catalog)
+    assert Interval(1, 2) == Interval(1, 2) != Interval(1, None)
+    assert repr(Interval(1, None)) == "Interval(lower=1, upper=None)"
+
+
+def test_duplicate_facts_and_products_collapse_across_documents():
+    first = parse_clean('space X { dim 3; known cat = 1 from "s"; }\nproduct P = X * X;')
+    again = parse_clean('known X cat = 1 from "s";\nproduct P = X * X;\nspace P { dim 6; }')
+    catalog = link([first, again, parse_clean('known X cat = 1 from "s";')])
+    assert catalog.facts == (KnownFact("X", "cat", "exact", 1, "s"),)
+    assert catalog.products == (ProductDecl("P", "X", "X"),)
+
+
+def test_link_runs_the_bundle_checks_again(monkeypatch):
+    seen = []
+    check = BundleRecord._check
+
+    def counted(self):
+        seen.append(self.base_dim)
+        check(self)
+
+    monkeypatch.setattr(BundleRecord, "_check", counted)
+    doc = parse_clean(BUNDLE)
+    assert seen == [0]
+    assert link([doc]).bundles["b"].base_dim == 7
+    assert seen == [0, 7]
+
+
+def test_a_filled_in_copy_is_checked():
+    (bundle,) = [d for d in parse_clean(BUNDLE).declarations if d.kind == "bundle"]
+    bundle = bundle._replace(d=4, s=0)
+    with pytest.raises(ConeError, match="smaller than the cell period"):
+        bundle._replace(base_dim=3)
+    with pytest.raises(LinkError, match="smaller than the cell period"):
+        link([parse_clean(BUNDLE.replace("cells-mod 1 0", "cells-mod 8 0"))])
+
+
+def test_quoted_fields_round_trip_backslashes_and_quotes():
+    text = (
+        r'space F { dim 3; stage 1 dim 3 skeleton "d \\ \"q\""; '
+        r'known cat = 1 from "c \"q\" \\"; }'
+        "\nspace B { dim 7; }\nspace T { dim 10; }\n"
+        "bundle b { fiber F; base B; total T; structure-group F; cells-mod 1 0; "
+        r'compatibility verified "r \\\" \\"; }'
+    )
+    doc = parse_clean(text)
+    space, _, _, bundle = doc.declarations
+    assert space.stages[0].description == 'd \\ "q"'
+    assert space.knowns[0].citation == 'c "q" \\'
+    assert bundle.certificate.reason == 'r \\" \\'
+    again = parse_clean(render(doc))
+    assert again.declarations == doc.declarations
+    assert render(again) == render(doc)
+
+
+@given(st.text(st.characters(blacklist_characters="\n")))
+def test_quote_is_the_inverse_of_the_lexer(text):
+    tokens, diags = _lex(_quote(text))
+    assert diags == []
+    assert [(t.kind, t.value) for t in tokens[:-1]] == [("string", text)]
+
+
+def test_the_corpus_survives_render_and_parse():
+    # record equality now covers the parsed presentations and decompositions
+    docs = parse_sources(read_sources())
+    again = [parse_clean(render(doc)) for doc in docs]
+    for doc, new in zip(docs, again):
+        assert new.declarations == doc.declarations
+    assert link(again) == link(docs)
