@@ -177,8 +177,6 @@ class RingPresentation:
                 raise AlgebraError(
                     f"generator {src!r} has both a truncation and a substitution"
                 )
-            if subs[i] is not None:
-                raise AlgebraError(f"generator {src!r} has two substitutions")
             if p != 2 and odd[i]:
                 raise AlgebraError(
                     f"odd-degree generator {src!r} squares to zero over Z/{p}; "

@@ -66,13 +66,6 @@ _GRID_ROWS = (
 _EXCEPTIONAL = ("G2", "F4", "E6", "E7", "E8")
 
 
-def grid_space_names() -> set[str]:
-    names = set(_EXCEPTIONAL)
-    for _, cells in _GRID_ROWS:
-        names.update(cells.values())
-    return names
-
-
 def table_cell(solution: Solution, name: str | None) -> str:
     """cat of the named space: a number when determined, an interval when
     declared but open, '-' when the catalog has nothing at all."""
@@ -99,7 +92,8 @@ def render_table(solution: Solution) -> str:
     for row in rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
-    aux = sorted(set(solution.states) - grid_space_names())
+    grid = {*_EXCEPTIONAL, *(n for _, cells in _GRID_ROWS for n in cells.values())}
+    aux = sorted(set(solution.states) - grid)
     if aux:
         lines += ["", "other catalogued spaces", "-----------------------"]
         width = max(len(name) for name in aux)
@@ -157,6 +151,8 @@ def solution_json(solution: Solution) -> dict:
 
 
 # -- subcommands -------------------------------------------------------------
+# Each subcommand but validate maps the loaded catalog and its arguments to
+# its JSON payload and its text; `main` loads the corpus and prints one.
 
 
 def _resolve_ring(catalog: Catalog, name: str):
@@ -172,50 +168,35 @@ def _resolve_ring(catalog: Catalog, name: str):
     raise CliError(f"no ring or space named {name!r}")
 
 
-def cmd_cup(args) -> int:
-    catalog = load_corpus(args.corpus)
+def cmd_cup(catalog: Catalog, args) -> tuple[dict, str]:
     ring, _ = _resolve_ring(catalog, args.name)
     result = cup_length(ring, max_nodes=args.max_search)
-    if args.format == "json":
-        print(
-            _dump(
-                {
-                    "name": args.name,
-                    "ring": ring.name,
-                    "cup": result.value,
-                    "witness": result.witness_str(ring),
-                }
-            )
-        )
-    else:
-        print(f"cup({args.name}) = {result.value}")
-        print(f"witness: {result.witness_str(ring)}")
-    return 0
+    witness = result.witness_str(ring)
+    payload = {
+        "name": args.name, "ring": ring.name, "cup": result.value, "witness": witness
+    }
+    return payload, f"cup({args.name}) = {result.value}\nwitness: {witness}"
 
 
-def cmd_wgt(args) -> int:
-    catalog = load_corpus(args.corpus)
+def cmd_wgt(catalog: Catalog, args) -> tuple[dict, str]:
     ring, loopspace_even = _resolve_ring(catalog, args.name)
     weights = WeightAssignment.for_space(ring, loopspace_even)
     result = weighted_wgt_lower(ring, weights, max_nodes=args.max_search)
     pairs = list(zip((g.name for g in ring.generators), weights.weights))
-    if args.format == "json":
-        print(
-            _dump(
-                {
-                    "name": args.name,
-                    "ring": ring.name,
-                    "wgt_lower": result.value,
-                    "weights": dict(pairs),
-                    "witness": result.witness_str(ring),
-                }
-            )
-        )
-    else:
-        print(f"wgt({args.name}) >= {result.value}")
-        print("weights: " + " ".join(f"{n}={w}" for n, w in pairs))
-        print(f"witness: {result.witness_str(ring)}")
-    return 0
+    witness = result.witness_str(ring)
+    payload = {
+        "name": args.name,
+        "ring": ring.name,
+        "wgt_lower": result.value,
+        "weights": dict(pairs),
+        "witness": witness,
+    }
+    lines = [
+        f"wgt({args.name}) >= {result.value}",
+        "weights: " + " ".join(f"{n}={w}" for n, w in pairs),
+        f"witness: {witness}",
+    ]
+    return payload, "\n".join(lines)
 
 
 def _bundle(catalog: Catalog, name: str):
@@ -225,145 +206,106 @@ def _bundle(catalog: Catalog, name: str):
     return bundle
 
 
-def cmd_bound(args) -> int:
-    catalog = load_corpus(args.corpus)
+def cmd_bound(catalog: Catalog, args) -> tuple[dict, str]:
     bundle = _bundle(catalog, args.name)
     verdict = check_compatibility(bundle)
-    head = (
+    lines = [
         f"bundle {bundle.name}: {bundle.fiber} -> {bundle.total} -> "
         f"{bundle.base}, cells-mod {bundle.d} {bundle.s}"
-    )
-    bound = None
-    fallback = None
+    ]
+    bound = fallback = None
     try:
         bound = main_theorem_bound(bundle)
     except BoundRefused:
+        lines.append(f"refused: {verdict.reason}")
         solution = propagate(catalog, max_search=args.max_search)
         f = solution.states[bundle.fiber].intervals["cat"].upper
         b = solution.states[bundle.base].intervals["cat"].upper
         if f is not None and b is not None:
-            fallback = (f, b, general_bundle_bound(f, b))
-    if args.format == "json":
-        payload = {
-            "bundle": bundle.name,
-            "fiber": bundle.fiber,
-            "base": bundle.base,
-            "total": bundle.total,
-            "d": bundle.d,
-            "s": bundle.s,
-            "certificate": bundle.certificate.kind,
-            "passed": verdict.passed,
-            "rule": verdict.rule,
-            "reason": verdict.reason,
-            "bound": bound,
-            "fallback": None if fallback is None else fallback[2],
-        }
-        print(_dump(payload))
-        return 0
-    print(head)
-    if bound is not None:
-        m = bundle.fiber_decomposition.length
-        print(f"certificate: {verdict.rule} ({verdict.reason})")
-        print(
-            f"Cat({bundle.total}) <= {m} + {bundle.base_dim}//{bundle.d} = {bound}"
-        )
-    else:
-        print(f"refused: {verdict.reason}")
-        if fallback is not None:
-            f, b, value = fallback
-            print(
-                f"fallback: cat({bundle.total}) <= ({f}+1)*({b}+1)-1 = {value} "
+            fallback = general_bundle_bound(f, b)
+            lines.append(
+                f"fallback: cat({bundle.total}) <= ({f}+1)*({b}+1)-1 = {fallback} "
                 f"from cat({bundle.fiber}) <= {f} and cat({bundle.base}) <= {b}"
             )
         else:
-            print("fallback: unavailable (no finite cat bound for fiber and base)")
-    return 0
+            lines.append(
+                "fallback: unavailable (no finite cat bound for fiber and base)"
+            )
+    else:
+        lines += [
+            f"certificate: {verdict.rule} ({verdict.reason})",
+            f"Cat({bundle.total}) <= {bundle.fiber_decomposition.length} + "
+            f"{bundle.base_dim}//{bundle.d} = {bound}",
+        ]
+    payload = {
+        "bundle": bundle.name,
+        "fiber": bundle.fiber,
+        "base": bundle.base,
+        "total": bundle.total,
+        "d": bundle.d,
+        "s": bundle.s,
+        "certificate": bundle.certificate.kind,
+        "passed": verdict.passed,
+        "rule": verdict.rule,
+        "reason": verdict.reason,
+        "bound": bound,
+        "fallback": fallback,
+    }
+    return payload, "\n".join(lines)
 
 
-def cmd_ledger(args) -> int:
-    catalog = load_corpus(args.corpus)
+def cmd_ledger(catalog: Catalog, args) -> tuple[dict, str]:
     bundle = _bundle(catalog, args.name)
     ledger = filtration_ledger(bundle)
-    if args.format == "json":
-        payload = {
-            "bundle": ledger.bundle,
-            "n": ledger.n,
-            "m": ledger.m,
-            "bound": ledger.total_bound,
-            "stages": [
-                {
-                    "stage": st.k,
-                    "pieces": [
-                        {"i": i, "j": j, "dim": dim}
-                        for (i, j), dim in zip(st.pieces, st.dims)
-                    ],
-                }
-                for st in ledger.stages
-            ],
-        }
-        print(_dump(payload))
-        return 0
-    print(
+    stages = [(st.k, list(zip(st.pieces, st.dims))) for st in ledger.stages]
+    payload = {
+        "bundle": ledger.bundle,
+        "n": ledger.n,
+        "m": ledger.m,
+        "bound": ledger.total_bound,
+        "stages": [
+            {
+                "stage": k,
+                "pieces": [{"i": i, "j": j, "dim": dim} for (i, j), dim in pieces],
+            }
+            for k, pieces in stages
+        ],
+    }
+    lines = [
         f"filtration ledger: bundle {bundle.name} "
         f"({bundle.fiber} -> {bundle.total} -> {bundle.base}, "
         f"d={bundle.d} s={bundle.s})"
-    )
-    for st in ledger.stages:
-        pieces = ", ".join(
-            f"({i},{j}) dim {dim}" for (i, j), dim in zip(st.pieces, st.dims)
+    ]
+    for k, pieces in stages:
+        lines.append(
+            f"stage {k}: " + ", ".join(f"({i},{j}) dim {dim}" for (i, j), dim in pieces)
         )
-        print(f"stage {st.k}: {pieces}")
-    print(
-        f"stages: {ledger.total_bound}, "
-        f"so Cat({bundle.total}) <= {ledger.total_bound}"
+    lines.append(
+        f"stages: {ledger.total_bound}, so Cat({bundle.total}) <= {ledger.total_bound}"
     )
-    return 0
+    return payload, "\n".join(lines)
 
 
-def cmd_table(args) -> int:
-    catalog = load_corpus(args.corpus)
+def cmd_table(catalog: Catalog, args) -> tuple[dict, str]:
     solution = propagate(catalog, rule_seed=args.seed, max_search=args.max_search)
-    if args.format == "json":
-        print(_dump(solution_json(solution)))
-    else:
-        print(render_table(solution))
-    return 0
+    return solution_json(solution), render_table(solution)
 
 
-def cmd_check_ganea(args) -> int:
-    catalog = load_corpus(args.corpus)
+def cmd_check_ganea(catalog: Catalog, args) -> tuple[dict, str]:
     solution = propagate(catalog, rule_seed=args.seed, max_search=args.max_search)
-    if args.space is not None:
-        if args.space not in solution.states:
-            raise CliError(f"no space named {args.space!r}")
-        names = [args.space]
-    else:
-        names = sorted(solution.states)
+    if args.space is not None and args.space not in solution.states:
+        raise CliError(f"no space named {args.space!r}")
+    names = sorted(solution.states) if args.space is None else [args.space]
     results = [ganea_check(solution, name) for name in names]
-    if args.format == "json":
-        print(
-            _dump(
-                {
-                    "spaces": {
-                        r.space: {"status": r.status, "rule": r.rule} for r in results
-                    }
-                }
-            )
-        )
-    else:
-        for r in results:
-            suffix = f" ({r.rule})" if r.rule else ""
-            print(f"{r.space}: {r.status}{suffix}")
-    return 0
+    payload = {"spaces": {r.space: {"status": r.status, "rule": r.rule} for r in results}}
+    text = "\n".join(
+        f"{r.space}: {r.status}" + (f" ({r.rule})" if r.rule else "") for r in results
+    )
+    return payload, text
 
 
 def cmd_validate(args) -> int:
-    sources = []
-    if args.paths:
-        for path in args.paths:
-            sources.extend(read_sources(path))
-    else:
-        sources = read_sources(None)
+    sources = [src for path in args.paths or [None] for src in read_sources(path)]
     docs = parse_sources(sources)
     clean = True
     for doc in docs:
@@ -387,6 +329,26 @@ def cmd_validate(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
+_RING_NAME = ("name", {"help": "ring name, or space name with a presentation"})
+
+_INT_OPTIONS = {
+    "--max-search": "node budget for cup-length searches",
+    "--seed": "shuffle the solver rule order (the result is identical)",
+}
+
+#: name, handler, help, positional argument, takes --seed, takes --max-search
+_COMMANDS = (
+    ("cup", cmd_cup, "cup-length of a presented ring", _RING_NAME, False, True),
+    ("wgt", cmd_wgt, "weighted cup-length lower bound", _RING_NAME, False, True),
+    ("bound", cmd_bound, "stagewise upper bound for a bundle",
+     ("name", {"help": "bundle name"}), False, True),
+    ("ledger", cmd_ledger, "stage-by-stage filtration of a bundle bound",
+     ("name", {"help": "bundle name"}), False, False),
+    ("table", cmd_table, "solve the catalog and print the table", None, True, True),
+    ("check-ganea", cmd_check_ganea, "report which spaces satisfy the check",
+     ("space", {"nargs": "?", "default": None}), True, True),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -394,62 +356,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="category bounds for symbolically presented spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, seed=False, search=False):
-        p.add_argument(
-            "--corpus",
-            default=None,
-            help="directory or .lsc file to load (default: shipped corpus)",
-        )
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if search:
-            p.add_argument(
-                "--max-search",
-                type=int,
-                default=None,
-                help="node budget for cup-length searches",
-            )
-        if seed:
-            p.add_argument(
-                "--seed",
-                type=int,
-                default=None,
-                help="shuffle the solver rule order (the result is identical)",
-            )
-
-    p = sub.add_parser("cup", help="cup-length of a presented ring")
-    p.add_argument("name", help="ring name, or space name with a presentation")
-    common(p, search=True)
-    p.set_defaults(func=cmd_cup)
-
-    p = sub.add_parser("wgt", help="weighted cup-length lower bound")
-    p.add_argument("name", help="ring name, or space name with a presentation")
-    common(p, search=True)
-    p.set_defaults(func=cmd_wgt)
-
-    p = sub.add_parser("bound", help="stagewise upper bound for a bundle")
-    p.add_argument("name", help="bundle name")
-    common(p, search=True)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("ledger", help="stage-by-stage filtration of a bundle bound")
-    p.add_argument("name", help="bundle name")
-    common(p)
-    p.set_defaults(func=cmd_ledger)
-
-    p = sub.add_parser("table", help="solve the catalog and print the table")
-    common(p, seed=True, search=True)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("check-ganea", help="report which spaces satisfy the check")
-    p.add_argument("space", nargs="?", default=None)
-    common(p, seed=True, search=True)
-    p.set_defaults(func=cmd_check_ganea)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--corpus",
+        default=None,
+        help="directory or .lsc file to load (default: shipped corpus)",
+    )
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    for name, func, summary, positional, seed, search in _COMMANDS:
+        p = sub.add_parser(name, help=summary, parents=[common])
+        if positional is not None:
+            p.add_argument(positional[0], **positional[1])
+        for flag, wanted in (("--max-search", search), ("--seed", seed)):
+            if wanted:
+                p.add_argument(flag, type=int, default=None, help=_INT_OPTIONS[flag])
+        p.set_defaults(func=func)
 
     p = sub.add_parser("validate", help="parse and link documents, report problems")
     p.add_argument("paths", nargs="*", help="files or directories (default: shipped)")
-    p.set_defaults(func=cmd_validate)
-
     return parser
 
 
@@ -460,10 +384,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has already printed the message
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.command == "validate":
+            return cmd_validate(args)
+        payload, text = args.func(load_corpus(args.corpus), args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        print(_dump(payload))
+    elif text:  # check-ganea on a catalog without spaces prints nothing
+        print(text)
+    return 0
 
 
 if __name__ == "__main__":

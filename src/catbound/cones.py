@@ -162,7 +162,8 @@ def check_compatibility(bundle: BundleRecord) -> Verdict:
     skeletal: principal bundle (fiber = structure group) whose stages are all
     declared skeleta, with s = 0.  trivial: trivial structure group, any
     decomposition.  verified: a recorded ad-hoc argument.  Inconsistent
-    certificates fail with the inconsistency spelled out.
+    certificates fail with the inconsistency spelled out, and no certificate
+    passes without a cone decomposition of the fiber.
     """
     cert = bundle.certificate
     if cert.kind == "none":
@@ -186,14 +187,16 @@ def check_compatibility(bundle: BundleRecord) -> Verdict:
                 False, None, "inconsistent skeletal certificate: " + "; ".join(problems)
             )
         return Verdict(True, "skeletal", "principal bundle, skeletal stages, s = 0")
+    if cert.kind == "trivial" and bundle.structure_group != "trivial":
+        return Verdict(
+            False,
+            None,
+            "inconsistent trivial-bundle certificate: structure group is "
+            f"{bundle.structure_group!r}",
+        )
+    if bundle.fiber_decomposition is None:
+        return Verdict(False, None, "fiber has no cone decomposition")
     if cert.kind == "trivial":
-        if bundle.structure_group != "trivial":
-            return Verdict(
-                False,
-                None,
-                "inconsistent trivial-bundle certificate: structure group is "
-                f"{bundle.structure_group!r}",
-            )
         return Verdict(
             True, "trivialBundle", "trivial structure group; any decomposition works"
         )
@@ -206,15 +209,9 @@ def main_theorem_bound(bundle: BundleRecord) -> int:
     (with the verdict's reason) when no certificate passes."""
     verdict = check_compatibility(bundle)
     if not verdict.passed:
-        raise BoundRefused(
-            f"bundle {bundle.name!r}: {verdict.reason}"
-        )
-    dec = bundle.fiber_decomposition
-    if dec is None:
-        raise BoundRefused(
-            f"bundle {bundle.name!r}: fiber has no cone decomposition"
-        )
-    return dec.length + james_ganea_bound(bundle.base_dim, bundle.d)
+        raise BoundRefused(f"bundle {bundle.name!r}: {verdict.reason}")
+    m = bundle.fiber_decomposition.length
+    return m + james_ganea_bound(bundle.base_dim, bundle.d)
 
 
 def product_bound(cat_x: int, cat_y: int) -> int:

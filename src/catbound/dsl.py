@@ -101,8 +101,8 @@ class Token:
 class RingDecl(NamedTuple):
     name: str
     p: int
-    gens: list[Generator]
-    rels: list[tuple[str, Substitution]]
+    gens: tuple[Generator, ...]
+    rels: tuple[tuple[str, Substitution], ...]
     # built once by the parser's validation and reused by the linker
     presentation: RingPresentation | None = None
 
@@ -127,8 +127,8 @@ class CohomologyRef(NamedTuple):
 
 class SpaceDecl(NamedTuple):
     name: str
-    knowns: list[KnownFact]
-    stages: list[ConeStage]
+    knowns: tuple[KnownFact, ...]
+    stages: tuple[ConeStage, ...]
     dim: int | None = None
     connectivity: int | None = None
     cohomology: CohomologyRef | None = None
@@ -401,7 +401,7 @@ class _Parser:
             raise self.error(
                 start, f"ring {name!r} must declare at least one generator"
             )
-        decl = RingDecl(name, p, **parts)
+        decl = RingDecl(name, p, tuple(parts["gens"]), tuple(parts["rels"]))
         try:
             return decl._replace(presentation=ring_presentation(decl))
         except AlgebraError as exc:
@@ -458,9 +458,11 @@ class _Parser:
         name = self.expect_ident("space name").value
         fields = {"name": name, "knowns": [], "stages": []}
         self.block(self.SPACE, fields, "space", name, "unknown space statement {}")
-        if fields["stages"] or fields.get("dim") == 0:
+        fields["knowns"] = tuple(fields["knowns"])
+        fields["stages"] = stages = tuple(fields["stages"])
+        if stages or fields.get("dim") == 0:
             fields["decomposition"] = self.checked(
-                start, ConeDecomposition, name, tuple(fields["stages"])
+                start, ConeDecomposition, name, stages
             )
         return SpaceDecl(**fields)
 

@@ -218,6 +218,22 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "cup", "X", "--format", "yaml")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ledger", "so5", "--max-search", "5"], 2),
+        (["cup", "SO5_mod2", "--seed", "1"], 2),
+        (["validate", "--format", "json"], 2),
+        (["validate", "--corpus", "x"], 2),
+        (["table", "--seed", "1", "--max-search", "100000"], 0),
+        (["check-ganea", "--seed", "2"], 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_each_command_takes_exactly_its_options(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
+
+
 def test_missing_corpus_path_exits_one(capsys):
     code, _, err = run(capsys, "validate", "/no/such/path")
     assert code == 1
@@ -242,6 +258,37 @@ def test_corpus_flag_points_at_other_documents(tmp_path, capsys):
     assert code == 0
     # the cup lower bound chains up to meet the dimension bound
     assert "X  cat = 3" in out
+
+
+def test_bound_refuses_a_certificate_without_a_fiber_decomposition(tmp_path, capsys):
+    f = tmp_path / "undecomposed.lsc"
+    f.write_text(
+        "space F { dim 3; }\nspace B { dim 7; connectivity 6; }\nspace X { }\n"
+        "bundle b { fiber F; base B; total X; structure-group trivial; "
+        "cells-mod 7 0; compatibility trivial; }\n"
+    )
+    code, out, err = run(capsys, "bound", "b", "--corpus", str(f))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "bundle b: F -> X -> B, cells-mod 7 0",
+        "refused: fiber has no cone decomposition",
+    ]
+    assert len(lines) == 3 and lines[2].startswith("fallback: cat(X) <= ")
+    code, out, _ = run(capsys, "bound", "b", "--corpus", str(f), "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    assert (data["passed"], data["rule"], data["reason"], data["bound"]) == (
+        False,
+        None,
+        "fiber has no cone decomposition",
+        None,
+    )
+    assert run(capsys, "ledger", "b", "--corpus", str(f)) == (
+        1,
+        "",
+        "error: bundle 'b': fiber has no cone decomposition\n",
+    )
 
 
 def test_validate_reports_diagnostics_with_positions(tmp_path, capsys):

@@ -119,6 +119,19 @@ def test_verified_certificate_carries_its_reason():
     assert v.passed and v.rule == "verified" and v.reason == "stagewise check"
 
 
+@pytest.mark.parametrize(
+    "certificate",
+    [CompatibilityCertificate("trivial"), CompatibilityCertificate("verified", "r")],
+    ids=["trivial", "verified"],
+)
+def test_no_certificate_passes_without_a_fiber_decomposition(certificate):
+    b = BundleRecord("b", "T", "F", "B", "trivial", 1, 0, 7, certificate=certificate)
+    assert check_compatibility(b) == (False, None, "fiber has no cone decomposition")
+    with pytest.raises(BoundRefused) as refused:
+        main_theorem_bound(b)
+    assert refused.value.reason == "bundle 'b': fiber has no cone decomposition"
+
+
 def test_missing_certificate_fails():
     b = principal("b", "F", 7, [3], certificate=CompatibilityCertificate())
     v = check_compatibility(b)

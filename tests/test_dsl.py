@@ -108,7 +108,7 @@ def test_known_fact_forms():
         """
     )
     space, upper, exact = doc.declarations
-    assert space.knowns == [KnownFact("X", "cup", "lower", 2, "a witness")]
+    assert space.knowns == (KnownFact("X", "cup", "lower", 2, "a witness"),)
     assert upper == KnownFact("X", "cat", "upper", 3, "cells")
     assert exact.qualifier == "exact"
 
@@ -500,7 +500,7 @@ def test_parse_and_link_build_each_decomposition_once(monkeypatch):
 
 def test_link_leaves_the_parsed_documents_as_they_are():
     docs = parse_sources(read_sources())
-    # the repr also covers the contents of the list fields
+    # the repr also covers the nested records
     def snapshot(doc):
         return [(d, d._asdict(), repr(d)) for d in doc.declarations]
 

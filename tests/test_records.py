@@ -105,6 +105,27 @@ def test_duplicate_facts_and_products_collapse_across_documents():
     assert catalog.products == (ProductDecl("P", "X", "X"),)
 
 
+def test_declarations_are_hashable_and_hold_no_mutable_field():
+    docs = parse_sources(read_sources())
+    catalog = link(docs)
+    decls = [d for doc in docs for d in doc.declarations]
+    parsed = [d for d in decls if d.kind in ("ring", "space")]
+    for decl in parsed + list(catalog.spaces.values()):
+        hash(decl)
+        for value in decl:
+            assert not isinstance(value, (list, dict, set)), (decl.name, value)
+            hash(value)
+    for decl in parsed:
+        if decl.kind == "space":
+            linked = catalog.spaces[decl.name]
+            assert isinstance(decl.knowns, tuple) and isinstance(decl.stages, tuple)
+            assert linked.knowns is decl.knowns and linked.stages is decl.stages
+            if decl.decomposition is not None:
+                assert decl.decomposition.stages is decl.stages
+        else:
+            assert isinstance(decl.gens, tuple) and isinstance(decl.rels, tuple)
+
+
 def test_link_runs_the_bundle_checks_again(monkeypatch):
     seen = []
     check = BundleRecord._check
