@@ -319,6 +319,24 @@ def normal_form(m: Monomial, ring: RingPresentation) -> Monomial:
     return Monomial(c, tuple(e))
 
 
+def _truncates(e: list[int], ring: RingPresentation, start: int) -> bool:
+    """Rewrite e in place from index start on, q = e[i] // t substitution steps
+    at once; True when a truncation fires.  Every coefficient normal_form meets
+    is a sign or a substitution coefficient, kept nonzero mod p: a unit of Z/p.
+    So a monomial with a unit coefficient is zero exactly when this is True."""
+    subs, caps = ring._subs, ring._eff_trunc
+    for i in range(start, len(e)):
+        sub = subs[i]
+        if sub is None:
+            if e[i] >= caps[i]:
+                return True
+        elif e[i] >= sub[0]:
+            q, e[i] = divmod(e[i], sub[0])
+            for j in range(i + 1, len(e)):
+                e[j] += q * sub[2][j]
+    return False
+
+
 def degree(m: Monomial, ring: RingPresentation) -> int | None:
     """Total degree of a monomial; None for zero."""
     if m.is_zero():
@@ -355,11 +373,11 @@ def nilpotency_order(name: str, ring: RingPresentation) -> int:
         cap = 1
         for j in range(ring.ngens):
             cap *= _power_bound(ring, j)
-    exps = [0] * ring.ngens
 
     def vanishes(k: int) -> bool:
+        exps = [0] * ring.ngens
         exps[i] = k
-        return normal_form(Monomial(1, tuple(exps)), ring).is_zero()
+        return _truncates(exps, ring, i)
 
     lo, hi = 0, 1  # g^lo != 0; hi is the next power to try
     while not vanishes(hi):

@@ -15,6 +15,11 @@ bound sum_{j>i} w_j * (order_j - 1) falls strictly below the best value found
 so far.  The bound never underestimates a completion, so no maximiser is cut.
 Leaves arrive in descending lexicographic order and ties replace the current
 best, so the reported witness is the lexicographically smallest maximiser.
+
+Each product is tested for zero on its exponent vector alone.  That is exact:
+over the field Z/p its coefficient is a product of signs and substitution
+coefficients, all nonzero mod p, so a monomial vanishes exactly when a
+truncation fires while its exponents are rewritten.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .algebra import (
     AlgebraError,
     Monomial,
     RingPresentation,
-    multiply_monomials,
+    _truncates,
+    multiply_monomials,  # unused here; perfbench/tracer.py wraps this binding
     normal_form,
 )
 
@@ -86,10 +92,11 @@ class CupResult(NamedTuple):
 
 
 # Level i tries e_i from its top (nilpotency order minus one, clipped to the
-# degree hint) down to 0, each as one product mono * x_i^e.  A zero product is
-# skipped, not a stop, since a smaller power may survive; a bound strictly
-# below the best is a stop.  Each product with e > 0 is one node of max_nodes,
-# and None stands for DEFAULT_MAX_NODES.
+# degree hint) down to 0, each as one product mono * x_i^e of exponent vectors;
+# mono is in normal form, so _truncates starts at i.  A zero product is skipped,
+# not a stop, since a smaller power may survive; a bound strictly below the
+# best is a stop.  Each product with e > 0 is one node of max_nodes, and None
+# stands for DEFAULT_MAX_NODES.
 def _search(
     ring: RingPresentation,
     weights: tuple[int, ...],
@@ -108,10 +115,9 @@ def _search(
     best_val = 0
     best_wit = (0,) * n
     evec = [0] * n
-    power = [0] * n
     nodes = 0
 
-    def rec(i: int, mono: Monomial, val: int, deg: int) -> None:
+    def rec(i: int, mono: list[int], val: int, deg: int) -> None:
         nonlocal best_val, best_wit, nodes
         if i == n:
             if val >= best_val:  # ties: later leaves are lexicographically smaller
@@ -132,16 +138,15 @@ def _search(
                         f"cup search exceeded {max_nodes} nodes on ring "
                         f"{ring.name!r}; raise the budget to continue"
                     )
-                power[i] = e
-                cur = multiply_monomials(mono, Monomial(1, tuple(power)), ring)
-                power[i] = 0
-                if cur.is_zero():
+                cur = mono.copy()
+                cur[i] += e
+                if _truncates(cur, ring, i):
                     continue
             evec[i] = e
             rec(i + 1, cur, val + e * weights[i], deg + e * degs[i])
         evec[i] = 0
 
-    rec(0, ring.one(), 0, 0)
+    rec(0, [0] * n, 0, 0)
     return CupResult(best_val, best_wit, False)
 
 

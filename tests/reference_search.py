@@ -1,5 +1,5 @@
 """The original search engines, kept as test-only references, and random
-presentations to compare them with the package on.
+presentations and substitution chains to compare them with the package on.
 
 `reference_search` is the original cup/weighted search, on top of the
 original linear scan `linear_nilpotency_order`.  It walks exponent vectors in
@@ -120,3 +120,18 @@ def random_presentation(
         except AlgebraError:
             continue
         return hinted_ring
+
+
+def substitution_chain(p, exponents, trunc):
+    """x0^a0 = c0 * x1, x1^a1 = c1 * x2, ..., with the last generator
+    truncated; x0 has order a0 * a1 * ... * trunc."""
+    degs = [2]
+    for a in exponents:
+        degs.append(degs[-1] * a)
+    gens = [(f"x{i}", d) for i, d in enumerate(degs[:-1])]
+    gens.append((f"x{len(exponents)}", degs[-1], trunc))
+    subs = {
+        f"x{i}": Substitution(a, 1 + i % (p - 1), ((f"x{i + 1}", 1),))
+        for i, a in enumerate(exponents)
+    }
+    return RingPresentation(p, gens, substitutions=subs, name="chain")

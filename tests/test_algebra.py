@@ -13,8 +13,12 @@ from catbound.algebra import (
     nilpotency_order,
     normal_form,
 )
-from catbound.algebra import _is_prime
-from reference_search import linear_nilpotency_order, random_presentation
+from catbound.algebra import _is_prime, _truncates
+from reference_search import (
+    linear_nilpotency_order,
+    random_presentation,
+    substitution_chain,
+)
 
 
 def exterior(p, *degrees):
@@ -345,28 +349,13 @@ def test_non_nilpotent_presentation_is_reported():
     )
 
 
-def _chain(p, exponents, trunc):
-    """x0^a0 = c0 * x1, x1^a1 = c1 * x2, ..., with the last generator
-    truncated; x0 has order a0 * a1 * ... * trunc."""
-    degs = [2]
-    for a in exponents:
-        degs.append(degs[-1] * a)
-    gens = [(f"x{i}", d) for i, d in enumerate(degs[:-1])]
-    gens.append((f"x{len(exponents)}", degs[-1], trunc))
-    subs = {
-        f"x{i}": Substitution(a, 1 + i % (p - 1), ((f"x{i + 1}", 1),))
-        for i, a in enumerate(exponents)
-    }
-    return RingPresentation(p, gens, substitutions=subs, name="chain")
-
-
 def test_nilpotency_order_matches_a_linear_scan():
     rng = random.Random(4242)
     rings = [random_presentation(rng, hinted=k % 2 == 1) for k in range(80)]
     for p in (2, 3, 5):
         for _ in range(5):
             exponents = [rng.randint(2, 3) for _ in range(rng.randint(1, 3))]
-            rings.append(_chain(p, exponents, rng.randint(2, 5)))
+            rings.append(substitution_chain(p, exponents, rng.randint(2, 5)))
     for ring in rings:
         for g in ring.generators:
             expected = linear_nilpotency_order(g.name, ring, 4096)
@@ -374,9 +363,36 @@ def test_nilpotency_order_matches_a_linear_scan():
 
 
 def test_substitution_chain_order_is_the_product():
-    ring = _chain(3, [2, 3, 2], 5)
+    ring = substitution_chain(3, [2, 3, 2], 5)
     assert nilpotency_order("x0", ring) == 2 * 3 * 2 * 5
     assert ring.nilpotency_orders() == (60, 30, 10, 5)
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["no-hint", "hint"])
+def test_exponent_rewrite_vanishes_exactly_when_the_normal_form_does(hinted):
+    # Over a prime field every coefficient met while rewriting is a unit, so
+    # the exponents alone decide zero.  A unit coefficient of the input must
+    # not change that, and a surviving vector must be the normal form's.
+    rng = random.Random(20261018 + hinted)
+    seen = set()
+    for _ in range(120):
+        ring = random_presentation(rng, hinted=hinted)
+        orders = ring.nilpotency_orders()
+        for _ in range(25):
+            exps = [rng.randint(0, k + 1) for k in orders]
+            m = normal_form(Monomial(rng.randint(1, ring.p - 1), tuple(exps)), ring)
+            seen.add((ring.p, bool(ring.substitutions), m.is_zero()))
+            assert _truncates(exps, ring, 0) == m.is_zero(), repr(ring)
+            if not m.is_zero():
+                assert tuple(exps) == m.exps
+                # The search's step: a normal form times x_i^e, rewritten
+                # from index i on.
+                i = rng.randrange(ring.ngens)
+                exps[i] += rng.randint(1, orders[i])
+                m = normal_form(Monomial(1, tuple(exps)), ring)
+                assert _truncates(exps, ring, i) == m.is_zero(), repr(ring)
+                assert m.is_zero() or tuple(exps) == m.exps
+    assert seen >= {(p, s, z) for p in (2, 3, 5) for s in (False, True) for z in (False, True)}
 
 
 # -- ring laws on random data ------------------------------------------------

@@ -9,6 +9,7 @@ from catbound.algebra import (
     Substitution,
     normal_form,
 )
+from catbound.catalog import link
 from catbound.cup import (
     CupResult,
     SearchBudgetExceeded,
@@ -17,7 +18,8 @@ from catbound.cup import (
     cup_length,
     weighted_wgt_lower,
 )
-from reference_search import random_presentation, reference_search
+from catbound.dsl import parse
+from reference_search import random_presentation, reference_search, substitution_chain
 
 # Node budget for north-star rings: enough for the pruned search, far too
 # little for an exhaustive one.
@@ -170,6 +172,66 @@ def test_budget_exhaustion_is_reported():
     # An exterior algebra on 12 generators needs one node per generator.
     with pytest.raises(SearchBudgetExceeded, match="raise the budget"):
         cup_length(exterior_ring(12), max_nodes=11)
+
+
+# Two rings of the benchmark's random pool (perfbench/inputs.random_text(9)
+# and (6)), the slowest of its ring-scaling cases.
+RAND_RINGS = """
+ring Rand9_r over Z/2 {
+  gen g0 : deg 1 trunc 5;
+  gen g1 : deg 6 weight 2;
+  gen g2 : deg 3 trunc 3;
+  gen g3 : deg 4 weight 2;
+  gen g4 : deg 6 trunc 6;
+  gen g5 : deg 6 trunc 6;
+  rel g3^3 = g4^2;
+  rel g1^3 = g5^2 * g4;
+}
+
+ring Rand6_r over Z/2 {
+  gen g0 : deg 1 trunc 6;
+  gen g1 : deg 6 trunc 2;
+  gen g2 : deg 5 trunc 6;
+  gen g3 : deg 1;
+  gen g4 : deg 1;
+  gen g5 : deg 1 trunc 6;
+  rel g4^2 = g5^2;
+  rel g3^3 = g5^2 * g4;
+}
+"""
+
+
+def doubling_chain(k):
+    """x_i^2 = x_{i+1}, the last generator truncated at 2: the cup-length is
+    2^k - 1, reached by x_0 alone."""
+    return substitution_chain(2, [2] * (k - 1), 2)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_doubling_chain_cup_length(k):
+    res = cup_length(doubling_chain(k))
+    assert (res.value, res.witness) == (2**k - 1, (2**k - 1,) + (0,) * (k - 1))
+
+
+def _budget_cases():
+    rings = link([parse(RAND_RINGS)]).rings
+    r9, r6 = rings["Rand9_r"], rings["Rand6_r"]
+    return [
+        pytest.param(r9, (1,) * 6, 2020, 22, (4, 2, 2, 8, 1, 5), id="Rand9_r-cup"),
+        pytest.param(r9, (1, 2, 1, 2, 1, 1), 938, 35, (4, 5, 2, 8, 0, 3), id="Rand9_r-wgt"),
+        pytest.param(r6, (1,) * 6, 1087, 19, (5, 1, 5, 2, 1, 5), id="Rand6_r-cup"),
+        pytest.param(doubling_chain(6), (1,) * 6, 5275, 63, (63,) + (0,) * 5, id="C6-cup"),
+    ]
+
+
+@pytest.mark.parametrize("ring, weights, nodes, value, witness", _budget_cases())
+def test_search_tree_is_pinned_by_its_node_count(ring, weights, nodes, value, witness):
+    # The exact budget that finishes the search, and one node less that does
+    # not: any change to the tree's order, pruning or node count moves them.
+    res = weighted_wgt_lower(ring, WeightAssignment(weights), max_nodes=nodes)
+    assert (res.value, res.witness) == (value, witness)
+    with pytest.raises(SearchBudgetExceeded):
+        weighted_wgt_lower(ring, WeightAssignment(weights), max_nodes=nodes - 1)
 
 
 def test_orders_are_computed_once_per_ring(monkeypatch):
