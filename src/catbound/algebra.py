@@ -89,7 +89,6 @@ class RingPresentation:
         p: int,
         generators: Iterable[Generator | tuple],
         substitutions: Mapping[str, Substitution] | None = None,
-        top_degree_hint: int | None = None,
         name: str = "R",
     ):
         if isinstance(p, int) and p >= 2**64:
@@ -123,9 +122,6 @@ class RingPresentation:
                 )
             if not isinstance(g.weight, int) or g.weight < 1:
                 raise AlgebraError(f"weight of {g.name!r} must be an integer >= 1")
-        if top_degree_hint is not None and top_degree_hint < 1:
-            raise AlgebraError("top_degree_hint must be positive when given")
-        self.top_degree_hint = top_degree_hint
         odd = [g.degree % 2 == 1 for g in gens]
         self._odd = tuple(i for i in range(len(gens)) if odd[i])
 
@@ -207,7 +203,7 @@ class RingPresentation:
         self._subs = tuple(subs)
         self._orders: tuple[int, ...] | None = None
         # the solver's search caches look rings up by value many times
-        self._hash = hash((p, self.generators, top_degree_hint))
+        self._hash = hash((p, self.generators))
 
     # -- basic queries ----------------------------------------------------
 
@@ -237,7 +233,6 @@ class RingPresentation:
             self.p == other.p
             and self.generators == other.generators
             and self.substitutions == other.substitutions
-            and self.top_degree_hint == other.top_degree_hint
         )
 
     def __hash__(self):
@@ -352,27 +347,14 @@ def multiply_monomials(u: Monomial, v: Monomial, ring: RingPresentation) -> Mono
     return normal_form(Monomial(c, exps), ring)
 
 
-def _power_bound(ring: RingPresentation, i: int) -> int:
-    """The exponent of generator i's own truncation or substitution."""
-    if ring._eff_trunc[i] is not None:
-        return ring._eff_trunc[i]
-    return ring._subs[i][0]
-
-
 def nilpotency_order(name: str, ring: RingPresentation) -> int:
-    """Least k with g^k = 0.  Capped by ceil(hint/deg)+1 when a top-degree
-    hint exists, else by the product of all per-generator bounds, which every
-    valid presentation meets; exceeding the hint's cap is an error.  Powers
-    only grow the exponents that truncations test, so g^k = 0 is monotone in
-    k: double, then bisect."""
+    """Least k with g^k = 0.  Such a k exists: the constructor refuses a
+    generator with neither a truncation nor a relation, and substitutions
+    only target later generators, so by induction from the last generator
+    every generator is nilpotent and the doubling below ends.  Powers only
+    grow the exponents that truncations test, so g^k = 0 is monotone in k:
+    double, then bisect."""
     i = ring.index(name)
-    d = ring.generators[i].degree
-    if ring.top_degree_hint is not None:
-        cap = -(-ring.top_degree_hint // d) + 1
-    else:
-        cap = 1
-        for j in range(ring.ngens):
-            cap *= _power_bound(ring, j)
 
     def vanishes(k: int) -> bool:
         exps = [0] * ring.ngens
@@ -381,12 +363,7 @@ def nilpotency_order(name: str, ring: RingPresentation) -> int:
 
     lo, hi = 0, 1  # g^lo != 0; hi is the next power to try
     while not vanishes(hi):
-        if hi >= cap:
-            raise AlgebraError(
-                f"generator {name!r} is not nilpotent within {cap} powers; "
-                "the presentation does not describe a finite-dimensional algebra"
-            )
-        lo, hi = hi, min(2 * hi, cap)
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if vanishes(mid):

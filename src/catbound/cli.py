@@ -331,9 +331,18 @@ def cmd_validate(args) -> int:
 
 _RING_NAME = ("name", {"help": "ring name, or space name with a presentation"})
 
+
+def _node_budget(text: str) -> int:
+    """--max-search's type: an integer >= 0; anything else exits 2."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {n}")
+    return n
+
+
 _INT_OPTIONS = {
-    "--max-search": "node budget for cup-length searches",
-    "--seed": "shuffle the solver rule order (the result is identical)",
+    "--max-search": (_node_budget, "node budget for cup-length searches (>= 0)"),
+    "--seed": (int, "shuffle the solver rule order (the result is identical)"),
 }
 
 #: name, handler, help, positional argument, takes --seed, takes --max-search
@@ -369,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(positional[0], **positional[1])
         for flag, wanted in (("--max-search", search), ("--seed", seed)):
             if wanted:
-                p.add_argument(flag, type=int, default=None, help=_INT_OPTIONS[flag])
+                kind, summary = _INT_OPTIONS[flag]
+                p.add_argument(flag, type=kind, default=None, help=summary)
         p.set_defaults(func=func)
 
     p = sub.add_parser("validate", help="parse and link documents, report problems")

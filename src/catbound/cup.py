@@ -73,13 +73,11 @@ class WeightAssignment(NamedTuple):
 
 
 class CupResult(NamedTuple):
-    """Outcome of a search: the maximum, one witness vector, and whether
-    non-unit weights were in play.  The witness is the lexicographically
-    smallest exponent vector attaining the maximum."""
+    """Outcome of a search: the maximum and one witness vector, the
+    lexicographically smallest exponent vector attaining the maximum."""
 
     value: int
     witness: tuple[int, ...]
-    weighted: bool
 
     def witness_str(self, ring: RingPresentation) -> str:
         parts = []
@@ -91,12 +89,12 @@ class CupResult(NamedTuple):
         return " ".join(parts) if parts else "1"
 
 
-# Level i tries e_i from its top (nilpotency order minus one, clipped to the
-# degree hint) down to 0, each as one product mono * x_i^e of exponent vectors;
-# mono is in normal form, so _truncates starts at i.  A zero product is skipped,
-# not a stop, since a smaller power may survive; a bound strictly below the
-# best is a stop.  Each product with e > 0 is one node of max_nodes, and None
-# stands for DEFAULT_MAX_NODES.
+# Level i tries e_i from its top, the nilpotency order minus one, down to 0,
+# each as one product mono * x_i^e of exponent vectors; mono is in normal form,
+# so _truncates starts at i.  A zero product is skipped, not a stop, since a
+# smaller power may survive; a bound strictly below the best is a stop.  Each
+# product with e > 0 is one node of max_nodes, and None stands for
+# DEFAULT_MAX_NODES.
 def _search(
     ring: RingPresentation,
     weights: tuple[int, ...],
@@ -106,8 +104,6 @@ def _search(
         max_nodes = DEFAULT_MAX_NODES
     n = ring.ngens
     tops = [k - 1 for k in ring.nilpotency_orders()]
-    hint = ring.top_degree_hint
-    degs = [g.degree for g in ring.generators]
     # suffix[i]: the most that generators i, i+1, ... can still add.
     suffix = [0] * (n + 1)
     for i in reversed(range(n)):
@@ -117,17 +113,14 @@ def _search(
     evec = [0] * n
     nodes = 0
 
-    def rec(i: int, mono: list[int], val: int, deg: int) -> None:
+    def rec(i: int, mono: list[int], val: int) -> None:
         nonlocal best_val, best_wit, nodes
         if i == n:
             if val >= best_val:  # ties: later leaves are lexicographically smaller
                 best_val = val
                 best_wit = tuple(evec)
             return
-        top = tops[i]
-        if hint is not None:
-            top = min(top, (hint - deg) // degs[i])
-        for e in range(top, -1, -1):
+        for e in range(tops[i], -1, -1):
             if val + e * weights[i] + suffix[i + 1] < best_val:
                 break  # smaller exponents only lower the bound further
             cur = mono
@@ -143,11 +136,11 @@ def _search(
                 if _truncates(cur, ring, i):
                     continue
             evec[i] = e
-            rec(i + 1, cur, val + e * weights[i], deg + e * degs[i])
+            rec(i + 1, cur, val + e * weights[i])
         evec[i] = 0
 
-    rec(0, [0] * n, 0, 0)
-    return CupResult(best_val, best_wit, False)
+    rec(0, [0] * n, 0)
+    return CupResult(best_val, best_wit)
 
 
 def cup_length(ring: RingPresentation, max_nodes: int | None = None) -> CupResult:
@@ -173,8 +166,7 @@ def weighted_wgt_lower(
         raise AlgebraError("weight assignment does not match the ring's generators")
     if any(w < 1 for w in ws):
         raise AlgebraError("weights must be >= 1")
-    res = _search(ring, ws, max_nodes)
-    return CupResult(res.value, res.witness, True)
+    return _search(ring, ws, max_nodes)
 
 
 def cup_bruteforce_oracle(

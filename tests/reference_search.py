@@ -5,8 +5,8 @@ presentations and substitution chains to compare them with the package on.
 original linear scan `linear_nilpotency_order`.  It walks exponent vectors in
 ascending lexicographic order, multiplies one generator factor at a time and
 never prunes on value, so it is exponential in the number of generators and
-linear in every exponent.  Its contract is the one `catbound.cup` must keep: the maximum of sum(w_i * e_i) over nonzero
-exponent vectors (within the top-degree hint, if any) and the
+linear in every exponent.  Its contract is the one `catbound.cup` must keep:
+the maximum of sum(w_i * e_i) over all nonzero exponent vectors and the
 lexicographically smallest vector attaining it.
 """
 
@@ -45,13 +45,11 @@ def reference_search(
     bounds = [
         linear_nilpotency_order(g.name, ring, _ORDER_CAP) - 1 for g in ring.generators
     ]
-    hint = ring.top_degree_hint
-    degs = [g.degree for g in ring.generators]
     best_val = 0
     best_wit = (0,) * n
     evec = [0] * n
 
-    def rec(i: int, mono: Monomial, val: int, deg: int) -> None:
+    def rec(i: int, mono: Monomial, val: int) -> None:
         nonlocal best_val, best_wit
         if i == n:
             if val > best_val:
@@ -62,27 +60,21 @@ def reference_search(
         step = ring.monomial({ring.generators[i].name: 1})
         for e in range(bounds[i] + 1):
             if e > 0:
-                if hint is not None and deg + e * degs[i] > hint:
-                    break
                 cur = multiply_monomials(cur, step, ring)
                 if cur.is_zero():
                     break
             evec[i] = e
-            rec(i + 1, cur, val + e * weights[i], deg + e * degs[i])
+            rec(i + 1, cur, val + e * weights[i])
         evec[i] = 0
 
-    rec(0, ring.one(), 0, 0)
+    rec(0, ring.one(), 0)
     return best_val, best_wit
 
 
-def random_presentation(
-    rng: random.Random, max_gens: int = 6, hinted: bool = False
-) -> RingPresentation:
+def random_presentation(rng: random.Random, max_gens: int = 6) -> RingPresentation:
     """A consistent presentation over Z/2, Z/3 or Z/5 with 1..max_gens
     generators, about half of them rewritten by a power substitution onto
-    one or two later generators.  With `hinted`, the ring carries a random
-    top-degree hint at most its top degree; hints that leave a generator
-    non-nilpotent within the hint's cap are redrawn."""
+    one or two later generators."""
     p = rng.choice([2, 3, 5])
     gens: list[tuple] = []  # built last generator first
     subs: dict[str, Substitution] = {}
@@ -104,22 +96,7 @@ def random_presentation(
         trunc = 2 if (p != 2 and deg % 2) else rng.randint(2, 5)
         gens.append((name, deg, trunc))
     gens.reverse()
-    ring = RingPresentation(p, gens, substitutions=subs, name=f"rand{p}")
-    if not hinted:
-        return ring
-    top = sum(
-        g.degree * (k - 1) for g, k in zip(ring.generators, ring.nilpotency_orders())
-    )
-    while True:
-        hint = rng.randint(1, max(top, 1))
-        hinted_ring = RingPresentation(
-            p, gens, substitutions=subs, top_degree_hint=hint, name=f"rand{p}h"
-        )
-        try:
-            hinted_ring.nilpotency_orders()
-        except AlgebraError:
-            continue
-        return hinted_ring
+    return RingPresentation(p, gens, substitutions=subs, name=f"rand{p}")
 
 
 def substitution_chain(p, exponents, trunc):

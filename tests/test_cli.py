@@ -222,6 +222,7 @@ def test_usage_errors_exit_two(capsys):
     "argv, code",
     [
         (["ledger", "so5", "--max-search", "5"], 2),
+        (["cup", "PU2_mod2", "--max-search", "-5"], 2),
         (["cup", "SO5_mod2", "--seed", "1"], 2),
         (["validate", "--format", "json"], 2),
         (["validate", "--corpus", "x"], 2),

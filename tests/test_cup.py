@@ -123,8 +123,7 @@ def test_unit_weights_reproduce_the_plain_value():
     ring = pu3_ring()
     plain = cup_length(ring)
     unit = weighted_wgt_lower(ring, WeightAssignment.ones(ring))
-    assert plain.value == unit.value == 4
-    assert not plain.weighted and unit.weighted
+    assert plain == unit == (4, (1, 2, 1))
 
 
 def test_loopspace_even_weights_double_the_even_generator():
@@ -253,7 +252,7 @@ def test_orders_are_computed_once_per_ring(monkeypatch):
 def test_result_is_reproducible():
     a = cup_length(so5_ring())
     b = cup_length(so5_ring())
-    assert a == b == CupResult(8, (7, 1), False)
+    assert a == b == CupResult(8, (7, 1))
 
 
 # -- agreement with the brute-force oracle ------------------------------------
@@ -312,12 +311,11 @@ def test_search_matches_oracle_on_substitution_rings():
 # -- agreement with the original engine ---------------------------------------
 
 
-@pytest.mark.parametrize("hinted", [False, True], ids=["no-hint", "hint"])
-def test_search_matches_the_reference_engine(hinted):
-    rng = random.Random(20261017 + hinted)
+def test_search_matches_the_reference_engine():
+    rng = random.Random(20261017)
     seen = set()
     for _ in range(150):
-        ring = random_presentation(rng, hinted=hinted)
+        ring = random_presentation(rng)
         seen.add((ring.p, bool(ring.substitutions)))
         ones = (1,) * ring.ngens
         weights = tuple(rng.randint(1, 3) for _ in ring.generators)
