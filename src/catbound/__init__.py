@@ -39,9 +39,9 @@ from .corpus import CorpusError, load_corpus
 from .cup import (
     CupResult,
     SearchBudgetExceeded,
-    WeightAssignment,
     cup_bruteforce_oracle,
     cup_length,
+    space_weights,
     weighted_wgt_lower,
 )
 from .dsl import (
@@ -93,7 +93,6 @@ __all__ = [
     "SourceDocument",
     "Substitution",
     "Verdict",
-    "WeightAssignment",
     "check_compatibility",
     "cup_bruteforce_oracle",
     "cup_length",
@@ -113,5 +112,6 @@ __all__ = [
     "propagate",
     "render",
     "ring_presentation",
+    "space_weights",
     "weighted_wgt_lower",
 ]

@@ -23,7 +23,7 @@ from .cones import (
     main_theorem_bound,
 )
 from .corpus import CorpusError, load_corpus, parse_sources, read_sources
-from .cup import SearchBudgetExceeded, WeightAssignment, cup_length, weighted_wgt_lower
+from .cup import SearchBudgetExceeded, cup_length, space_weights, weighted_wgt_lower
 from .solver import Solution, ganea_check, propagate
 
 
@@ -180,9 +180,9 @@ def cmd_cup(catalog: Catalog, args) -> tuple[dict, str]:
 
 def cmd_wgt(catalog: Catalog, args) -> tuple[dict, str]:
     ring, loopspace_even = _resolve_ring(catalog, args.name)
-    weights = WeightAssignment.for_space(ring, loopspace_even)
+    weights = space_weights(ring, loopspace_even)
     result = weighted_wgt_lower(ring, weights, max_nodes=args.max_search)
-    pairs = list(zip((g.name for g in ring.generators), weights.weights))
+    pairs = list(zip((g.name for g in ring.generators), weights))
     witness = result.witness_str(ring)
     payload = {
         "name": args.name,
@@ -334,9 +334,12 @@ _RING_NAME = ("name", {"help": "ring name, or space name with a presentation"})
 
 def _node_budget(text: str) -> int:
     """--max-search's type: an integer >= 0; anything else exits 2."""
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1  # not an integer: refused with the same message
     if n < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {n}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
     return n
 
 

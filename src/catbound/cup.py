@@ -1,13 +1,15 @@
 """Cup-length and weighted category-weight lower bounds by branch-and-bound
 search.
 
-Both searches range over generator exponent vectors e with e_i strictly below
-the nilpotency order of the i-th generator, keep only vectors whose monomial
-has nonzero normal form, and maximize sum(w_i * e_i).  With unit weights the
-maximum is the cup-length of the presentation; with declared weights it is a
-lower bound for the category weight of the space (weights certify how deep in
-the Ganea-style filtration each factor sits, and weights are superadditive
-under products).  Nothing here claims exactness beyond the lower bound.
+One search ranges over generator exponent vectors e with e_i strictly below
+the nilpotency order of the i-th generator, keeps only vectors whose monomial
+has nonzero normal form, and maximizes sum(w_i * e_i).  Weights are a plain
+tuple of ints in the ring's generator order.  With unit weights the maximum
+is the cup-length of the presentation; with the weights space_weights gives a
+space, it is a lower bound for the category weight of the space (weights
+certify how deep in the Ganea-style filtration each factor sits, and weights
+are superadditive under products).  Nothing here claims exactness beyond the
+lower bound.
 
 The search is a depth-first walk that tries each generator's exponents in
 descending order and cuts a branch once its value plus the admissible suffix
@@ -44,32 +46,15 @@ class SearchBudgetExceeded(RuntimeError):
     """The exponent-vector search outgrew its node budget."""
 
 
-class WeightAssignment(NamedTuple):
-    """Per-generator weights, aligned with the ring's generator order."""
-
-    weights: tuple[int, ...]
-
-    @classmethod
-    def ones(cls, ring: RingPresentation) -> "WeightAssignment":
-        return cls((1,) * ring.ngens)
-
-    @classmethod
-    def declared(cls, ring: RingPresentation) -> "WeightAssignment":
-        return cls(tuple(g.weight for g in ring.generators))
-
-    @classmethod
-    def for_space(cls, ring: RingPresentation, loopspace_even: bool) -> "WeightAssignment":
-        """Declared weights, with every even-degree generator raised to >= 2
-        when the space's based loops have even cohomology (the first
-        projective-plane stage is then a suspension, so even classes carry
-        weight at least two)."""
-        ws = []
-        for g in ring.generators:
-            w = g.weight
-            if loopspace_even and g.degree % 2 == 0:
-                w = max(w, 2)
-            ws.append(w)
-        return cls(tuple(ws))
+def space_weights(ring: RingPresentation, loopspace_even: bool) -> tuple[int, ...]:
+    """The declared weights, with every even-degree generator raised to >= 2
+    when the space's based loops have even cohomology (the first
+    projective-plane stage is then a suspension, so even classes carry
+    weight at least two)."""
+    return tuple(
+        max(g.weight, 2) if loopspace_even and g.degree % 2 == 0 else g.weight
+        for g in ring.generators
+    )
 
 
 class CupResult(NamedTuple):
@@ -94,7 +79,8 @@ class CupResult(NamedTuple):
 # so _truncates starts at i.  A zero product is skipped, not a stop, since a
 # smaller power may survive; a bound strictly below the best is a stop.  Each
 # product with e > 0 is one node of max_nodes, and None stands for
-# DEFAULT_MAX_NODES.
+# DEFAULT_MAX_NODES.  The walk is a loop over explicit per-level state, not a
+# recursion, so a ring with thousands of generators does not exhaust the stack.
 def _search(
     ring: RingPresentation,
     weights: tuple[int, ...],
@@ -112,34 +98,41 @@ def _search(
     best_wit = (0,) * n
     evec = [0] * n
     nodes = 0
-
-    def rec(i: int, mono: list[int], val: int) -> None:
-        nonlocal best_val, best_wit, nodes
-        if i == n:
+    # Level i's state: the exponent it tries next, and the product and value
+    # of the exponents chosen above it.  Only level 0's entries are read
+    # before a descent sets them.
+    next_e = tops.copy()
+    monos = [[0] * n] * n
+    vals = [0] * n
+    i = 0 if n else -1
+    while i >= 0:
+        e = next_e[i]
+        val = vals[i]
+        if e < 0 or val + e * weights[i] + suffix[i + 1] < best_val:
+            i -= 1  # smaller exponents only lower the bound further
+            continue
+        next_e[i] = e - 1
+        cur = monos[i]
+        if e > 0:
+            nodes += 1
+            if nodes > max_nodes:
+                raise SearchBudgetExceeded(
+                    f"cup search exceeded {max_nodes} nodes on ring "
+                    f"{ring.name!r}; raise the budget to continue"
+                )
+            cur = cur.copy()
+            cur[i] += e
+            if _truncates(cur, ring, i):
+                continue
+        evec[i] = e
+        val += e * weights[i]
+        if i == n - 1:
             if val >= best_val:  # ties: later leaves are lexicographically smaller
                 best_val = val
                 best_wit = tuple(evec)
-            return
-        for e in range(tops[i], -1, -1):
-            if val + e * weights[i] + suffix[i + 1] < best_val:
-                break  # smaller exponents only lower the bound further
-            cur = mono
-            if e > 0:
-                nodes += 1
-                if nodes > max_nodes:
-                    raise SearchBudgetExceeded(
-                        f"cup search exceeded {max_nodes} nodes on ring "
-                        f"{ring.name!r}; raise the budget to continue"
-                    )
-                cur = mono.copy()
-                cur[i] += e
-                if _truncates(cur, ring, i):
-                    continue
-            evec[i] = e
-            rec(i + 1, cur, val + e * weights[i])
-        evec[i] = 0
-
-    rec(0, [0] * n, 0)
+        else:
+            i += 1
+            next_e[i], monos[i], vals[i] = tops[i], cur, val
     return CupResult(best_val, best_wit)
 
 
@@ -153,20 +146,20 @@ def cup_length(ring: RingPresentation, max_nodes: int | None = None) -> CupResul
 
 def weighted_wgt_lower(
     ring: RingPresentation,
-    weights: WeightAssignment | None = None,
+    weights: tuple[int, ...] | None = None,
     max_nodes: int | None = None,
 ) -> CupResult:
     """Max sum(w_i * e_i) over nonzero exponent vectors: a lower bound for
-    the category weight of any space with this cohomology.  With unit weights
-    this degenerates to cup_length."""
+    the category weight of any space with this cohomology.  `weights` aligns
+    with the ring's generators; None stands for the declared weights.  With
+    unit weights this is cup_length."""
     if weights is None:
-        weights = WeightAssignment.declared(ring)
-    ws = weights.weights
-    if len(ws) != ring.ngens:
+        weights = tuple(g.weight for g in ring.generators)
+    if len(weights) != ring.ngens:
         raise AlgebraError("weight assignment does not match the ring's generators")
-    if any(w < 1 for w in ws):
+    if any(w < 1 for w in weights):
         raise AlgebraError("weights must be >= 1")
-    return _search(ring, ws, max_nodes)
+    return _search(ring, weights, max_nodes)
 
 
 def cup_bruteforce_oracle(

@@ -68,10 +68,6 @@ INVARIANTS = ("cup", "sigmacat", "cat", "Cat", "wcat")
 QUALIFIERS = ("lower", "upper", "exact")
 
 
-class DslError(ValueError):
-    """Internal parse failure; always converted into a Diagnostic."""
-
-
 class Diagnostic(NamedTuple):
     line: int
     col: int
@@ -79,6 +75,10 @@ class Diagnostic(NamedTuple):
 
     def __str__(self):
         return f"{self.line}:{self.col}: {self.message}"
+
+
+class DslError(ValueError):
+    """Internal parse failure; its one argument is the Diagnostic it becomes."""
 
 
 class Token:
@@ -241,7 +241,7 @@ class _Parser:
         return tok
 
     def error(self, tok: Token, message: str) -> DslError:
-        return DslError(f"{tok.line}:{tok.col}:{message}")
+        return DslError(Diagnostic(tok.line, tok.col, message))
 
     def expect_punct(self, value: str) -> Token:
         tok = self.peek()
@@ -372,8 +372,7 @@ class _Parser:
                 handler = self.lookup(self.TOP, "unknown declaration keyword {}")
                 decls.append(handler(self, self.advance()))
             except DslError as exc:
-                line, col, message = str(exc).split(":", 2)
-                self.diags.append(Diagnostic(int(line), int(col), message))
+                self.diags.append(exc.args[0])
                 if self.peek() is tok:
                     # nothing was consumed; step past the bad token so
                     # recovery always makes progress

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .catalog import Catalog
 from .cones import BoundRefused, general_bundle_bound, main_theorem_bound, product_bound
-from .cup import WeightAssignment, cup_length, weighted_wgt_lower
+from .cup import space_weights, weighted_wgt_lower
 
 CHAIN = ("cup", "sigmacat", "cat", "Cat")
 
@@ -147,37 +147,21 @@ class Solution(NamedTuple):
 
 
 class _RingCache:
-    """cup/weighted searches are pure in the ring, so share them, each with
-    its witness text formatted once.
-
-    With unit weights the weighted search is the cup search, so a unit-weight
-    weighted result is the cup result relabelled as weighted, not a second
-    search."""
+    """Searches are pure in the ring and the weights, so each (ring, weights)
+    pair is searched once per solve, its witness text formatted once.  The
+    cup search is the one with unit weights."""
 
     def __init__(self, max_search: int | None):
         self.max_nodes = max_search
-        self.cup: dict = {}
-        self.weighted: dict = {}
+        self.results: dict = {}
 
-    def cup_result(self, ring) -> tuple[int, str]:
-        """(value, "witness ...") of the cup search."""
-        if ring not in self.cup:
-            result = cup_length(ring, max_nodes=self.max_nodes)
-            self.cup[ring] = (result.value, f"witness {result.witness_str(ring)}")
-        return self.cup[ring]
-
-    def weighted_result(self, ring, loopspace_even: bool) -> tuple[int, str]:
-        """(value, "weighted witness ...") of the weighted search."""
-        key = (ring, loopspace_even)
-        if key not in self.weighted:
-            weights = WeightAssignment.for_space(ring, loopspace_even)
-            if all(w == 1 for w in weights.weights):
-                value, witness = self.cup_result(ring)
-            else:
-                result = weighted_wgt_lower(ring, weights, max_nodes=self.max_nodes)
-                value, witness = result.value, f"witness {result.witness_str(ring)}"
-            self.weighted[key] = (value, f"weighted {witness}")
-        return self.weighted[key]
+    def search(self, ring, weights: tuple[int, ...]) -> tuple[int, str]:
+        """(value, "witness ...") of the search with these weights."""
+        key = (ring, weights)
+        if key not in self.results:
+            result = weighted_wgt_lower(ring, weights, max_nodes=self.max_nodes)
+            self.results[key] = (result.value, f"witness {result.witness_str(ring)}")
+        return self.results[key]
 
 
 def _certify(catalog: Catalog) -> list:
@@ -201,7 +185,7 @@ def _certify(catalog: Catalog) -> list:
 def _rule_ring_cup(catalog, states, cache, bundles):
     for name, space in catalog.spaces.items():
         if space.ring is not None:
-            value, witness = cache.cup_result(space.ring)
+            value, witness = cache.search(space.ring, (1,) * space.ring.ngens)
             yield name, "cup", "lower", value, witness
             if space.cohomology.complete:
                 yield name, "cup", "upper", value, "complete presentation"
@@ -210,8 +194,9 @@ def _rule_ring_cup(catalog, states, cache, bundles):
 def _rule_ring_weight(catalog, states, cache, bundles):
     for name, space in catalog.spaces.items():
         if space.ring is not None:
-            value, witness = cache.weighted_result(space.ring, space.loopspace_even)
-            yield name, "sigmacat", "lower", value, witness
+            weights = space_weights(space.ring, space.loopspace_even)
+            value, witness = cache.search(space.ring, weights)
+            yield name, "sigmacat", "lower", value, f"weighted {witness}"
 
 
 def _rule_recorded_fact(catalog, states, cache, bundles):

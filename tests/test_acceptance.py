@@ -23,9 +23,9 @@ from catbound.cli import render_table
 from catbound.cones import BoundRefused, general_bundle_bound, main_theorem_bound
 from catbound.corpus import load_corpus
 from catbound.cup import (
-    WeightAssignment,
     cup_bruteforce_oracle,
     cup_length,
+    space_weights,
     weighted_wgt_lower,
 )
 from catbound.solver import ganea_check, propagate
@@ -100,7 +100,7 @@ def test_criterion_3_weight_lower_bound(catalog):
     for space, value in quotients.items():
         info = catalog.spaces[space]
         assert info.loopspace_even
-        weights = WeightAssignment.for_space(info.ring, info.loopspace_even)
+        weights = space_weights(info.ring, info.loopspace_even)
         assert weighted_wgt_lower(info.ring, weights).value == value, space
     print("PASS criterion 3: evenness-weighted bounds equal 3(p^r - 1) on "
           "all five central quotients")

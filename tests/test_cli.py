@@ -211,6 +211,15 @@ def test_tiny_search_budget_is_a_clean_error(capsys):
     assert "raise the budget" in err
 
 
+@pytest.mark.parametrize("budget", ["abc", "-5"])
+def test_bad_search_budget_is_a_usage_error(capsys, budget):
+    code, _, err = run(capsys, "cup", "SO5_mod2", "--max-search", budget)
+    assert code == 2
+    assert err.endswith(
+        f"error: argument --max-search: expected an integer >= 0, got {budget}\n"
+    )
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "cup")[0] == 2
@@ -259,6 +268,19 @@ def test_corpus_flag_points_at_other_documents(tmp_path, capsys):
     assert code == 0
     # the cup lower bound chains up to meet the dimension bound
     assert "X  cat = 3" in out
+
+
+def test_a_ring_deeper_than_the_recursion_limit_is_searched(tmp_path, capsys):
+    # one search level per generator: more levels than the interpreter's
+    # default recursion limit of 1000
+    gens = " ".join(f"gen x{i} : deg 1 exterior;" for i in range(1200))
+    f = tmp_path / "wide.lsc"
+    f.write_text(f"ring W over Z/2 {{ {gens} }}\nspace S {{ cohomology W over Z/2; }}\n")
+    code, out, _ = run(capsys, "cup", "W", "--corpus", str(f))
+    assert (code, out.splitlines()[0]) == (0, "cup(W) = 1200")
+    code, out, _ = run(capsys, "table", "--corpus", str(f))
+    assert code == 0
+    assert "S  cat in [1200,inf]" in out.splitlines()
 
 
 def test_bound_refuses_a_certificate_without_a_fiber_decomposition(tmp_path, capsys):

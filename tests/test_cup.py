@@ -13,9 +13,9 @@ from catbound.catalog import link
 from catbound.cup import (
     CupResult,
     SearchBudgetExceeded,
-    WeightAssignment,
     cup_bruteforce_oracle,
     cup_length,
+    space_weights,
     weighted_wgt_lower,
 )
 from catbound.dsl import parse
@@ -122,14 +122,14 @@ def test_witness_is_a_nonzero_normal_form_of_the_right_size():
 def test_unit_weights_reproduce_the_plain_value():
     ring = pu3_ring()
     plain = cup_length(ring)
-    unit = weighted_wgt_lower(ring, WeightAssignment.ones(ring))
+    unit = weighted_wgt_lower(ring, (1,) * ring.ngens)
     assert plain == unit == (4, (1, 2, 1))
 
 
 def test_loopspace_even_weights_double_the_even_generator():
     ring = pu3_ring()
-    weights = WeightAssignment.for_space(ring, loopspace_even=True)
-    assert weights.weights == (1, 2, 1)
+    weights = space_weights(ring, loopspace_even=True)
+    assert weights == (1, 2, 1)
     res = weighted_wgt_lower(ring, weights)
     assert res.value == 6
     assert res.witness == (1, 2, 1)
@@ -146,18 +146,16 @@ def test_weighted_value_dominates_the_plain_one():
     rng = random.Random(7)
     for _ in range(20):
         ring = _random_ring(rng)
-        weights = WeightAssignment(
-            tuple(rng.randint(1, 3) for _ in ring.generators)
-        )
+        weights = tuple(rng.randint(1, 3) for _ in ring.generators)
         assert weighted_wgt_lower(ring, weights).value >= cup_length(ring).value
 
 
 def test_weight_validation():
     ring = pu3_ring()
     with pytest.raises(AlgebraError, match="does not match"):
-        weighted_wgt_lower(ring, WeightAssignment((1, 2)))
+        weighted_wgt_lower(ring, (1, 2))
     with pytest.raises(AlgebraError, match=">= 1"):
-        weighted_wgt_lower(ring, WeightAssignment((1, 0, 1)))
+        weighted_wgt_lower(ring, (1, 0, 1))
 
 
 # -- search bookkeeping -------------------------------------------------------
@@ -227,10 +225,10 @@ def _budget_cases():
 def test_search_tree_is_pinned_by_its_node_count(ring, weights, nodes, value, witness):
     # The exact budget that finishes the search, and one node less that does
     # not: any change to the tree's order, pruning or node count moves them.
-    res = weighted_wgt_lower(ring, WeightAssignment(weights), max_nodes=nodes)
+    res = weighted_wgt_lower(ring, weights, max_nodes=nodes)
     assert (res.value, res.witness) == (value, witness)
     with pytest.raises(SearchBudgetExceeded):
-        weighted_wgt_lower(ring, WeightAssignment(weights), max_nodes=nodes - 1)
+        weighted_wgt_lower(ring, weights, max_nodes=nodes - 1)
 
 
 def test_orders_are_computed_once_per_ring(monkeypatch):
@@ -245,7 +243,7 @@ def test_orders_are_computed_once_per_ring(monkeypatch):
     ring = pu3_ring()
     cup_length(ring)
     weighted_wgt_lower(ring)
-    weighted_wgt_lower(ring, WeightAssignment.for_space(ring, loopspace_even=True))
+    weighted_wgt_lower(ring, space_weights(ring, loopspace_even=True))
     assert calls == [g.name for g in ring.generators]
 
 
@@ -321,7 +319,7 @@ def test_search_matches_the_reference_engine():
         weights = tuple(rng.randint(1, 3) for _ in ring.generators)
         res = cup_length(ring)
         assert (res.value, res.witness) == reference_search(ring, ones), repr(ring)
-        res = weighted_wgt_lower(ring, WeightAssignment(weights))
+        res = weighted_wgt_lower(ring, weights)
         assert (res.value, res.witness) == reference_search(ring, weights), (
             repr(ring), weights,
         )
@@ -332,7 +330,7 @@ def test_witness_is_the_smallest_of_tied_maximisers():
     # x1^2 = x2 with x2^2 = 0: x1^3 and x1 x2 both reach weight 3 when x2
     # weighs 2; the reference engine reports the smaller vector (1, 1).
     ring = pu2_ring()
-    res = weighted_wgt_lower(ring, WeightAssignment((1, 2)))
+    res = weighted_wgt_lower(ring, (1, 2))
     assert (res.value, res.witness) == reference_search(ring, (1, 2)) == (3, (1, 1))
 
 

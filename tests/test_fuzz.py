@@ -1,0 +1,150 @@
+"""Grammar fuzzer for the front end and the pipeline behind it.
+
+Each document declares a few rings and spaces under distinct names, then
+bundles, products and facts that refer to them; relations are
+degree-homogeneous and point to later generators.  Half the documents also
+carry faults: at some choices an out-of-range value, a malformed relation or
+a dangling name takes the place of the valid option, so every stage meets
+input it must refuse, while the other half reach the solver.  Each document
+goes through parse, link, propagate and both renderings; nothing may raise
+but the errors the command line reports.  A document that parses cleanly
+must also survive render and parse unchanged.
+"""
+
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from catbound.catalog import link
+from catbound.cli import _ERRORS, render_table, solution_json
+from catbound.dsl import INVARIANTS, parse, render
+from catbound.solver import propagate
+
+RINGS = ("R0", "R1")
+SPACES = ("S0", "S1", "S2")
+GENS = ("x", "y", "z")
+# Small enough that a search that needs more stops at once with an error.
+MAX_SEARCH = 500
+# Valid wherever an integer >= 0 is; dims and values may be huge.
+VALUES = (0, 1, 2, 3, 4, 6, 8, 10**30)
+
+
+class _Writer:
+    """Document text from one Hypothesis draw function."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.faulty = draw(st.booleans())
+
+    def pick(self, options):
+        return self.draw(st.sampled_from(options))
+
+    def often(self, valid, *faults):
+        """`valid`, or in a faulty document sometimes one of the faults."""
+        if self.faulty and self.draw(st.integers(0, 3)) == 0:
+            return self.pick(faults)
+        return valid
+
+    def ring(self, name, p):
+        n = self.often(self.draw(st.integers(1, 3)), 0)
+        degrees = [self.often(self.draw(st.integers(1, 4)), 0) for _ in range(n)]
+        rels = {}
+        for src in self.draw(st.lists(st.integers(0, n - 2), max_size=2)) if n > 1 else ():
+            tgt = self.draw(st.integers(src + 1, n - 1))
+            if p != 2 and degrees[src] % 2:
+                continue  # an odd generator squares to zero over Z/p, p odd
+            # g^e = h^k with e * deg g = k * deg h: homogeneous
+            d = gcd(degrees[src], degrees[tgt]) or 1
+            e, k = degrees[tgt] // d, degrees[src] // d
+            if e < 2:
+                e, k = 2 * e, 2 * k
+            target = self.pick((f"{GENS[tgt]}^{k}", f"2 * {GENS[tgt]}^{k}", "0"))
+            target = self.often(target, GENS[src], f"0 * {GENS[tgt]}", "y^9")
+            rels[src] = f"rel {GENS[src]}^{e} = {target};"
+        stmts = []
+        for i, degree in enumerate(degrees):
+            if i in rels:
+                trunc = ""
+            elif p != 2 and degree % 2:
+                trunc = " exterior"
+            else:
+                trunc = self.pick((" exterior", " trunc 3", " trunc 4"))
+            trunc = self.often(trunc, "", " trunc 1", " trunc 3")
+            weight = self.often(self.pick(("", " weight 2")), " weight 0")
+            stmts.append(f"gen {GENS[i]} : deg {degree}{trunc}{weight};")
+        stmts += rels.values()
+        return f"ring {name} over Z/{p} {{ {' '.join(stmts)} }}"
+
+    def known(self, space=""):
+        qualifier = self.pick(("", "lower ", "upper ", "exact "))
+        value = self.pick(VALUES)
+        return f'known {qualifier}{space}{self.pick(INVARIANTS)} = {value} from "c";'
+
+    def space(self, name, rings):
+        # stage dims are nondecreasing and end at the space's dim
+        count = self.draw(st.integers(0, 2))
+        dims = sorted(self.often(self.draw(st.integers(1, 8)), 0) for _ in range(count))
+        stmts = [
+            f'stage {i} dim {dim}{self.pick(("", " skeleton"))} "s";'
+            for i, dim in enumerate(dims, start=1)
+        ]
+        if dims or self.draw(st.booleans()):
+            dim = self.often(dims[-1], 9) if dims else self.pick(VALUES)
+            stmts.append(f"dim {dim};")
+        if self.draw(st.booleans()):
+            stmts.append(f"connectivity {self.pick(VALUES)};")
+        if rings and self.draw(st.booleans()):
+            ring = self.pick(sorted(rings))
+            p = self.often(rings[ring], 7)
+            complete = self.pick(("", " complete"))
+            stmts.append(f"cohomology {self.often(ring, 'R9')} over Z/{p}{complete};")
+        if self.draw(st.booleans()):
+            stmts.append("loopspace-even;")
+        stmts += [self.known() for _ in range(self.draw(st.integers(0, 2)))]
+        return f"space {name} {{ {' '.join(stmts)} }}"
+
+
+@st.composite
+def documents(draw):
+    w = _Writer(draw)
+    rings = {
+        name: w.often(w.pick((2, 3, 5)), 4)
+        for name in draw(st.lists(st.sampled_from(RINGS), unique=True))
+    }
+    spaces = draw(st.lists(st.sampled_from(SPACES), unique=True, min_size=1))
+    decls = [w.ring(name, p) for name, p in rings.items()]
+    decls += [w.space(name, rings) for name in spaces]
+
+    def space():
+        return w.often(w.pick(spaces), "S9")
+
+    if draw(st.booleans()):
+        d = w.often(draw(st.integers(1, 3)), 0, 10**30)
+        s = w.often(draw(st.integers(0, max(d - 1, 0))), d)
+        group = w.pick(("trivial", space()))
+        compatibility = w.pick(("skeletal", "trivial", "none", 'verified "v"'))
+        decls.append(
+            f"bundle B {{ fiber {space()}; base {space()}; total {space()}; "
+            f"structure-group {group}; cells-mod {d} {s}; "
+            f"compatibility {compatibility}; }}"
+        )
+    for _ in range(draw(st.integers(0, 2))):
+        decls.append(f"product {space()} = {space()} * {space()};")
+    for _ in range(draw(st.integers(0, 2))):
+        decls.append(w.known(space=f"{space()} "))
+    return "\n".join(draw(st.permutations(decls)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(documents())
+def test_grammar_documents_fail_only_with_reported_errors(text):
+    doc = parse(text)
+    if doc.ok:
+        again = parse(render(doc))
+        assert again.ok and again.declarations == doc.declarations
+    try:
+        solution = propagate(link([doc]), max_search=MAX_SEARCH)
+    except _ERRORS:
+        return
+    render_table(solution)
+    solution_json(solution)

@@ -9,7 +9,7 @@ from catbound.algebra import Substitution
 from catbound.catalog import LinkError, link
 from catbound.cones import BundleRecord, ConeError, check_compatibility, filtration_ledger
 from catbound.corpus import parse_sources, read_sources
-from catbound.cup import WeightAssignment, cup_length
+from catbound.cup import cup_length
 from catbound.dsl import KnownFact, ProductDecl, _lex, _quote, parse, render
 from catbound.solver import Interval, ganea_check, propagate
 
@@ -52,7 +52,6 @@ def every_record():
         check_compatibility(bundle),
         ledger.stages[0],
         ledger,
-        WeightAssignment.ones(ring),
         cup_length(ring),
         parse("space").diagnostics[0],
         catalog.facts[0],

@@ -4,7 +4,7 @@ from catbound import solver
 from catbound.catalog import link
 from catbound.cones import main_theorem_bound
 from catbound.corpus import load_corpus
-from catbound.cup import WeightAssignment, weighted_wgt_lower
+from catbound.cup import space_weights, weighted_wgt_lower
 from catbound.dsl import parse
 from catbound.solver import Interval, ganea_check, propagate
 
@@ -405,70 +405,65 @@ space Z { dim 7; cohomology C over Z/2; }
 """
 
 
-def _weighted_expectations(catalog):
+def _expected_searches(catalog):
+    """{(ring, weights): (value, witness text)} for every search a solve
+    needs: the cup search and the space's weighted search per space."""
     expected = {}
-    for name, info in catalog.spaces.items():
-        if info.ring is not None:
-            weights = WeightAssignment.for_space(info.ring, info.loopspace_even)
-            result = weighted_wgt_lower(info.ring, weights)
-            expected[name] = (
-                weights.weights,
-                result.value,
-                f"weighted witness {result.witness_str(info.ring)}",
-            )
+    for info in catalog.spaces.values():
+        ring = info.ring
+        if ring is not None:
+            for weights in ((1,) * ring.ngens, space_weights(ring, info.loopspace_even)):
+                result = weighted_wgt_lower(ring, weights)
+                expected[ring, weights] = (
+                    result.value, f"witness {result.witness_str(ring)}"
+                )
     return expected
 
 
-def _sigmacat_lower(solution, name):
+def _lower_entry(solution, name, invariant):
     return next(
         e
         for e in solution.provenance[name]
-        if e.invariant == "sigmacat" and e.side == "lower"
+        if e.invariant == invariant and e.side == "lower"
     )
 
 
-def _count_weighted_searches(monkeypatch):
+@pytest.mark.parametrize("source", ["corpus", "unit-weights"])
+def test_one_search_per_ring_and_weights(monkeypatch, source):
+    catalog = load_corpus() if source == "corpus" else link([doc(UNIT_WEIGHTS)])
+    expected = _expected_searches(catalog)
     calls = []
 
     def counted(ring, weights=None, **kwargs):
-        calls.append((ring.name, weights.weights))
+        calls.append((ring, weights))
         return weighted_wgt_lower(ring, weights, **kwargs)
 
     monkeypatch.setattr(solver, "weighted_wgt_lower", counted)
-    return calls
-
-
-def test_unit_weights_reuse_the_cup_search(monkeypatch):
-    catalog = link([doc(UNIT_WEIGHTS)])
-    expected = _weighted_expectations(catalog)
-    assert all(set(ws) == {1} for ws, _, _ in expected.values())
-    calls = _count_weighted_searches(monkeypatch)
     s = propagate(catalog)
-    assert calls == []
-    for name, (_, value, detail) in expected.items():
-        entry = _sigmacat_lower(s, name)
-        assert (entry.rule, entry.value, entry.detail) == ("ring-weight", value, detail)
-
-
-def test_weighted_rings_still_run_the_weighted_search(monkeypatch):
-    catalog = load_corpus()
-    expected = _weighted_expectations(catalog)
-    calls = _count_weighted_searches(monkeypatch)
-    s = propagate(catalog)
-    assert ("PU5_mod5", (1, 2, 1, 1, 1)) in calls
-    assert sorted(calls) == sorted(
-        {
-            (catalog.spaces[name].ring.name, ws)
-            for name, (ws, _, _) in expected.items()
-            if set(ws) != {1}
-        }
-    )
-    for name, (_, value, detail) in expected.items():
-        entry = _sigmacat_lower(s, name)
-        if entry.rule == "ring-weight":
-            assert (entry.value, entry.detail) == (value, detail)
-    pu5 = _sigmacat_lower(s, "PU(5)")
-    assert (pu5.rule, pu5.value) == ("ring-weight", 12)
+    assert len(calls) == len(set(calls)) and set(calls) == set(expected)
+    if source == "corpus":
+        assert ("PU5_mod5", (1, 2, 1, 1, 1)) in {(r.name, ws) for r, ws in calls}
+        pu5 = _lower_entry(s, "PU(5)", "sigmacat")
+        assert (pu5.rule, pu5.value) == ("ring-weight", 12)
+    else:
+        # every weight is 1, so the weighted search is the cup search
+        assert len(calls) == len(catalog.rings)
+    # Each space credits its ring's searches, unless (on the corpus) another
+    # rule reached the same end first.
+    for name, info in catalog.spaces.items():
+        if info.ring is None:
+            continue
+        for inv, rule, weights, prefix in (
+            ("cup", "ring-cup", (1,) * info.ring.ngens, ""),
+            ("sigmacat", "ring-weight", space_weights(info.ring, info.loopspace_even),
+             "weighted "),
+        ):
+            value, witness = expected[info.ring, weights]
+            entry = _lower_entry(s, name, inv)
+            if source == "unit-weights" or entry.rule == rule:
+                assert (entry.rule, entry.value, entry.detail) == (
+                    rule, value, prefix + witness
+                )
 
 
 # -- the stabilization check ------------------------------------------------------
