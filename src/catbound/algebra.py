@@ -8,6 +8,11 @@ transposition of two odd-degree factors (the Koszul sign); over an odd prime
 this forces the square of every odd-degree generator to vanish, whether or not
 the presentation says so.
 
+Rewriting moves exponents only along substitution edges, so a ring is the
+tensor product of the subrings on the connected components of its
+substitution graph (its tensor factors), and a monomial is zero exactly when
+its part in some factor is.
+
 Everything here is immutable after construction and safe to share across
 threads.
 """
@@ -63,6 +68,17 @@ class Substitution(NamedTuple):
     exponent: int
     coeff: int
     powers: tuple[tuple[str, int], ...]
+
+
+class TensorFactor(NamedTuple):
+    """One connected component of a ring's substitution graph, in local
+    indices: position k stands for ring generator gens[k].  subs[k] is None
+    or (t, ((j, a), ...)) for x_k^t = c * prod x_j^a; caps[k] is the
+    effective truncation of a generator without a substitution."""
+
+    gens: tuple[int, ...]
+    subs: tuple[tuple[int, tuple[tuple[int, int], ...]] | None, ...]
+    caps: tuple[int | None, ...]
 
 
 class Monomial(NamedTuple):
@@ -202,6 +218,8 @@ class RingPresentation:
         self._eff_trunc: tuple[int | None, ...] = tuple(eff)
         self._subs = tuple(subs)
         self._orders: tuple[int, ...] | None = None
+        self._factors: tuple[TensorFactor, ...] | None = None
+        self._homes: tuple[tuple[TensorFactor, int], ...] = ()  # set by factors()
         # the solver's search caches look rings up by value many times
         self._hash = hash((p, self.generators))
 
@@ -225,6 +243,60 @@ class RingPresentation:
         if self._orders is None:
             self._orders = tuple(nilpotency_order(g.name, self) for g in self.generators)
         return self._orders
+
+    def factors(self) -> tuple[TensorFactor, ...]:
+        """The tensor factors, ordered by their first generator; computed once."""
+        if self._factors is None:
+            subs, caps = self._subs, self._eff_trunc
+            n = len(subs)
+            # Union-find over substitution edges, each root the least index
+            # of its component.
+            root = list(range(n))
+            targets: dict[int, dict[int, int]] = {}
+            for src, sub in self.substitutions.items():
+                i = self._index[src]
+                powers = targets[i] = {}
+                for tname, a in sub.powers:
+                    j = self._index[tname]
+                    powers[j] = powers.get(j, 0) + a
+                    ri, rj = i, j
+                    while root[ri] != ri:
+                        ri = root[ri]
+                    while root[rj] != rj:
+                        rj = root[rj]
+                    root[max(ri, rj)] = min(ri, rj)
+            members: dict[int, list[int]] = {}
+            at = [0] * n  # each generator's local index in its factor
+            for i in range(n):
+                r = i
+                while root[r] != r:
+                    r = root[r]
+                gens = members.setdefault(r, [])
+                at[i] = len(gens)
+                gens.append(i)
+            factors = []
+            homes = [None] * n
+            for gens in members.values():
+                local = []
+                for g in gens:
+                    sub = subs[g]
+                    if sub is not None:
+                        powers = sorted(targets[g].items())
+                        sub = (sub[0], tuple((at[j], a) for j, a in powers))
+                    local.append(sub)
+                factor = TensorFactor(
+                    tuple(gens), tuple(local), tuple([caps[g] for g in gens])
+                )
+                factors.append(factor)
+                for g in gens:
+                    homes[g] = (factor, at[g])
+            self._factors, self._homes = tuple(factors), tuple(homes)
+        return self._factors
+
+    def _home(self, i: int) -> tuple[TensorFactor, int]:
+        """Generator i's tensor factor and its local index there."""
+        self.factors()
+        return self._homes[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingPresentation):
@@ -314,12 +386,17 @@ def normal_form(m: Monomial, ring: RingPresentation) -> Monomial:
     return Monomial(c, tuple(e))
 
 
-def _truncates(e: list[int], ring: RingPresentation, start: int) -> bool:
-    """Rewrite e in place from index start on, q = e[i] // t substitution steps
-    at once; True when a truncation fires.  Every coefficient normal_form meets
-    is a sign or a substitution coefficient, kept nonzero mod p: a unit of Z/p.
-    So a monomial with a unit coefficient is zero exactly when this is True."""
-    subs, caps = ring._subs, ring._eff_trunc
+def _truncates(
+    e: list[int],
+    subs: Sequence[tuple[int, tuple[tuple[int, int], ...]] | None],
+    caps: Sequence[int | None],
+    start: int,
+) -> bool:
+    """Rewrite a tensor factor's local exponents e in place from index start
+    on, q = e[i] // t substitution steps at once; True when a truncation fires.
+    Every coefficient normal_form meets is a sign or a substitution
+    coefficient, kept nonzero mod p: a unit of Z/p.  So a monomial with a unit
+    coefficient is zero exactly when this is True for one of its factors."""
     for i in range(start, len(e)):
         sub = subs[i]
         if sub is None:
@@ -327,8 +404,8 @@ def _truncates(e: list[int], ring: RingPresentation, start: int) -> bool:
                 return True
         elif e[i] >= sub[0]:
             q, e[i] = divmod(e[i], sub[0])
-            for j in range(i + 1, len(e)):
-                e[j] += q * sub[2][j]
+            for j, a in sub[1]:
+                e[j] += q * a
     return False
 
 
@@ -354,12 +431,12 @@ def nilpotency_order(name: str, ring: RingPresentation) -> int:
     every generator is nilpotent and the doubling below ends.  Powers only
     grow the exponents that truncations test, so g^k = 0 is monotone in k:
     double, then bisect."""
-    i = ring.index(name)
+    factor, at = ring._home(ring.index(name))
 
     def vanishes(k: int) -> bool:
-        exps = [0] * ring.ngens
-        exps[i] = k
-        return _truncates(exps, ring, i)
+        exps = [0] * len(factor.gens)
+        exps[at] = k
+        return _truncates(exps, factor.subs, factor.caps, at)
 
     lo, hi = 0, 1  # g^lo != 0; hi is the next power to try
     while not vanishes(hi):

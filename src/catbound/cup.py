@@ -11,12 +11,28 @@ certify how deep in the Ganea-style filtration each factor sits, and weights
 are superadditive under products).  Nothing here claims exactness beyond the
 lower bound.
 
+Each tensor factor of the ring (RingPresentation.factors) is searched on its
+own.  A monomial is nonzero exactly when its part in every factor is, so the
+feasible set is the product of the factors' feasible sets and the objective
+is a sum: the value is the sum of the factor maxima.  The lexicographically
+smallest maximiser of a product set is the product of each factor's smallest
+maximiser, so the witness places each factor's witness at its generators.
+One node budget covers the whole ring.
+
+Within a factor, a rule x_i^t = c * x_j (one target, to the first power)
+with w_j < t * w_i strictly fixes e_j = 0: x_i^a x_j^b is a unit times
+x_i^(a + t*b), which is worth strictly more when b > 0, so no maximiser uses
+x_j.  On a tie, w_j = t * w_i, both vectors are maximisers and the smaller
+one may use x_j, so x_j is searched.  With unit weights a doubling chain
+collapses to its first generator.
+
 The search is a depth-first walk that tries each generator's exponents in
 descending order and cuts a branch once its value plus the admissible suffix
-bound sum_{j>i} w_j * (order_j - 1) falls strictly below the best value found
-so far.  The bound never underestimates a completion, so no maximiser is cut.
-Leaves arrive in descending lexicographic order and ties replace the current
-best, so the reported witness is the lexicographically smallest maximiser.
+bound sum_{j>i} w_j * top_j falls strictly below the best value found so far,
+top_j being order_j - 1, or 0 for a collapsed generator.  The bound never
+underestimates a completion, so no maximiser is cut.  Leaves arrive in
+descending lexicographic order and ties replace the current best, so each
+factor's witness is its lexicographically smallest maximiser.
 
 Each product is tested for zero on its exponent vector alone.  That is exact:
 over the field Z/p its coefficient is a product of signs and substitution
@@ -44,6 +60,13 @@ _ORACLE_MAX_GENS = 3
 
 class SearchBudgetExceeded(RuntimeError):
     """The exponent-vector search outgrew its node budget."""
+
+
+def _over_budget(ring: RingPresentation, max_nodes: int) -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(
+        f"cup search exceeded {max_nodes} nodes on ring {ring.name!r}; "
+        "raise the budget to continue"
+    )
 
 
 def space_weights(ring: RingPresentation, loopspace_even: bool) -> tuple[int, ...]:
@@ -74,13 +97,15 @@ class CupResult(NamedTuple):
         return " ".join(parts) if parts else "1"
 
 
-# Level i tries e_i from its top, the nilpotency order minus one, down to 0,
-# each as one product mono * x_i^e of exponent vectors; mono is in normal form,
-# so _truncates starts at i.  A zero product is skipped, not a stop, since a
-# smaller power may survive; a bound strictly below the best is a stop.  Each
-# product with e > 0 is one node of max_nodes, and None stands for
-# DEFAULT_MAX_NODES.  The walk is a loop over explicit per-level state, not a
-# recursion, so a ring with thousands of generators does not exhaust the stack.
+# Each tensor factor is searched on its own; nodes counts products over the
+# whole ring, so max_nodes (None stands for DEFAULT_MAX_NODES) bounds the total.
+# Within a factor, level i tries e_i from its top down to 0, each as one product
+# mono * x_i^e of local exponent vectors; mono is in normal form, so _truncates
+# starts at i.  A zero product is skipped, not a stop, since a smaller power may
+# survive; a bound strictly below the best is a stop.  Each product with e > 0
+# is one node.  The walk is a loop over explicit per-level state, not a
+# recursion, so a factor with thousands of generators does not exhaust the
+# stack.
 def _search(
     ring: RingPresentation,
     weights: tuple[int, ...],
@@ -88,52 +113,74 @@ def _search(
 ) -> CupResult:
     if max_nodes is None:
         max_nodes = DEFAULT_MAX_NODES
-    n = ring.ngens
-    tops = [k - 1 for k in ring.nilpotency_orders()]
-    # suffix[i]: the most that generators i, i+1, ... can still add.
-    suffix = [0] * (n + 1)
-    for i in reversed(range(n)):
-        suffix[i] = suffix[i + 1] + weights[i] * tops[i]
-    best_val = 0
-    best_wit = (0,) * n
-    evec = [0] * n
+    orders = ring.nilpotency_orders()
+    total = 0
+    witness = [0] * ring.ngens
     nodes = 0
-    # Level i's state: the exponent it tries next, and the product and value
-    # of the exponents chosen above it.  Only level 0's entries are read
-    # before a descent sets them.
-    next_e = tops.copy()
-    monos = [[0] * n] * n
-    vals = [0] * n
-    i = 0 if n else -1
-    while i >= 0:
-        e = next_e[i]
-        val = vals[i]
-        if e < 0 or val + e * weights[i] + suffix[i + 1] < best_val:
-            i -= 1  # smaller exponents only lower the bound further
-            continue
-        next_e[i] = e - 1
-        cur = monos[i]
-        if e > 0:
+    for factor in ring.factors():
+        if len(factor.gens) == 1:
+            # A lone generator carries no substitution, so its top power
+            # survives: the walk below would take one node to find it.
+            g = factor.gens[0]
             nodes += 1
             if nodes > max_nodes:
-                raise SearchBudgetExceeded(
-                    f"cup search exceeded {max_nodes} nodes on ring "
-                    f"{ring.name!r}; raise the budget to continue"
-                )
-            cur = cur.copy()
-            cur[i] += e
-            if _truncates(cur, ring, i):
+                raise _over_budget(ring, max_nodes)
+            total += weights[g] * (orders[g] - 1)
+            witness[g] = orders[g] - 1
+            continue
+        subs, caps = factor.subs, factor.caps
+        n = len(subs)
+        w = [weights[g] for g in factor.gens]
+        tops = [orders[g] - 1 for g in factor.gens]
+        for i, sub in enumerate(subs):
+            # x_i^t = c * x_j with w_j < t * w_i: no maximiser uses x_j.
+            if sub is not None and len(sub[1]) == 1:
+                (j, a), = sub[1]
+                if a == 1 and w[j] < sub[0] * w[i]:
+                    tops[j] = 0
+        # suffix[i]: the most that generators i, i+1, ... can still add.
+        suffix = [0] * (n + 1)
+        for i in reversed(range(n)):
+            suffix[i] = suffix[i + 1] + w[i] * tops[i]
+        best_val = 0
+        best_wit = [0] * n
+        evec = [0] * n
+        # Level i's state: the exponent it tries next, and the product and
+        # value of the exponents chosen above it.  Only level 0's entries are
+        # read before a descent sets them.
+        next_e = tops.copy()
+        monos = [[0] * n] * n
+        vals = [0] * n
+        i = 0
+        while i >= 0:
+            e = next_e[i]
+            val = vals[i]
+            if e < 0 or val + e * w[i] + suffix[i + 1] < best_val:
+                i -= 1  # smaller exponents only lower the bound further
                 continue
-        evec[i] = e
-        val += e * weights[i]
-        if i == n - 1:
-            if val >= best_val:  # ties: later leaves are lexicographically smaller
-                best_val = val
-                best_wit = tuple(evec)
-        else:
-            i += 1
-            next_e[i], monos[i], vals[i] = tops[i], cur, val
-    return CupResult(best_val, best_wit)
+            next_e[i] = e - 1
+            cur = monos[i]
+            if e > 0:
+                nodes += 1
+                if nodes > max_nodes:
+                    raise _over_budget(ring, max_nodes)
+                cur = cur.copy()
+                cur[i] += e
+                if _truncates(cur, subs, caps, i):
+                    continue
+            evec[i] = e
+            val += e * w[i]
+            if i == n - 1:
+                if val >= best_val:  # ties: later leaves are lexicographically smaller
+                    best_val = val
+                    best_wit = evec.copy()
+            else:
+                i += 1
+                next_e[i], monos[i], vals[i] = tops[i], cur, val
+        total += best_val
+        for g, e in zip(factor.gens, best_wit):
+            witness[g] = e
+    return CupResult(total, tuple(witness))
 
 
 def cup_length(ring: RingPresentation, max_nodes: int | None = None) -> CupResult:

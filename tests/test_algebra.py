@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,10 +354,56 @@ def test_nilpotency_order_matches_a_linear_scan():
             assert nilpotency_order(g.name, ring) == expected, (repr(ring), g)
 
 
+def test_factors_are_the_components_of_the_substitution_graph():
+    rng = random.Random(20261019)
+    for _ in range(100):
+        ring = random_presentation(rng)
+        factors = ring.factors()
+        assert sorted(g for f in factors for g in f.gens) == list(range(ring.ngens))
+        assert [f.gens[0] for f in factors] == sorted(f.gens[0] for f in factors)
+        edges = {}
+        for f in factors:
+            assert list(f.gens) == sorted(f.gens)
+            for k, g in enumerate(f.gens):
+                assert f.caps[k] == ring._eff_trunc[g]
+                name = ring.generators[g].name
+                sub = ring.substitutions.get(name)
+                assert (f.subs[k] is None) == (sub is None)
+                if sub is not None:
+                    targets = {(ring.index(t), e) for t, e in sub.powers}
+                    assert f.subs[k][0] == sub.exponent
+                    assert {(f.gens[j], a) for j, a in f.subs[k][1]} == targets
+                    for j, _ in f.subs[k][1]:
+                        edges.setdefault(k, set()).add(j)
+                        edges.setdefault(j, set()).add(k)
+            # connected: every local generator is reached from the first
+            reached, todo = {0}, [0]
+            while todo:
+                for j in edges.get(todo.pop(), ()):
+                    if j not in reached:
+                        reached.add(j)
+                        todo.append(j)
+            assert reached == set(range(len(f.gens))), repr(ring)
+            edges.clear()
+
+
 def test_substitution_chain_order_is_the_product():
     ring = substitution_chain(3, [2, 3, 2], 5)
     assert nilpotency_order("x0", ring) == 2 * 3 * 2 * 5
     assert ring.nilpotency_orders() == (60, 30, 10, 5)
+
+
+def _rewrite(exps, ring, start):
+    """The rewrite of a whole-ring exponent vector from index start on, one
+    tensor factor at a time: True when a truncation fires in some factor."""
+    zero = False
+    for factor in ring.factors():
+        local = [exps[g] for g in factor.gens]
+        at = bisect_left(factor.gens, start)
+        zero |= _truncates(local, factor.subs, factor.caps, at)
+        for g, e in zip(factor.gens, local):
+            exps[g] = e
+    return zero
 
 
 def test_exponent_rewrite_vanishes_exactly_when_the_normal_form_does():
@@ -372,7 +419,7 @@ def test_exponent_rewrite_vanishes_exactly_when_the_normal_form_does():
             exps = [rng.randint(0, k + 1) for k in orders]
             m = normal_form(Monomial(rng.randint(1, ring.p - 1), tuple(exps)), ring)
             seen.add((ring.p, bool(ring.substitutions), m.is_zero()))
-            assert _truncates(exps, ring, 0) == m.is_zero(), repr(ring)
+            assert _rewrite(exps, ring, 0) == m.is_zero(), repr(ring)
             if not m.is_zero():
                 assert tuple(exps) == m.exps
                 # The search's step: a normal form times x_i^e, rewritten
@@ -380,7 +427,7 @@ def test_exponent_rewrite_vanishes_exactly_when_the_normal_form_does():
                 i = rng.randrange(ring.ngens)
                 exps[i] += rng.randint(1, orders[i])
                 m = normal_form(Monomial(1, tuple(exps)), ring)
-                assert _truncates(exps, ring, i) == m.is_zero(), repr(ring)
+                assert _rewrite(exps, ring, i) == m.is_zero(), repr(ring)
                 assert m.is_zero() or tuple(exps) == m.exps
     assert seen >= {(p, s, z) for p in (2, 3, 5) for s in (False, True) for z in (False, True)}
 

@@ -204,20 +204,68 @@ def doubling_chain(k):
     return substitution_chain(2, [2] * (k - 1), 2)
 
 
-@pytest.mark.parametrize("k", [5, 6, 7])
+@pytest.mark.parametrize("k", [5, 6, 7, 8, 10, 16])
 def test_doubling_chain_cup_length(k):
-    res = cup_length(doubling_chain(k))
+    # Every x_{i+1} = x_i^2 weighs 1 < 2 * 1, so the search fixes e_{i+1} = 0
+    # and settles the chain in one node, x0^(2^k - 1).
+    ring = doubling_chain(k)
+    res = cup_length(ring, max_nodes=1)
     assert (res.value, res.witness) == (2**k - 1, (2**k - 1,) + (0,) * (k - 1))
+    with pytest.raises(SearchBudgetExceeded):
+        cup_length(ring, max_nodes=0)
+
+
+def test_chain_with_unit_coefficients_other_than_one():
+    # Over Z/3: x0^3 = x1, x1^3 = 2 x2, x2^3 = x3, x3^3 = 0.
+    ring = substitution_chain(3, [3, 3, 3], 3)
+    assert ring.substitutions["x1"].coeff == 2
+    res = cup_length(ring, max_nodes=1)
+    assert (res.value, res.witness) == (80, (80, 0, 0, 0))
+    assert (res.value, res.witness) == reference_search(ring, (1,) * 4)
+
+
+def _square_ring(trunc):
+    return RingPresentation(
+        2,
+        [("x", 2), ("y", 4, trunc)],
+        substitutions={"x": Substitution(2, 1, (("y", 1),))},
+    )
+
+
+def test_collapse_reaches_a_huge_truncation_in_one_node():
+    # x^2 = y with y^(10^12) = 0: x alone reaches 2 * 10^12 - 1, and y,
+    # weighing 1 < 2 * 1, is never needed.
+    res = cup_length(_square_ring(10**12), max_nodes=1)
+    assert (res.value, res.witness) == (2 * 10**12 - 1, (2 * 10**12 - 1, 0))
+
+
+def test_collapse_skips_a_tie():
+    # At weights (1, 2), y weighs exactly as much as x^2: x^(2t - 1) and
+    # x y^(t - 1) tie, and the smaller witness uses y, so y stays searched.
+    with pytest.raises(SearchBudgetExceeded):
+        weighted_wgt_lower(_square_ring(10**12), (1, 2), max_nodes=1000)
+    twin = _square_ring(10)
+    res = weighted_wgt_lower(twin, (1, 2))
+    assert (res.value, res.witness) == reference_search(twin, (1, 2)) == (19, (1, 9))
+
+
+def test_wide_rings_split_into_one_factor_per_generator():
+    ring = exterior_ring(4800)
+    assert len(ring.factors()) == 4800
+    assert all(len(f.gens) == 1 for f in ring.factors())
+    assert cup_length(ring, max_nodes=4800).value == 4800
+    # A chain is one connected component.
+    assert [f.gens for f in doubling_chain(16).factors()] == [tuple(range(16))]
 
 
 def _budget_cases():
     rings = link([parse(RAND_RINGS)]).rings
     r9, r6 = rings["Rand9_r"], rings["Rand6_r"]
     return [
-        pytest.param(r9, (1,) * 6, 2020, 22, (4, 2, 2, 8, 1, 5), id="Rand9_r-cup"),
-        pytest.param(r9, (1, 2, 1, 2, 1, 1), 938, 35, (4, 5, 2, 8, 0, 3), id="Rand9_r-wgt"),
-        pytest.param(r6, (1,) * 6, 1087, 19, (5, 1, 5, 2, 1, 5), id="Rand6_r-cup"),
-        pytest.param(doubling_chain(6), (1,) * 6, 5275, 63, (63,) + (0,) * 5, id="C6-cup"),
+        pytest.param(r9, (1,) * 6, 348, 22, (4, 2, 2, 8, 1, 5), id="Rand9_r-cup"),
+        pytest.param(r9, (1, 2, 1, 2, 1, 1), 145, 35, (4, 5, 2, 8, 0, 3), id="Rand9_r-wgt"),
+        pytest.param(r6, (1,) * 6, 93, 19, (5, 1, 5, 2, 1, 5), id="Rand6_r-cup"),
+        pytest.param(doubling_chain(6), (1,) * 6, 1, 63, (63,) + (0,) * 5, id="C6-cup"),
     ]
 
 
@@ -309,14 +357,32 @@ def test_search_matches_oracle_on_substitution_rings():
 # -- agreement with the original engine ---------------------------------------
 
 
+def _single_target_pairs(ring, weights):
+    """'collapsed' or 'tie' for each rule x_i^t = c * x_j, by comparing w_j
+    with t * w_i (a lighter x_j is never needed by a maximiser)."""
+    kinds = set()
+    for name, sub in ring.substitutions.items():
+        if len(sub.powers) == 1 and sub.powers[0][1] == 1:
+            wi, wj = weights[ring.index(name)], weights[ring.index(sub.powers[0][0])]
+            if wj < sub.exponent * wi:
+                kinds.add("collapsed")
+            elif wj == sub.exponent * wi:
+                kinds.add("tie")
+    return kinds
+
+
 def test_search_matches_the_reference_engine():
     rng = random.Random(20261017)
     seen = set()
+    shapes = set()
     for _ in range(150):
         ring = random_presentation(rng)
         seen.add((ring.p, bool(ring.substitutions)))
+        if len(ring.factors()) > 1:
+            shapes.add("split")
         ones = (1,) * ring.ngens
         weights = tuple(rng.randint(1, 3) for _ in ring.generators)
+        shapes |= _single_target_pairs(ring, ones) | _single_target_pairs(ring, weights)
         res = cup_length(ring)
         assert (res.value, res.witness) == reference_search(ring, ones), repr(ring)
         res = weighted_wgt_lower(ring, weights)
@@ -324,6 +390,7 @@ def test_search_matches_the_reference_engine():
             repr(ring), weights,
         )
     assert seen >= {(p, s) for p in (2, 3, 5) for s in (False, True)}
+    assert shapes == {"split", "collapsed", "tie"}
 
 
 def test_witness_is_the_smallest_of_tied_maximisers():
