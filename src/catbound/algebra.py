@@ -143,7 +143,10 @@ class RingPresentation:
 
         # Normalize rules: zero-target substitutions become truncations.
         trunc = [g.trunc for g in gens]
-        subs: list[tuple[int, int, tuple[int, ...]] | None] = [None] * len(gens)
+        # subs[i] is None or (t, c, ((j, a), ...)) for x_i^t = c * prod x_j^a,
+        # the targets in increasing j with repeated targets merged.
+        subs: list[tuple[int, int, tuple[tuple[int, int], ...]] | None]
+        subs = [None] * len(gens)
         self.substitutions: dict[str, Substitution] = {}
         for src, sub in sorted((substitutions or {}).items()):
             if src not in self._index:
@@ -152,7 +155,7 @@ class RingPresentation:
             if not isinstance(sub.exponent, int) or sub.exponent < 2:
                 raise AlgebraError(f"substitution exponent on {src!r} must be >= 2")
             coeff = sub.coeff % p
-            texps = [0] * len(gens)
+            targets: dict[int, int] = {}
             tdeg = 0
             for tname, te in sub.powers:
                 if tname not in self._index:
@@ -166,13 +169,13 @@ class RingPresentation:
                     )
                 if te < 1:
                     raise AlgebraError("substitution target exponents must be >= 1")
-                texps[j] += te
+                targets[j] = targets.get(j, 0) + te
                 tdeg += te * gens[j].degree
             if coeff != 0 and tdeg != sub.exponent * gens[i].degree:
                 raise AlgebraError(
                     f"substitution {src}^{sub.exponent} is not degree-homogeneous"
                 )
-            if coeff == 0 or not any(texps):
+            if coeff == 0 or not targets:
                 if coeff != 0:
                     raise AlgebraError(
                         f"substitution {src}^{sub.exponent} = {coeff} is not "
@@ -194,7 +197,7 @@ class RingPresentation:
                     f"odd-degree generator {src!r} squares to zero over Z/{p}; "
                     "a substitution with nonzero target is inconsistent"
                 )
-            subs[i] = (sub.exponent, coeff, tuple(texps))
+            subs[i] = (sub.exponent, coeff, tuple(sorted(targets.items())))
             self.substitutions[src] = Substitution(
                 sub.exponent, coeff, tuple(sub.powers)
             )
@@ -218,8 +221,10 @@ class RingPresentation:
         self._eff_trunc: tuple[int | None, ...] = tuple(eff)
         self._subs = tuple(subs)
         self._orders: tuple[int, ...] | None = None
-        self._factors: tuple[TensorFactor, ...] | None = None
-        self._homes: tuple[tuple[TensorFactor, int], ...] = ()  # set by factors()
+        # (factors, each generator's factor and local index); computed once
+        self._factored: tuple[
+            tuple[TensorFactor, ...], tuple[tuple[TensorFactor, int], ...]
+        ] | None = None
         # the solver's search caches look rings up by value many times
         self._hash = hash((p, self.generators))
 
@@ -246,19 +251,26 @@ class RingPresentation:
 
     def factors(self) -> tuple[TensorFactor, ...]:
         """The tensor factors, ordered by their first generator; computed once."""
-        if self._factors is None:
+        return self._factorization()[0]
+
+    def _home(self, i: int) -> tuple[TensorFactor, int]:
+        """Generator i's tensor factor and its local index there."""
+        return self._factorization()[1][i]
+
+    def _factorization(
+        self,
+    ) -> tuple[tuple[TensorFactor, ...], tuple[tuple[TensorFactor, int], ...]]:
+        # Published as one tuple, so a reader never sees half of it.
+        if self._factored is None:
             subs, caps = self._subs, self._eff_trunc
             n = len(subs)
             # Union-find over substitution edges, each root the least index
             # of its component.
             root = list(range(n))
-            targets: dict[int, dict[int, int]] = {}
-            for src, sub in self.substitutions.items():
-                i = self._index[src]
-                powers = targets[i] = {}
-                for tname, a in sub.powers:
-                    j = self._index[tname]
-                    powers[j] = powers.get(j, 0) + a
+            for i, sub in enumerate(subs):
+                if sub is None:
+                    continue
+                for j, _ in sub[2]:
                     ri, rj = i, j
                     while root[ri] != ri:
                         ri = root[ri]
@@ -281,8 +293,7 @@ class RingPresentation:
                 for g in gens:
                     sub = subs[g]
                     if sub is not None:
-                        powers = sorted(targets[g].items())
-                        sub = (sub[0], tuple((at[j], a) for j, a in powers))
+                        sub = (sub[0], tuple((at[j], a) for j, a in sub[2]))
                     local.append(sub)
                 factor = TensorFactor(
                     tuple(gens), tuple(local), tuple([caps[g] for g in gens])
@@ -290,13 +301,8 @@ class RingPresentation:
                 factors.append(factor)
                 for g in gens:
                     homes[g] = (factor, at[g])
-            self._factors, self._homes = tuple(factors), tuple(homes)
-        return self._factors
-
-    def _home(self, i: int) -> tuple[TensorFactor, int]:
-        """Generator i's tensor factor and its local index there."""
-        self.factors()
-        return self._homes[i]
+            self._factored = (tuple(factors), tuple(homes))
+        return self._factored
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingPresentation):
@@ -341,14 +347,22 @@ class RingPresentation:
         return m
 
 
-def _koszul_parity(u: Sequence[int], v: Sequence[int], odd: Sequence[int]) -> int:
-    """Parity of odd-odd inversions when the sorted word u is followed by v;
-    odd lists the indices of the odd-degree generators in increasing order."""
+def _koszul_parity(
+    u: Iterable[tuple[int, int]], v: Sequence[int], odd: Sequence[int]
+) -> int:
+    """Parity of odd-odd inversions when the sorted word u is followed by v.
+    u lists (index, exponent) pairs in increasing index order (indices it
+    omits have exponent 0), v is a dense exponent vector, and odd lists the
+    indices of the odd-degree generators in increasing order."""
     parity = 0
     pref = 0  # parity of the odd factors of v with index < a
-    for a in odd:
-        parity ^= u[a] & pref
-        pref ^= v[a] & 1
+    k = 0  # odd[:k] are the odd indices below a
+    for a, ua in u:
+        while k < len(odd) and odd[k] < a:
+            pref ^= v[odd[k]] & 1
+            k += 1
+        if ua & 1 and k < len(odd) and odd[k] == a:
+            parity ^= pref
     return parity
 
 
@@ -367,19 +381,19 @@ def normal_form(m: Monomial, ring: RingPresentation) -> Monomial:
     for i in range(ring.ngens):
         sub = ring._subs[i]
         if sub is not None:
-            t, tc, texps = sub
+            t, tc, targets = sub
             while e[i] >= t:
                 e[i] -= t
                 # The target sits left of e's later factors.  Counting e from
                 # index 0 keeps the parity: an even-degree source has an even
                 # number of odd-degree target factors, and an odd-degree one
                 # is rewritten only over Z/2.
-                parity = _koszul_parity(texps, e, odd)
+                parity = _koszul_parity(targets, e, odd)
                 c = (c * tc * (-1 if parity else 1)) % p
                 if c == 0:
                     return ring.zero_monomial()
-                for j in range(i + 1, ring.ngens):
-                    e[j] += texps[j]
+                for j, a in targets:
+                    e[j] += a
         cap = ring._eff_trunc[i]
         if cap is not None and e[i] >= cap:
             return ring.zero_monomial()
@@ -418,7 +432,8 @@ def degree(m: Monomial, ring: RingPresentation) -> int | None:
 
 def multiply_monomials(u: Monomial, v: Monomial, ring: RingPresentation) -> Monomial:
     """Product of two monomials, Koszul sign included, in normal form."""
-    parity = _koszul_parity(u.exps, v.exps, ring._odd)
+    odd = ring._odd
+    parity = _koszul_parity([(a, u.exps[a]) for a in odd], v.exps, odd)
     c = u.coeff * v.coeff * (-1 if parity else 1)
     exps = tuple(a + b for a, b in zip(u.exps, v.exps))
     return normal_form(Monomial(c, exps), ring)

@@ -120,7 +120,9 @@ def _search(
     for factor in ring.factors():
         if len(factor.gens) == 1:
             # A lone generator carries no substitution, so its top power
-            # survives: the walk below would take one node to find it.
+            # survives: the walk below would take one node to find it, but
+            # its setup costs several times more, and most factors are
+            # lone generators.
             g = factor.gens[0]
             nodes += 1
             if nodes > max_nodes:
