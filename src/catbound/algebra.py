@@ -11,7 +11,9 @@ the presentation says so.
 Rewriting moves exponents only along substitution edges, so a ring is the
 tensor product of the subrings on the connected components of its
 substitution graph (its tensor factors), and a monomial is zero exactly when
-its part in some factor is.
+its part in some factor is.  The constructor builds the factors once, and
+they are the ring's one rule table: normal forms, truncations, nilpotency
+orders and the cup search all read their rules from it.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -72,12 +74,15 @@ class Substitution(NamedTuple):
 
 class TensorFactor(NamedTuple):
     """One connected component of a ring's substitution graph, in local
-    indices: position k stands for ring generator gens[k].  subs[k] is None
-    or (t, ((j, a), ...)) for x_k^t = c * prod x_j^a; caps[k] is the
-    effective truncation of a generator without a substitution."""
+    indices: position k stands for ring generator gens[k], and gens is
+    increasing.  subs[k] is None or (t, ((j, a), ...), c) for
+    x_k^t = c * prod x_j^a, the targets in increasing j with repeated targets
+    merged and c a unit of Z/p; the coefficient comes last, so readers of
+    the exponents alone take sub[0] and sub[1].  caps[k] is the effective
+    truncation of a generator without a substitution, None otherwise."""
 
     gens: tuple[int, ...]
-    subs: tuple[tuple[int, tuple[tuple[int, int], ...]] | None, ...]
+    subs: tuple[tuple[int, tuple[tuple[int, int], ...], int] | None, ...]
     caps: tuple[int | None, ...]
 
 
@@ -143,10 +148,9 @@ class RingPresentation:
 
         # Normalize rules: zero-target substitutions become truncations.
         trunc = [g.trunc for g in gens]
-        # subs[i] is None or (t, c, ((j, a), ...)) for x_i^t = c * prod x_j^a,
-        # the targets in increasing j with repeated targets merged.
-        subs: list[tuple[int, int, tuple[tuple[int, int], ...]] | None]
-        subs = [None] * len(gens)
+        # rules[i] is (t, ((j, a), ...), c) for x_i^t = c * prod x_j^a, the
+        # targets in increasing j with repeated targets merged.
+        rules: dict[int, tuple[int, tuple[tuple[int, int], ...], int]] = {}
         self.substitutions: dict[str, Substitution] = {}
         for src, sub in sorted((substitutions or {}).items()):
             if src not in self._index:
@@ -171,16 +175,12 @@ class RingPresentation:
                     raise AlgebraError("substitution target exponents must be >= 1")
                 targets[j] = targets.get(j, 0) + te
                 tdeg += te * gens[j].degree
+            # A nonzero constant target has degree 0, so it fails here too.
             if coeff != 0 and tdeg != sub.exponent * gens[i].degree:
                 raise AlgebraError(
                     f"substitution {src}^{sub.exponent} is not degree-homogeneous"
                 )
-            if coeff == 0 or not targets:
-                if coeff != 0:
-                    raise AlgebraError(
-                        f"substitution {src}^{sub.exponent} = {coeff} is not "
-                        "degree-homogeneous (constant target)"
-                    )
+            if coeff == 0:
                 # g^t = 0 is a truncation in disguise.
                 if trunc[i] is not None:
                     raise AlgebraError(
@@ -197,7 +197,7 @@ class RingPresentation:
                     f"odd-degree generator {src!r} squares to zero over Z/{p}; "
                     "a substitution with nonzero target is inconsistent"
                 )
-            subs[i] = (sub.exponent, coeff, tuple(sorted(targets.items())))
+            rules[i] = (sub.exponent, tuple(sorted(targets.items())), coeff)
             self.substitutions[src] = Substitution(
                 sub.exponent, coeff, tuple(sub.powers)
             )
@@ -206,25 +206,60 @@ class RingPresentation:
         # rule for odd-degree generators over an odd prime.
         eff: list[int | None] = list(trunc)
         for i, g in enumerate(gens):
-            if p != 2 and odd[i] and subs[i] is None:
+            if p != 2 and odd[i] and i not in rules:
                 if eff[i] is not None and eff[i] != 2:
                     raise AlgebraError(
                         f"odd-degree generator {g.name!r} over Z/{p} squares to "
                         f"zero; truncation {eff[i]} is inconsistent"
                     )
                 eff[i] = 2
-            if eff[i] is None and subs[i] is None:
+            if eff[i] is None and i not in rules:
                 raise AlgebraError(
                     f"generator {g.name!r} has neither a truncation nor a relation; "
                     "it is not nilpotent, so the algebra is not finite-dimensional"
                 )
-        self._eff_trunc: tuple[int | None, ...] = tuple(eff)
-        self._subs = tuple(subs)
+
+        # The tensor factors, ordered by their first generator: union-find
+        # over substitution edges, each root the least index of its component.
+        n = len(gens)
+        root = list(range(n))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        for i, (_, targets, _) in rules.items():
+            for j, _ in targets:
+                ri, rj = find(i), find(j)
+                root[max(ri, rj)] = min(ri, rj)
+        members: dict[int, list[int]] = {}
+        at = [0] * n  # each generator's local index in its factor
+        for i in range(n):
+            component = members.setdefault(find(i), [])
+            at[i] = len(component)
+            component.append(i)
+        factors = []
+        homes: list = [None] * n
+        for component in members.values():
+            local = []
+            for g in component:
+                rule = rules.get(g)
+                if rule is not None:
+                    t, targets, c = rule
+                    rule = (t, tuple((at[j], a) for j, a in targets), c)
+                local.append(rule)
+            factor = TensorFactor(
+                tuple(component), tuple(local), tuple([eff[g] for g in component])
+            )
+            factors.append(factor)
+            for g in component:
+                homes[g] = (factor, at[g])
+        #: The ring's one rule table.
+        self.factors: tuple[TensorFactor, ...] = tuple(factors)
+        # Generator i's tensor factor and its local index there.
+        self._homes: tuple[tuple[TensorFactor, int], ...] = tuple(homes)
         self._orders: tuple[int, ...] | None = None
-        # (factors, each generator's factor and local index); computed once
-        self._factored: tuple[
-            tuple[TensorFactor, ...], tuple[tuple[TensorFactor, int], ...]
-        ] | None = None
         # the solver's search caches look rings up by value many times
         self._hash = hash((p, self.generators))
 
@@ -241,68 +276,14 @@ class RingPresentation:
             raise AlgebraError(f"unknown generator {name!r}") from None
 
     def effective_truncation(self, name: str) -> int | None:
-        return self._eff_trunc[self.index(name)]
+        factor, k = self._homes[self.index(name)]
+        return factor.caps[k]
 
     def nilpotency_orders(self) -> tuple[int, ...]:
         """nilpotency_order of every generator, in order; computed once."""
         if self._orders is None:
             self._orders = tuple(nilpotency_order(g.name, self) for g in self.generators)
         return self._orders
-
-    def factors(self) -> tuple[TensorFactor, ...]:
-        """The tensor factors, ordered by their first generator; computed once."""
-        return self._factorization()[0]
-
-    def _home(self, i: int) -> tuple[TensorFactor, int]:
-        """Generator i's tensor factor and its local index there."""
-        return self._factorization()[1][i]
-
-    def _factorization(
-        self,
-    ) -> tuple[tuple[TensorFactor, ...], tuple[tuple[TensorFactor, int], ...]]:
-        # Published as one tuple, so a reader never sees half of it.
-        if self._factored is None:
-            subs, caps = self._subs, self._eff_trunc
-            n = len(subs)
-            # Union-find over substitution edges, each root the least index
-            # of its component.
-            root = list(range(n))
-            for i, sub in enumerate(subs):
-                if sub is None:
-                    continue
-                for j, _ in sub[2]:
-                    ri, rj = i, j
-                    while root[ri] != ri:
-                        ri = root[ri]
-                    while root[rj] != rj:
-                        rj = root[rj]
-                    root[max(ri, rj)] = min(ri, rj)
-            members: dict[int, list[int]] = {}
-            at = [0] * n  # each generator's local index in its factor
-            for i in range(n):
-                r = i
-                while root[r] != r:
-                    r = root[r]
-                gens = members.setdefault(r, [])
-                at[i] = len(gens)
-                gens.append(i)
-            factors = []
-            homes = [None] * n
-            for gens in members.values():
-                local = []
-                for g in gens:
-                    sub = subs[g]
-                    if sub is not None:
-                        sub = (sub[0], tuple((at[j], a) for j, a in sub[2]))
-                    local.append(sub)
-                factor = TensorFactor(
-                    tuple(gens), tuple(local), tuple([caps[g] for g in gens])
-                )
-                factors.append(factor)
-                for g in gens:
-                    homes[g] = (factor, at[g])
-            self._factored = (tuple(factors), tuple(homes))
-        return self._factored
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingPresentation):
@@ -378,10 +359,11 @@ def normal_form(m: Monomial, ring: RingPresentation) -> Monomial:
         return ring.zero_monomial()
     e = list(m.exps)
     odd = ring._odd
-    for i in range(ring.ngens):
-        sub = ring._subs[i]
-        if sub is not None:
-            t, tc, targets = sub
+    for i, (factor, k) in enumerate(ring._homes):
+        sub = factor.subs[k]
+        if sub is not None and e[i] >= sub[0]:
+            t, local, tc = sub
+            targets = [(factor.gens[j], a) for j, a in local]
             while e[i] >= t:
                 e[i] -= t
                 # The target sits left of e's later factors.  Counting e from
@@ -394,7 +376,7 @@ def normal_form(m: Monomial, ring: RingPresentation) -> Monomial:
                     return ring.zero_monomial()
                 for j, a in targets:
                     e[j] += a
-        cap = ring._eff_trunc[i]
+        cap = factor.caps[k]
         if cap is not None and e[i] >= cap:
             return ring.zero_monomial()
     return Monomial(c, tuple(e))
@@ -402,7 +384,7 @@ def normal_form(m: Monomial, ring: RingPresentation) -> Monomial:
 
 def _truncates(
     e: list[int],
-    subs: Sequence[tuple[int, tuple[tuple[int, int], ...]] | None],
+    subs: Sequence[tuple[int, tuple[tuple[int, int], ...], int] | None],
     caps: Sequence[int | None],
     start: int,
 ) -> bool:
@@ -446,7 +428,7 @@ def nilpotency_order(name: str, ring: RingPresentation) -> int:
     every generator is nilpotent and the doubling below ends.  Powers only
     grow the exponents that truncations test, so g^k = 0 is monotone in k:
     double, then bisect."""
-    factor, at = ring._home(ring.index(name))
+    factor, at = ring._homes[ring.index(name)]
 
     def vanishes(k: int) -> bool:
         exps = [0] * len(factor.gens)

@@ -23,7 +23,8 @@ class ConeError(ValueError):
 
 
 class BoundRefused(RuntimeError):
-    """A bound was requested whose hypotheses are not certified."""
+    """A bound was requested whose hypotheses are not certified, or a
+    ledger too large to list."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -229,6 +230,10 @@ def general_bundle_bound(cat_fiber: int, cat_base: int) -> int:
     return (cat_fiber + 1) * (cat_base + 1) - 1
 
 
+#: The most pieces a ledger lists; so9's, the largest shipped, has 95.
+MAX_LEDGER_PIECES = 100_000
+
+
 class LedgerStage(NamedTuple):
     """Stage k of the filtration of the total space: the pieces glued on at
     that stage, as pairs (i, j) meaning C(A_i) x C(K_j), with i = 0 or j = 0
@@ -255,11 +260,18 @@ def filtration_ledger(bundle: BundleRecord) -> FiltrationLedger:
     stage k glues the pieces {(i,j) : i+j = k, 0 <= i <= n, 0 <= j <= m},
     minus (0,0), where n = floor(base_dim/d) and m is the decomposition
     length.  A_i is (d*i - 2)-connected of dimension d*i + s - 1, so the
-    piece C(A_i) x C(K_j) has dimension d*i + s + attach_dim(j)."""
+    piece C(A_i) x C(K_j) has dimension d*i + s + attach_dim(j).  Refuses
+    a ledger of more than MAX_LEDGER_PIECES pieces before building it."""
     main_theorem_bound(bundle)  # refuses exactly where the bound refuses
     dec = bundle.fiber_decomposition
     n = james_ganea_bound(bundle.base_dim, bundle.d)
     m = dec.length
+    size = (n + 1) * (m + 1) - 1
+    if size > MAX_LEDGER_PIECES:
+        raise BoundRefused(
+            f"bundle {bundle.name!r}: the ledger has {size} pieces, "
+            f"more than the {MAX_LEDGER_PIECES} it lists"
+        )
     attach = {st.index: st.attach_dim for st in dec.stages}
     stages = []
     for k in range(1, n + m + 1):

@@ -20,17 +20,19 @@ maximiser, so the witness places each factor's witness at its generators.
 One node budget covers the whole ring.
 
 Within a factor, a rule x_i^t = c * x_j (one target, to the first power)
-with w_j < t * w_i strictly fixes e_j = 0: x_i^a x_j^b is a unit times
-x_i^(a + t*b), which is worth strictly more when b > 0, so no maximiser uses
-x_j.  On a tie, w_j = t * w_i, both vectors are maximisers and the smaller
-one may use x_j, so x_j is searched.  With unit weights a doubling chain
-collapses to its first generator.
+collapses a generator, since x_i^a x_j^b is a unit times
+x_i^(a - t) x_j^(b + 1).  With w_j < t * w_i strictly, trading x_j back for
+x_i^t gains value, so no maximiser uses x_j: e_j = 0.  Otherwise trading
+x_i^t for x_j loses none and gives a lexicographically smaller vector, so the
+smallest maximiser has e_i < t; that settles the loopspace-even tie
+x1^2 = x2 with x2 weighted 2.  With unit weights a doubling chain collapses
+to its first generator.
 
 The search is a depth-first walk that tries each generator's exponents in
 descending order and cuts a branch once its value plus the admissible suffix
 bound sum_{j>i} w_j * top_j falls strictly below the best value found so far,
-top_j being order_j - 1, or 0 for a collapsed generator.  The bound never
-underestimates a completion, so no maximiser is cut.  Leaves arrive in
+top_j being order_j - 1, or its cap for a collapsed generator.  The bound
+never underestimates a completion, so no maximiser is cut.  Leaves arrive in
 descending lexicographic order and ties replace the current best, so each
 factor's witness is its lexicographically smallest maximiser.
 
@@ -117,7 +119,7 @@ def _search(
     total = 0
     witness = [0] * ring.ngens
     nodes = 0
-    for factor in ring.factors():
+    for factor in ring.factors:
         if len(factor.gens) == 1:
             # A lone generator carries no substitution, so its top power
             # survives: the walk below would take one node to find it, but
@@ -135,11 +137,15 @@ def _search(
         w = [weights[g] for g in factor.gens]
         tops = [orders[g] - 1 for g in factor.gens]
         for i, sub in enumerate(subs):
-            # x_i^t = c * x_j with w_j < t * w_i: no maximiser uses x_j.
+            # x_i^t = c * x_j: with w_j < t * w_i no maximiser uses x_j,
+            # otherwise the smallest maximiser has e_i < t.
             if sub is not None and len(sub[1]) == 1:
                 (j, a), = sub[1]
-                if a == 1 and w[j] < sub[0] * w[i]:
-                    tops[j] = 0
+                if a == 1:
+                    if w[j] < sub[0] * w[i]:
+                        tops[j] = 0
+                    else:  # min: an earlier rule may have fixed e_i = 0
+                        tops[i] = min(tops[i], sub[0] - 1)
         # suffix[i]: the most that generators i, i+1, ... can still add.
         suffix = [0] * (n + 1)
         for i in reversed(range(n)):

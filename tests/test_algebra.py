@@ -298,6 +298,11 @@ def test_substitution_must_be_homogeneous():
             [("x1", 1), ("x2", 3, 2)],
             substitutions={"x1": Substitution(2, 1, (("x2", 1),))},
         )
+    # a nonzero constant target has degree 0
+    with pytest.raises(AlgebraError, match="not degree-homogeneous$"):
+        RingPresentation(
+            2, [("x1", 1), ("x2", 3, 2)], substitutions={"x1": Substitution(2, 1, ())}
+        )
 
 
 def test_generator_cannot_carry_two_rules():
@@ -358,21 +363,23 @@ def test_factors_are_the_components_of_the_substitution_graph():
     rng = random.Random(20261019)
     for _ in range(100):
         ring = random_presentation(rng)
-        factors = ring.factors()
+        factors = ring.factors
         assert sorted(g for f in factors for g in f.gens) == list(range(ring.ngens))
         assert [f.gens[0] for f in factors] == sorted(f.gens[0] for f in factors)
         edges = {}
         for f in factors:
             assert list(f.gens) == sorted(f.gens)
             for k, g in enumerate(f.gens):
-                assert f.caps[k] == ring._eff_trunc[g]
-                name = ring.generators[g].name
+                name, _, trunc, _ = ring.generators[g]
                 sub = ring.substitutions.get(name)
                 assert (f.subs[k] is None) == (sub is None)
+                # these rings declare every truncation, the forced ones too
+                assert f.caps[k] == (trunc if sub is None else None)
                 if sub is not None:
                     targets = {(ring.index(t), e) for t, e in sub.powers}
                     assert f.subs[k][0] == sub.exponent
                     assert {(f.gens[j], a) for j, a in f.subs[k][1]} == targets
+                    assert f.subs[k][2] == sub.coeff
                     for j, _ in f.subs[k][1]:
                         edges.setdefault(k, set()).add(j)
                         edges.setdefault(j, set()).add(k)
@@ -397,7 +404,7 @@ def _rewrite(exps, ring, start):
     """The rewrite of a whole-ring exponent vector from index start on, one
     tensor factor at a time: True when a truncation fires in some factor."""
     zero = False
-    for factor in ring.factors():
+    for factor in ring.factors:
         local = [exps[g] for g in factor.gens]
         at = bisect_left(factor.gens, start)
         zero |= _truncates(local, factor.subs, factor.caps, at)

@@ -314,6 +314,26 @@ def test_bound_refuses_a_certificate_without_a_fiber_decomposition(tmp_path, cap
     )
 
 
+def test_ledger_refuses_a_huge_filtration_promptly(tmp_path, capsys):
+    # 10^8 + 1 base stages times 2 fiber stages: the bound is one sum, but
+    # the ledger would list 2 * 10^8 + 1 pieces.
+    f = tmp_path / "huge.lsc"
+    f.write_text(
+        'space F { dim 3; connectivity 2; stage 1 dim 3 skeleton "S3"; }\n'
+        "space B { dim 100000000; connectivity 0; }\nspace X { }\n"
+        "bundle b { fiber F; base B; total X; structure-group F; "
+        "cells-mod 1 0; compatibility skeletal; }\n"
+    )
+    code, out, _ = run(capsys, "bound", "b", "--corpus", str(f))
+    assert (code, out.splitlines()[-1]) == (0, "Cat(X) <= 1 + 100000000//1 = 100000001")
+    assert run(capsys, "ledger", "b", "--corpus", str(f)) == (
+        1,
+        "",
+        "error: bundle 'b': the ledger has 200000001 pieces, "
+        "more than the 100000 it lists\n",
+    )
+
+
 def test_validate_reports_diagnostics_with_positions(tmp_path, capsys):
     f = tmp_path / "bad.lsc"
     f.write_text("ring R over Z/4 { gen x : deg 1 trunc 2; }\n")

@@ -1,6 +1,7 @@
 import pytest
 
 from catbound.cones import (
+    MAX_LEDGER_PIECES,
     BoundRefused,
     BundleRecord,
     CompatibilityCertificate,
@@ -278,6 +279,18 @@ def test_ledger_refuses_uncertified_bundles():
     b = principal("b", "F", 7, [3], certificate=CompatibilityCertificate())
     with pytest.raises(BoundRefused):
         filtration_ledger(b)
+
+
+def test_ledger_lists_at_most_max_ledger_pieces():
+    # (n + 1)(m + 1) - 1 pieces: 9091 * 11 - 1 = MAX_LEDGER_PIECES exactly
+    assert MAX_LEDGER_PIECES == 9091 * 11 - 1
+    dims = list(range(3, 13))
+    led = filtration_ledger(principal("edge", "F", 9090, dims))
+    assert sum(len(stage.pieces) for stage in led.stages) == MAX_LEDGER_PIECES
+    wide = principal("wide", "F", 9091, dims)
+    assert main_theorem_bound(wide) == 9101
+    with pytest.raises(BoundRefused, match="100011 pieces, more than the 100000"):
+        filtration_ledger(wide)
 
 
 def test_ledger_refuses_exactly_as_the_bound_does():
