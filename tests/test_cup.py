@@ -248,6 +248,11 @@ def test_collapse_settles_a_tie():
     twin = _square_ring(10)
     res = weighted_wgt_lower(twin, (1, 2))
     assert (res.value, res.witness) == reference_search(twin, (1, 2)) == (19, (1, 9))
+    # A heavier y is capped the same way, and its maximiser is unique.
+    res = weighted_wgt_lower(_square_ring(10**12), (1, 3), max_nodes=2)
+    assert (res.value, res.witness) == (3 * 10**12 - 2, (1, 10**12 - 1))
+    res = weighted_wgt_lower(twin, (1, 3))
+    assert (res.value, res.witness) == reference_search(twin, (1, 3)) == (28, (1, 9))
 
 
 def test_wide_rings_split_into_one_factor_per_generator():
