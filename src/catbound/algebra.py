@@ -349,8 +349,9 @@ def _koszul_parity(
 
 def normal_form(m: Monomial, ring: RingPresentation) -> Monomial:
     """Rewrite m to normal form: coefficient reduced mod p, substitutions and
-    truncations applied exhaustively.  The canonical zero has coefficient 0
-    and an all-zero exponent vector."""
+    truncations applied exhaustively, q = e_i // t substitution steps at once
+    with the sign in closed form.  The canonical zero has coefficient 0 and
+    an all-zero exponent vector."""
     if len(m.exps) != ring.ngens:
         raise AlgebraError("monomial has wrong exponent vector length")
     p = ring.p
@@ -364,18 +365,18 @@ def normal_form(m: Monomial, ring: RingPresentation) -> Monomial:
         if sub is not None and e[i] >= sub[0]:
             t, local, tc = sub
             targets = [(factor.gens[j], a) for j, a in local]
-            while e[i] >= t:
-                e[i] -= t
-                # The target sits left of e's later factors.  Counting e from
-                # index 0 keeps the parity: an even-degree source has an even
-                # number of odd-degree target factors, and an odd-degree one
-                # is rewritten only over Z/2.
-                parity = _koszul_parity(targets, e, odd)
-                c = (c * tc * (-1 if parity else 1)) % p
-                if c == 0:
-                    return ring.zero_monomial()
-                for j, a in targets:
-                    e[j] += a
+            q, e[i] = divmod(e[i], t)
+            # Each step puts the target left of e's later factors; counting e
+            # from index 0 keeps the parity, since only an even-degree source
+            # is rewritten over an odd prime, and it has an even number of
+            # odd-degree target factors.  Every step has the first step's
+            # sign: over Z/2 signs are 1, and over an odd prime a sign needs
+            # an odd-degree target, which a second step raises to its cap 2.
+            if q & 1 and _koszul_parity(targets, e, odd):
+                c = -c
+            c = c * pow(tc, q, p) % p
+            for j, a in targets:
+                e[j] += q * a
         cap = factor.caps[k]
         if cap is not None and e[i] >= cap:
             return ring.zero_monomial()

@@ -19,13 +19,22 @@ def read_sources(path: str | Path | None = None) -> list[tuple[str, str]]:
     means just that file."""
     p = Path(__file__).with_name("corpus") if path is None else Path(path)
     if p.is_dir():
-        return [
-            (f.name, f.read_text(encoding="utf-8"))
-            for f in sorted(p.glob("*.lsc"))
-        ]
-    if p.is_file():
-        return [(p.name, p.read_text(encoding="utf-8"))]
-    raise CorpusError(f"no such file or directory: {path}")
+        files = sorted(p.glob("*.lsc"))
+    elif p.is_file():
+        files = [p]
+    else:
+        raise CorpusError(f"no such file or directory: {path}")
+    return [(f.name, _read(f)) for f in files]
+
+
+def _read(f: Path) -> str:
+    try:
+        return f.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    except OSError as exc:  # a directory named *.lsc, say
+        reason = exc.strerror
+    raise CorpusError(f"cannot read {f}: {reason}")
 
 
 def parse_sources(sources: list[tuple[str, str]]) -> list[SourceDocument]:

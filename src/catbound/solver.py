@@ -42,23 +42,6 @@ from .cup import space_weights, weighted_wgt_lower
 
 CHAIN = ("cup", "sigmacat", "cat", "Cat")
 
-_RULE_NAMES = (
-    "ring-cup",
-    "ring-weight",
-    "recorded-fact",
-    "dimension",
-    "cone-bundle",
-    "product",
-    "fiber-base",
-    "chain",
-)
-
-# These rules read only the catalog, so their candidates are the same on every
-# pass, and a satisfied candidate stays satisfied: the fixpoint applies them in
-# its first pass only.
-_STATIC_RULES = ("ring-cup", "ring-weight", "recorded-fact", "dimension", "cone-bundle")
-
-
 class Interval:
     __slots__ = ("lower", "upper")  # mutable: every fixpoint step moves an end
 
@@ -259,16 +242,19 @@ def _rule_chain(catalog, states, cache, bundles):
                 yield name, lo, "upper", upper, upper_detail
 
 
-_RULES = {
-    "ring-cup": _rule_ring_cup,
-    "ring-weight": _rule_ring_weight,
-    "recorded-fact": _rule_recorded_fact,
-    "dimension": _rule_dimension,
-    "cone-bundle": _rule_cone_bundle,
-    "product": _rule_product,
-    "fiber-base": _rule_fiber_base,
-    "chain": _rule_chain,
-}
+# (name, static, rule) in canonical order.  A static rule reads only the
+# catalog, so its candidates are the same on every pass, and a satisfied
+# candidate stays satisfied: the fixpoint applies it in its first pass only.
+_RULES = (
+    ("ring-cup", True, _rule_ring_cup),
+    ("ring-weight", True, _rule_ring_weight),
+    ("recorded-fact", True, _rule_recorded_fact),
+    ("dimension", True, _rule_dimension),
+    ("cone-bundle", True, _rule_cone_bundle),
+    ("product", False, _rule_product),
+    ("fiber-base", False, _rule_fiber_base),
+    ("chain", False, _rule_chain),
+)
 
 
 def propagate(
@@ -284,7 +270,7 @@ def propagate(
             intervals["wcat"] = Interval()
         states[name] = SpaceState(intervals)
 
-    order = list(_RULE_NAMES)
+    order = list(_RULES)
     if rule_seed is not None:
         import random  # only a seeded solve needs it
 
@@ -295,14 +281,14 @@ def propagate(
     changed = True
     while changed:
         changed = False
-        for rule_name in order:
-            for space, inv, side, value, _ in _RULES[rule_name](*rule_args):
+        for _, _, rule in order:
+            for space, inv, side, value, _ in rule(*rule_args):
                 iv = intervals_of[space][inv]
                 if side == "lower":
                     changed |= iv.raise_lower(value)
                 else:
                     changed |= iv.cut_upper(value)
-        order = [rule_name for rule_name in order if rule_name not in _STATIC_RULES]
+        order = [row for row in order if not row[1]]
 
     solution = Solution(states, {}, [])
     _attach_provenance(solution, rule_args)
@@ -318,8 +304,8 @@ def propagate(
 def _attach_provenance(solution: Solution, rule_args: tuple) -> None:
     states = solution.states
     found: dict[tuple[str, str, str], Provenance] = {}
-    for rule_name in _RULE_NAMES:
-        for space, inv, side, value, detail in _RULES[rule_name](*rule_args):
+    for rule_name, _, rule in _RULES:
+        for space, inv, side, value, detail in rule(*rule_args):
             key = (space, inv, side)
             if key not in found:
                 iv = states[space].intervals[inv]

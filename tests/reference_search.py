@@ -1,5 +1,6 @@
-"""The original search engines, kept as test-only references, and random
-presentations and substitution chains to compare them with the package on.
+"""The original search engines and normal form, kept as test-only references,
+and random presentations and substitution chains to compare them with the
+package on.
 
 `reference_search` is the original cup/weighted search, on top of the
 original linear scan `linear_nilpotency_order`.  It walks exponent vectors in
@@ -8,6 +9,10 @@ never prunes on value, so it is exponential in the number of generators and
 linear in every exponent.  Its contract is the one `catbound.cup` must keep:
 the maximum of sum(w_i * e_i) over all nonzero exponent vectors and the
 lexicographically smallest vector attaining it.
+
+`one_step_normal_form` is the original normal form, which applies a
+substitution one power at a time and takes each step's Koszul sign on its
+own, so it is linear in every exponent.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from catbound.algebra import (
     Monomial,
     RingPresentation,
     Substitution,
+    _koszul_parity,
     multiply_monomials,
     normal_form,
 )
@@ -35,6 +41,30 @@ def linear_nilpotency_order(name: str, ring: RingPresentation, cap: int) -> int:
         if normal_form(Monomial(1, tuple(exps)), ring).is_zero():
             return k
     raise AlgebraError(f"generator {name!r} is not nilpotent within {cap} powers")
+
+
+def one_step_normal_form(m: Monomial, ring: RingPresentation) -> Monomial:
+    """normal_form, one substitution step per power."""
+    p = ring.p
+    c = m.coeff % p
+    if c == 0:
+        return ring.zero_monomial()
+    e = list(m.exps)
+    for i, (factor, k) in enumerate(ring._homes):
+        sub = factor.subs[k]
+        if sub is not None:
+            t, local, tc = sub
+            targets = [(factor.gens[j], a) for j, a in local]
+            while e[i] >= t:
+                e[i] -= t
+                parity = _koszul_parity(targets, e, ring._odd)
+                c = c * tc * (-1 if parity else 1) % p
+                for j, a in targets:
+                    e[j] += a
+        cap = factor.caps[k]
+        if cap is not None and e[i] >= cap:
+            return ring.zero_monomial()
+    return Monomial(c, tuple(e))
 
 
 def reference_search(

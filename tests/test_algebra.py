@@ -1,9 +1,11 @@
+import itertools
 import random
 from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catbound import algebra
 from catbound.algebra import (
     AlgebraError,
     Monomial,
@@ -14,9 +16,10 @@ from catbound.algebra import (
     nilpotency_order,
     normal_form,
 )
-from catbound.algebra import _is_prime, _truncates
+from catbound.algebra import _is_prime, _koszul_parity, _truncates
 from reference_search import (
     linear_nilpotency_order,
+    one_step_normal_form,
     random_presentation,
     substitution_chain,
 )
@@ -189,6 +192,74 @@ def test_substitution_sign_counts_the_factors_its_target_passes():
     assert normal_form(a2u, ring) == Monomial(2, (0, 1, 1, 1))
     assert ring.monomial_word(["a", "a", "u"]) == ring.monomial_word(["b", "c", "u"])
     assert ring.monomial_word(["b", "c", "u"]) == Monomial(2, (0, 1, 1, 1))
+
+
+def _odd_target_ring():
+    # Z/3: x^2 = 2*y*z with y and z odd, and odd generators left of x,
+    # between x and y, between y and z, and right of z.
+    return RingPresentation(
+        3,
+        [("u", 1), ("x", 2), ("v", 3), ("y", 1), ("w", 5), ("z", 3), ("s", 1)],
+        substitutions={"x": Substitution(2, 2, (("y", 1), ("z", 1)))},
+    )
+
+
+def test_normal_form_matches_the_one_step_rewrite():
+    rng = random.Random(20261019)
+    rings = [random_presentation(rng, max_gens=7) for _ in range(300)]
+    for p in (2, 3, 5):
+        for _ in range(10):
+            exponents = [rng.randint(2, 3) for _ in range(rng.randint(1, 3))]
+            rings.append(substitution_chain(p, exponents, rng.randint(2, 5)))
+    for ring in rings:
+        orders = ring.nilpotency_orders()
+        for _ in range(20):
+            # up to twice each order, so most rules take several steps
+            exps = tuple(rng.randint(0, 2 * k) for k in orders)
+            m = Monomial(rng.randint(0, 2 * ring.p), exps)
+            want = one_step_normal_form(m, ring)
+            assert normal_form(m, ring) == want, (repr(ring), m)
+    # every x^k (k <= 5) times every odd part with exponents up to 2
+    ring = _odd_target_ring()
+    signs = set()
+    for odd in itertools.product(range(3), repeat=6):
+        for k in range(6):
+            m = Monomial(1, odd[:1] + (k,) + odd[1:])
+            want = one_step_normal_form(m, ring)
+            assert normal_form(m, ring) == want, m
+            if k >= 2 and not want.is_zero():
+                signs.add(want.coeff)  # 2 * (+1 or -1) after one step
+    assert signs == {1, 2}
+
+
+def test_normal_form_coefficient_is_the_rule_coefficient_to_the_q():
+    # Z/3: x^2 = 2*y, so x^(2q+r) = 2^q x^r y^q.
+    ring = RingPresentation(
+        3,
+        [("x", 2), ("y", 4, 10**12)],
+        substitutions={"x": Substitution(2, 2, (("y", 1),))},
+    )
+    for q, r in ((10**12 - 1, 1), (10**12 - 1, 0), (10**12 - 2, 1)):
+        m = normal_form(ring.monomial({"x": 2 * q + r}), ring)
+        assert m == Monomial(pow(2, q, 3), (r, q))
+    assert normal_form(ring.monomial({"x": 2 * 10**12}), ring).is_zero()
+
+
+def test_normal_form_takes_each_sign_once_per_rule(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _koszul_parity(*args)
+
+    monkeypatch.setattr(algebra, "_koszul_parity", counted)
+    chain = substitution_chain(3, [2, 2], 10**3)
+    for ring, name in ((chain, "x0"), (_odd_target_ring(), "x")):
+        # the first exponent takes 999 single steps in the first rule
+        for k in (2 * 10**3 - 1, 2 * 10**12 - 1):
+            calls.clear()
+            normal_form(ring.monomial({name: k}), ring)
+            assert len(calls) <= len(ring.substitutions), (ring, k)
 
 
 def test_degree_is_additive_on_nonzero_products():

@@ -250,6 +250,25 @@ def test_missing_corpus_path_exits_one(capsys):
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("command", [["validate"], ["table", "--corpus"]])
+def test_a_source_that_is_not_utf8_exits_one(tmp_path, capsys, command):
+    bad = tmp_path / "bad.lsc"
+    bad.write_bytes(b"space X { dim 3; } \xff\xfe\n")
+    code, out, err = run(capsys, *command, str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {bad}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["table", "--corpus"]])
+def test_a_directory_named_like_a_source_exits_one(tmp_path, capsys, command):
+    (tmp_path / "ok.lsc").write_text("space X { dim 3; }\n")
+    (tmp_path / "x.lsc").mkdir()
+    code, out, err = run(capsys, *command, str(tmp_path))
+    assert (code, out) == (1, "")
+    # the reason is the operating system's (POSIX says "Is a directory")
+    assert err.startswith(f"error: cannot read {tmp_path / 'x.lsc'}: ")
+
+
 # -- alternate corpora --------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import pytest
 from catbound import algebra
 from catbound.algebra import (
     AlgebraError,
+    Monomial,
     RingPresentation,
     Substitution,
     normal_form,
@@ -237,6 +238,13 @@ def test_collapse_reaches_a_huge_truncation_in_one_node():
     # weighing 1 < 2 * 1, is never needed.
     res = cup_length(_square_ring(10**12), max_nodes=1)
     assert (res.value, res.witness) == (2 * 10**12 - 1, (2 * 10**12 - 1, 0))
+
+
+def test_normal_form_reaches_a_huge_truncation_in_q_steps():
+    ring = _square_ring(10**12)
+    m = normal_form(ring.monomial({"x": 2 * 10**12 - 1}), ring)
+    assert m == Monomial(1, (1, 10**12 - 1))
+    assert normal_form(ring.monomial({"x": 2 * 10**12}), ring).is_zero()
 
 
 def test_collapse_settles_a_tie():

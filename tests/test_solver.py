@@ -320,7 +320,8 @@ def test_each_bundle_is_certified_once_per_solve(monkeypatch):
 
 @pytest.mark.parametrize("rule_seed", [None, 3])
 def test_static_rules_run_in_the_first_pass_and_for_provenance(monkeypatch, rule_seed):
-    calls = dict.fromkeys(solver._RULES, 0)
+    calls = {name: 0 for name, _, _ in solver._RULES}
+    static = {name for name, is_static, _ in solver._RULES if is_static}
 
     def counted(name, rule):
         def wrapper(*args):
@@ -329,15 +330,13 @@ def test_static_rules_run_in_the_first_pass_and_for_provenance(monkeypatch, rule
 
         return wrapper
 
-    for name, rule in list(solver._RULES.items()):
-        monkeypatch.setitem(solver._RULES, name, counted(name, rule))
+    rows = tuple((name, flag, counted(name, rule)) for name, flag, rule in solver._RULES)
+    monkeypatch.setattr(solver, "_RULES", rows)
     propagate(load_corpus(), rule_seed=rule_seed)
-    assert {name: calls[name] for name in solver._STATIC_RULES} == dict.fromkeys(
-        solver._STATIC_RULES, 2
-    )
+    assert {name: calls[name] for name in static} == dict.fromkeys(static, 2)
     # the state-dependent rules run on every pass (the corpus needs several)
     # and once more for provenance
-    dynamic = {calls[name] for name in calls if name not in solver._STATIC_RULES}
+    dynamic = {calls[name] for name in calls if name not in static}
     assert len(dynamic) == 1 and dynamic.pop() > 3
 
 
