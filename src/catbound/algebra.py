@@ -96,6 +96,28 @@ class Monomial(NamedTuple):
         return self.coeff == 0
 
 
+def _effective_truncation(
+    g: Generator, trunc: int | None, p: int
+) -> tuple[int | None, str | None]:
+    """The effective truncation of a generator without a substitution, given
+    its declared one, and what is wrong with it (None: nothing).  Over an
+    odd prime an odd-degree generator squares to zero whatever is declared,
+    and a generator with no truncation is not nilpotent."""
+    if p != 2 and g.degree % 2 == 1:
+        if trunc is not None and trunc != 2:
+            return 2, (
+                f"odd-degree generator {g.name!r} over Z/{p} squares to "
+                f"zero; truncation {trunc} is inconsistent"
+            )
+        return 2, None
+    if trunc is None:
+        return None, (
+            f"generator {g.name!r} has neither a truncation nor a relation; "
+            "it is not nilpotent, so the algebra is not finite-dimensional"
+        )
+    return trunc, None
+
+
 class RingPresentation:
     """An ordered, finitely presented graded-commutative Z/p algebra.
 
@@ -121,16 +143,25 @@ class RingPresentation:
             raise AlgebraError(f"modulus must be a prime >= 2 (got {p!r})")
         self.p = p
         self.name = name
-        gens: list[Generator] = []
-        for g in generators:
-            if not isinstance(g, Generator):
-                g = Generator(*g)
-            gens.append(g)
-        self.generators: tuple[Generator, ...] = tuple(gens)
+        gens = tuple(
+            [g if isinstance(g, Generator) else Generator(*g) for g in generators]
+        )
+        self.generators: tuple[Generator, ...] = gens
         self._index = {g.name: i for i, g in enumerate(gens)}
         if len(self._index) != len(gens):
             raise AlgebraError(f"duplicate generator name in ring {name!r}")
-        for g in gens:
+        subs = substitutions or {}
+
+        # One pass over the generators checks each and gives every one that
+        # no relation names as its source its own one-generator factor; the
+        # relations below merge factors.  A generator's effective truncation
+        # is found here too, but a problem with it is raised only after the
+        # relations are checked, first generator first.
+        odd: list[int] = []
+        factors: list[TensorFactor | None] = []
+        homes: list = []
+        late: list[tuple[int, str]] = []
+        for i, g in enumerate(gens):
             if not g.name:
                 raise AlgebraError("generator name must be nonempty")
             if not isinstance(g.degree, int) or g.degree < 1:
@@ -143,16 +174,23 @@ class RingPresentation:
                 )
             if not isinstance(g.weight, int) or g.weight < 1:
                 raise AlgebraError(f"weight of {g.name!r} must be an integer >= 1")
-        odd = [g.degree % 2 == 1 for g in gens]
-        self._odd = tuple(i for i in range(len(gens)) if odd[i])
+            if g.degree % 2 == 1:
+                odd.append(i)
+            factor = None  # decided by the generator's relation
+            if g.name not in subs:
+                cap, problem = _effective_truncation(g, g.trunc, p)
+                if problem is not None:
+                    late.append((i, problem))
+                factor = TensorFactor((i,), (None,), (cap,))
+            factors.append(factor)
+            homes.append((factor, 0))
+        self._odd = tuple(odd)
 
-        # Normalize rules: zero-target substitutions become truncations.
-        trunc = [g.trunc for g in gens]
         # rules[i] is (t, ((j, a), ...), c) for x_i^t = c * prod x_j^a, the
         # targets in increasing j with repeated targets merged.
         rules: dict[int, tuple[int, tuple[tuple[int, int], ...], int]] = {}
         self.substitutions: dict[str, Substitution] = {}
-        for src, sub in sorted((substitutions or {}).items()):
+        for src, sub in sorted(subs.items()):
             if src not in self._index:
                 raise AlgebraError(f"substitution on unknown generator {src!r}")
             i = self._index[src]
@@ -182,17 +220,21 @@ class RingPresentation:
                 )
             if coeff == 0:
                 # g^t = 0 is a truncation in disguise.
-                if trunc[i] is not None:
+                if gens[i].trunc is not None:
                     raise AlgebraError(
                         f"generator {src!r} has both a truncation and a relation"
                     )
-                trunc[i] = sub.exponent
+                cap, problem = _effective_truncation(gens[i], sub.exponent, p)
+                if problem is not None:
+                    late.append((i, problem))
+                factors[i] = factor = TensorFactor((i,), (None,), (cap,))
+                homes[i] = (factor, 0)
                 continue
-            if trunc[i] is not None:
+            if gens[i].trunc is not None:
                 raise AlgebraError(
                     f"generator {src!r} has both a truncation and a substitution"
                 )
-            if p != 2 and odd[i]:
+            if p != 2 and gens[i].degree % 2 == 1:
                 raise AlgebraError(
                     f"odd-degree generator {src!r} squares to zero over Z/{p}; "
                     "a substitution with nonzero target is inconsistent"
@@ -201,67 +243,57 @@ class RingPresentation:
             self.substitutions[src] = Substitution(
                 sub.exponent, coeff, tuple(sub.powers)
             )
+        if late:
+            raise AlgebraError(min(late)[1])
 
-        # Effective truncation: the declared one, plus the forced square-zero
-        # rule for odd-degree generators over an odd prime.
-        eff: list[int | None] = list(trunc)
-        for i, g in enumerate(gens):
-            if p != 2 and odd[i] and i not in rules:
-                if eff[i] is not None and eff[i] != 2:
-                    raise AlgebraError(
-                        f"odd-degree generator {g.name!r} over Z/{p} squares to "
-                        f"zero; truncation {eff[i]} is inconsistent"
-                    )
-                eff[i] = 2
-            if eff[i] is None and i not in rules:
-                raise AlgebraError(
-                    f"generator {g.name!r} has neither a truncation nor a relation; "
-                    "it is not nilpotent, so the algebra is not finite-dimensional"
-                )
+        if rules:
+            # Union-find over the substitution edges, each root the least
+            # index of its component; its factor takes the root's place.
+            parent: dict[int, int] = {}
 
-        # The tensor factors, ordered by their first generator: union-find
-        # over substitution edges, each root the least index of its component.
-        n = len(gens)
-        root = list(range(n))
+            def find(i: int) -> int:
+                while i in parent:
+                    i = parent[i]
+                return i
 
-        def find(i: int) -> int:
-            while root[i] != i:
-                i = root[i]
-            return i
-
-        for i, (_, targets, _) in rules.items():
-            for j, _ in targets:
-                ri, rj = find(i), find(j)
-                root[max(ri, rj)] = min(ri, rj)
-        members: dict[int, list[int]] = {}
-        at = [0] * n  # each generator's local index in its factor
-        for i in range(n):
-            component = members.setdefault(find(i), [])
-            at[i] = len(component)
-            component.append(i)
-        factors = []
-        homes: list = [None] * n
-        for component in members.values():
-            local = []
-            for g in component:
-                rule = rules.get(g)
-                if rule is not None:
-                    t, targets, c = rule
-                    rule = (t, tuple((at[j], a) for j, a in targets), c)
-                local.append(rule)
-            factor = TensorFactor(
-                tuple(component), tuple(local), tuple([eff[g] for g in component])
-            )
-            factors.append(factor)
-            for g in component:
-                homes[g] = (factor, at[g])
-        #: The ring's one rule table.
+            for i, (_, targets, _) in rules.items():
+                for j, _ in targets:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
+            # The generators the rules join: their sources, and their targets,
+            # which come after a source and so are never a root.
+            members: dict[int, list[int]] = {}
+            at: dict[int, int] = {}  # each generator's local index
+            for g in sorted(rules.keys() | parent.keys()):
+                component = members.setdefault(find(g), [])
+                at[g] = len(component)
+                component.append(g)
+            for root, component in members.items():
+                local = []
+                caps = []
+                for g in component:
+                    rule = rules.get(g)
+                    if rule is None:
+                        local.append(None)
+                        caps.append(factors[g].caps[0])
+                    else:
+                        t, targets, c = rule
+                        local.append((t, tuple([(at[j], a) for j, a in targets]), c))
+                        caps.append(None)
+                factor = TensorFactor(tuple(component), tuple(local), tuple(caps))
+                for g in component:
+                    factors[g] = None
+                    homes[g] = (factor, at[g])
+                factors[root] = factor
+            factors = [f for f in factors if f is not None]
+        #: The ring's one rule table, its factors ordered by first generator.
         self.factors: tuple[TensorFactor, ...] = tuple(factors)
         # Generator i's tensor factor and its local index there.
         self._homes: tuple[tuple[TensorFactor, int], ...] = tuple(homes)
         self._orders: tuple[int, ...] | None = None
         # the solver's search caches look rings up by value many times
-        self._hash = hash((p, self.generators))
+        self._hash = hash((p, gens))
 
     # -- basic queries ----------------------------------------------------
 

@@ -30,9 +30,14 @@ Grammar (statements end with ';', blocks use braces, '#' comments to EOL):
     INT         := decimal digits: regex \\d, Unicode category Nd
     STRING      := double-quoted, on one line; a backslash escapes '"' or itself
 
-The lexer is one compiled regex.  INT takes exactly the digits int() accepts:
-"٣" reads as 3, while a superscript "²" is an unexpected character.  NAME
-letters and digits are ASCII.  An integer too long for int() is a diagnostic.
+The lexer is one findall of one compiled regex, which also skips blanks,
+newlines and comments.  A token is a plain str, its own source text: a
+STRING keeps its quotes, and "" ends the text.  Tokens carry no position;
+line and column are found only for a diagnostic, in a position table built
+from a finditer of the same regex, at most once per document.  INT takes
+exactly the digits int() accepts: "٣" reads as 3, while a superscript "²"
+is an unexpected character.  NAME letters and digits are ASCII.  An integer
+too long for int() is a diagnostic.
 
 "exterior" is sugar for "trunc 2".  "cells-mod d s" states that the base's
 cells sit in dimensions congruent to 0..s mod d.  A top-level "known" names
@@ -79,18 +84,6 @@ class Diagnostic(NamedTuple):
 
 class DslError(ValueError):
     """Internal parse failure; its one argument is the Diagnostic it becomes."""
-
-
-class Token:
-    # a __slots__ class, not a tuple: it is smaller, and a large catalog
-    # holds tens of thousands of tokens at once
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int):
-        self.kind = kind  # ident | int | string | punct | eof
-        self.value = value
-        self.line = line
-        self.col = col
 
 
 # -- AST -------------------------------------------------------------------
@@ -166,136 +159,177 @@ class SourceDocument(NamedTuple):
 # -- lexer -------------------------------------------------------------------
 
 
-# One alternative per token kind, tried in order, each taking the blanks
-# after it; "bad" takes any character no other alternative accepts, so the
-# matches tile the text (blanks at its very start are a match of their own).
-# A string body runs to the closing quote or the end of the line.
+# Blanks, newlines and comments, then one token in the only group: a string
+# (to its closing quote or the end of the line), a punctuation mark, an
+# integer, an identifier, any other character (a bad one), or, at the end
+# of the text and only there, nothing.  So findall gives the tokens as their
+# own text, then "" (twice when blanks or a comment end the text).
 _TOKEN_RE = re.compile(
     r"""
-      [ \t\r]+
-    | (?:
-        (?P<newline>\n)
-      | (?P<comment>\#[^\n]*)
-      | "(?P<body>(?:\\["\\]|[^"\n])*)(?P<string>"?)
-      | (?P<punct>[{};:=^*])
-      | (?P<int>\d+)
-      | (?P<ident>[A-Za-z][A-Za-z0-9_()/\-]*)
-      | (?P<bad>.)
-      ) [ \t\r]*
+    [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*
+    (   "(?:\\["\\]|[^"\n])*"?
+      | [{};:=^*]
+      | \d+
+      | [A-Za-z][A-Za-z0-9_()/\-]*
+      | .
+      |
+    )
     """,
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r'\\(["\\])')
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_STARTS = _LETTERS | frozenset('{};:=^*"')  # what starts a token but an integer
 
 
-def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
+def _closed(tok: str) -> bool:
+    """Whether a string token ends in its closing quote, that is in a '"'
+    after an even run of backslashes."""
+    body = tok[1:-1]
+    return (
+        len(tok) > 1
+        and tok[-1] == '"'
+        and (len(body) - len(body.rstrip("\\"))) % 2 == 0
+    )
+
+
+def _value(tok: str) -> str:
+    """What a token stands for: a string's body, unescaped, or the text of
+    any other token."""
+    if tok[:1] != '"':
+        return tok
+    body = tok[1:-1] if _closed(tok) else tok[1:]
+    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+
+
+def _lex(text: str) -> tuple[list[str], list[Diagnostic], list[tuple[int, int]] | None]:
+    """The tokens of text, ending in "", the lexer's diagnostics, and the
+    tokens' positions if the diagnostics needed them (None otherwise).
+    An unterminated string is kept as a token; a bad character is not."""
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:
+        tokens.pop()  # the end of the text is one token
+    # Unterminated strings and characters that start no token, looked for
+    # among the distinct tokens.
+    faults = {
+        tok
+        for tok in set(tokens)
+        if (len(tok) == 1 and tok not in _STARTS and not tok.isdecimal())
+        or (tok[:1] == '"' and not _closed(tok))
+    }
+    if not faults:
+        return tokens, [], None
+    kept: list[str] = []
     diags: list[Diagnostic] = []
+    positions: list[tuple[int, int]] = []
+    for tok, (line, col) in zip(tokens, _position_table(text)):
+        if tok in faults:
+            if tok[:1] != '"':
+                diags.append(Diagnostic(line, col, f"unexpected character {tok!r}"))
+                continue
+            diags.append(Diagnostic(line, col, "unterminated string literal"))
+        kept.append(tok)
+        positions.append((line, col))
+    return kept, diags, positions
+
+
+def _position_table(text: str) -> list[tuple[int, int]]:
+    """The (line, col) of every token findall gives, the single "" at the
+    end included.  Built only for a diagnostic, at most once per document."""
+    table: list[tuple[int, int]] = []
     line, line_start = 1, 0
-    m = None
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None or kind == "comment":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.start() + 1
-            continue
-        col = m.start() - line_start + 1
-        if kind == "string":
-            value = m.group("body")
-            if "\\" in value:
-                value = _ESCAPE_RE.sub(r"\1", value)
-            if not m.group("string"):
-                diags.append(Diagnostic(line, col, "unterminated string literal"))
-            tokens.append(Token("string", value, line, col))
-        elif kind == "bad":
-            diags.append(Diagnostic(line, col, f"unexpected character {m.group(kind)!r}"))
-        else:
-            tokens.append(Token(kind, m.group(kind), line, col))
-    # The column never advances over a comment, so a comment on the last
-    # line leaves the end-of-file column at its "#".
-    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
-    tokens.append(Token("eof", "", line, end - line_start + 1))
-    return tokens, diags
+        skipped, start = m.start(), m.start(1)
+        newline = text.rfind("\n", skipped, start)
+        if newline >= 0:
+            line += text.count("\n", skipped, start)
+            line_start = newline + 1
+        at_end = not m.group(1)
+        if at_end:
+            # The column never advances over a comment, so a comment on the
+            # last line leaves the end-of-file column at its "#".
+            comment = text.find("#", max(skipped, line_start), start)
+            if comment >= 0:
+                start = comment
+        table.append((line, start - line_start + 1))
+        if at_end:
+            break  # the end of the text is one token
+    return table
 
 
 # -- parser ------------------------------------------------------------------
+# A token is a plain str, and a token test is one comparison: tok == ";",
+# table.get(tok), tok[:1] in _LETTERS (identifier), tok[:1].isdecimal()
+# (integer), tok[:1] == '"' (string), not tok (end of text).  Handlers and
+# errors take a token's index in the list, never its line and column.
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens, self.diags, self.positions = _lex(text)
         self.pos = 0
-        self.diags = diags
         self.in_block = False  # inside a braced block; see block
 
-    def peek(self) -> Token:
-        # advance() never moves past the final eof token
-        return self.tokens[self.pos]
+    def error(self, at: int, message: str) -> DslError:
+        """The diagnostic for the token at index `at`."""
+        if self.positions is None:
+            self.positions = _position_table(self.text)
+        line, col = self.positions[at]
+        return DslError(Diagnostic(line, col, message))
 
-    def advance(self) -> Token:
+    def found(self, what: str) -> DslError:
+        """`expected what, found ...` at the next token."""
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        return self.error(self.pos, f"expected {what}, found {_value(tok)!r}")
+
+    def expect(self, word: str) -> None:
+        """Consume the punctuation mark or keyword `word`."""
+        if self.tokens[self.pos] != word:
+            raise self.found(repr(word))
+        self.pos += 1
+
+    def expect_ident(self, what: str = "identifier") -> str:
+        tok = self.tokens[self.pos]
+        if tok[:1] not in _LETTERS:
+            raise self.found(what)
+        self.pos += 1
         return tok
-
-    def error(self, tok: Token, message: str) -> DslError:
-        return DslError(Diagnostic(tok.line, tok.col, message))
-
-    def expect_punct(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            raise self.error(tok, f"expected {value!r}, found {tok.value!r}")
-        return self.advance()
-
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(tok, f"expected {what}, found {tok.value!r}")
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value != word:
-            raise self.error(tok, f"expected {word!r}, found {tok.value!r}")
-        return self.advance()
 
     def accept(self, word: str) -> bool:
         """Consume the optional keyword `word` if it comes next."""
-        tok = self.peek()
-        if tok.kind == "ident" and tok.value == word:
-            self.advance()
+        if self.tokens[self.pos] == word:
+            self.pos += 1
             return True
         return False
 
     def expect_int(self, what: str = "integer") -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise self.error(tok, f"expected {what}, found {tok.value!r}")
-        self.advance()
-        return self.to_int(tok, tok.value, what)
+        tok = self.tokens[self.pos]
+        if not tok[:1].isdecimal():
+            raise self.found(what)
+        self.pos += 1
+        return self.to_int(self.pos - 1, tok, what)
 
-    def to_int(self, tok: Token, digits: str, what: str) -> int:
+    def to_int(self, at: int, digits: str, what: str) -> int:
         try:
             return int(digits)
         except ValueError:  # beyond the interpreter's int-conversion limit
-            raise self.error(tok, f"{what} is too long ({len(digits)} digits)") from None
+            raise self.error(at, f"{what} is too long ({len(digits)} digits)") from None
 
     def expect_string(self, what: str = "string") -> str:
-        tok = self.peek()
-        if tok.kind != "string":
-            raise self.error(tok, f"expected {what}, found {tok.value!r}")
-        self.advance()
-        return tok.value
+        tok = self.tokens[self.pos]
+        if tok[:1] != '"':
+            raise self.found(what)
+        self.pos += 1
+        return _value(tok)
 
-    def checked(self, tok: Token, check, *args, **kwargs):
+    def checked(self, at: int, check, *args, **kwargs):
         """check(*args, **kwargs), with a ConeError turned into a diagnostic
-        at tok."""
+        at the token at index `at`."""
         try:
             return check(*args, **kwargs)
         except ConeError as exc:
-            raise self.error(tok, str(exc)) from None
+            raise self.error(at, str(exc)) from None
 
     def skip_declaration(self) -> None:
         """Panic-mode recovery: drop tokens through the closing brace of the
@@ -303,95 +337,100 @@ class _Parser:
         top-level keyword at brace depth zero."""
         depth = 1 if self.in_block else 0
         self.in_block = False
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            tok = tokens[self.pos]
+            if not tok:
                 return
-            if tok.kind == "punct" and tok.value == "{":
+            if tok == "{":
                 depth += 1
-            elif tok.kind == "punct" and tok.value == "}":
+            elif tok == "}":
                 if depth > 0:
                     depth -= 1
-                    self.advance()
+                    self.pos += 1
                     if depth == 0:
                         return
                     continue
-            elif depth == 0 and tok.kind == "ident" and tok.value in self.TOP:
+            elif depth == 0 and tok in self.TOP:
                 return
-            self.advance()
+            self.pos += 1
 
     # -- dispatch ------------------------------------------------------------
 
-    def lookup(self, table: dict, unknown: str):
-        """The table entry for the next token, which must be an identifier
-        the table holds; otherwise the `unknown` message, formatted with the
-        token's text.  Consumes nothing."""
-        tok = self.peek()
-        entry = table.get(tok.value) if tok.kind == "ident" else None
-        if entry is None:
-            raise self.error(tok, unknown.format(repr(tok.value)))
-        return entry
+    def unknown(self, message: str) -> DslError:
+        """`message`, formatted with the next token's value, at that token:
+        the token is not a keyword the block's table holds."""
+        tok = self.tokens[self.pos]
+        return self.error(self.pos, message.format(repr(_value(tok))))
 
     def block(self, table, target, kind, name, unknown, close="}") -> set:
         """Statements up to and including the `close` punctuation; returns
         the slots they filled.  The table maps each keyword to (slot,
         handler): a statement with a slot may appear once per block (None:
-        it may repeat), and handler(self, keyword_token, target) reads what
+        it may repeat), and handler(self, keyword_index, target) reads what
         follows the keyword.  Only a braced block opens with "{" and can be
         left unclosed; generator attributes run to the ";".  An error raised
         inside a braced block leaves in_block set, so that recovery skips
         the rest of the block."""
         braced = close == "}"
         if braced:
-            self.expect_punct("{")
+            self.expect("{")
             self.in_block = True
         filled: set[str] = set()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.value == close:
-                self.advance()
+            at = self.pos
+            tok = tokens[at]
+            if tok == close:
+                self.pos = at + 1
                 if braced:
                     self.in_block = False
                 return filled
-            if tok.kind == "eof" and braced:
-                raise self.error(tok, f"unclosed {kind} block {name!r}")
-            slot, handler = self.lookup(table, unknown)
+            if not tok and braced:
+                raise self.error(at, f"unclosed {kind} block {name!r}")
+            entry = table.get(tok)
+            if entry is None:
+                raise self.unknown(unknown)
+            slot, handler = entry
             if slot is not None:
                 if slot in filled:
-                    raise self.error(tok, f"{kind} {name!r}: repeated {slot}")
+                    raise self.error(at, f"{kind} {name!r}: repeated {slot}")
                 filled.add(slot)
-            handler(self, self.advance(), target)
+            self.pos = at + 1
+            handler(self, at, target)
 
     # -- declarations ------------------------------------------------------
 
     def parse_document(self, path: str | None) -> SourceDocument:
         decls: list[Declaration] = []
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        while self.tokens[self.pos]:
+            at = self.pos
             try:
-                handler = self.lookup(self.TOP, "unknown declaration keyword {}")
-                decls.append(handler(self, self.advance()))
+                handler = self.TOP.get(self.tokens[at])
+                if handler is None:
+                    raise self.unknown("unknown declaration keyword {}")
+                self.pos = at + 1
+                decls.append(handler(self, at))
             except DslError as exc:
                 self.diags.append(exc.args[0])
-                if self.peek() is tok:
+                if self.pos == at:
                     # nothing was consumed; step past the bad token so
                     # recovery always makes progress
-                    self.advance()
+                    self.pos += 1
                 self.skip_declaration()
         return SourceDocument(path, decls, self.diags)
 
     def parse_modulus(self) -> int:
+        at = self.pos
         tok = self.expect_ident("a modulus of the form Z/<p>")
-        if not tok.value.startswith("Z/"):
-            raise self.error(tok, f"expected a modulus Z/<p>, found {tok.value!r}")
-        digits = tok.value[2:]
-        if not digits.isdigit():
-            raise self.error(tok, f"expected a modulus Z/<p>, found {tok.value!r}")
-        return self.to_int(tok, digits, "modulus")
+        digits = tok[2:]
+        if not tok.startswith("Z/") or not digits.isdigit():
+            raise self.error(at, f"expected a modulus Z/<p>, found {tok!r}")
+        return self.to_int(at, digits, "modulus")
 
-    def parse_ring(self, start: Token) -> RingDecl:
-        name = self.expect_ident("ring name").value
-        self.expect_keyword("over")
+    def parse_ring(self, start: int) -> RingDecl:
+        name = self.expect_ident("ring name")
+        self.expect("over")
         p = self.parse_modulus()
         parts = {"gens": [], "rels": []}
         unknown = "unknown ring statement {} (expected gen or rel)"
@@ -407,9 +446,9 @@ class _Parser:
             raise self.error(start, f"ring {name!r}: {exc}") from None
 
     def parse_gen(self, _, parts: dict) -> None:
-        name = self.expect_ident("generator name").value
-        self.expect_punct(":")
-        self.expect_keyword("deg")
+        name = self.expect_ident("generator name")
+        self.expect(":")
+        self.expect("deg")
         degree = self.expect_int("degree")
         attrs: dict[str, int] = {}
         unknown = "unknown generator attribute {}"
@@ -426,35 +465,30 @@ class _Parser:
         attrs["weight"] = self.expect_int("weight")
 
     def parse_rel(self, _, parts: dict) -> None:
-        gen = self.expect_ident("generator name").value
-        self.expect_punct("^")
+        gen = self.expect_ident("generator name")
+        self.expect("^")
         exponent = self.expect_int("exponent")
-        self.expect_punct("=")
+        self.expect("=")
         coeff = 1
         powers: list[tuple[str, int]] = []
-        if self.peek().kind == "int":
+        if self.tokens[self.pos][:1].isdecimal():
             coeff = self.expect_int()
             if coeff == 0:
-                self.expect_punct(";")
+                self.expect(";")
                 parts["rels"].append((gen, Substitution(exponent, 0, ())))
                 return
-            self.expect_punct("*")
+            self.expect("*")
         while True:
-            pname = self.expect_ident("generator name").value
-            pexp = 1
-            if self.peek().kind == "punct" and self.peek().value == "^":
-                self.advance()
-                pexp = self.expect_int("exponent")
+            pname = self.expect_ident("generator name")
+            pexp = self.expect_int("exponent") if self.accept("^") else 1
             powers.append((pname, pexp))
-            if self.peek().kind == "punct" and self.peek().value == "*":
-                self.advance()
-                continue
-            break
-        self.expect_punct(";")
+            if not self.accept("*"):
+                break
+        self.expect(";")
         parts["rels"].append((gen, Substitution(exponent, coeff, tuple(powers))))
 
-    def parse_space(self, start: Token) -> SpaceDecl:
-        name = self.expect_ident("space name").value
+    def parse_space(self, start: int) -> SpaceDecl:
+        name = self.expect_ident("space name")
         fields = {"name": name, "knowns": [], "stages": []}
         self.block(self.SPACE, fields, "space", name, "unknown space statement {}")
         fields["knowns"] = tuple(fields["knowns"])
@@ -467,70 +501,63 @@ class _Parser:
 
     def space_dim(self, _, fields: dict) -> None:
         fields["dim"] = self.expect_int("dimension")
-        self.expect_punct(";")
+        self.expect(";")
 
     def space_connectivity(self, _, fields: dict) -> None:
         fields["connectivity"] = self.expect_int("connectivity")
-        self.expect_punct(";")
+        self.expect(";")
 
     def space_cohomology(self, _, fields: dict) -> None:
-        ring = self.expect_ident("ring name").value
-        self.expect_keyword("over")
+        ring = self.expect_ident("ring name")
+        self.expect("over")
         p = self.parse_modulus()
         complete = self.accept("complete")
-        self.expect_punct(";")
+        self.expect(";")
         fields["cohomology"] = CohomologyRef(ring, p, complete)
 
     def space_loopspace_even(self, _, fields: dict) -> None:
-        self.expect_punct(";")
+        self.expect(";")
         fields["loopspace_even"] = True
 
     def space_stage(self, _, fields: dict) -> None:
         index = self.expect_int("stage index")
-        self.expect_keyword("dim")
+        self.expect("dim")
         dim = self.expect_int("stage dimension")
         skeleton = self.accept("skeleton")
         description = self.expect_string("stage description")
-        self.expect_punct(";")
+        self.expect(";")
         fields["stages"].append(ConeStage(index, dim, description, skeleton))
 
-    def space_known(self, keyword: Token, fields: dict) -> None:
+    def space_known(self, keyword: int, fields: dict) -> None:
         fields["knowns"].append(self.parse_known(keyword, space=fields["name"]))
 
     def parse_known(self, _, space: str | None = None) -> KnownFact:
         """A known fact: inside a space block `space` names it; at top level
         (`space` None) the fact names its space after the qualifier."""
         qualifier = "exact"
-        if self.peek().kind == "ident" and self.peek().value in QUALIFIERS:
-            qualifier = self.advance().value
+        if self.tokens[self.pos] in QUALIFIERS:
+            qualifier = self.expect_ident()
         if space is None:
-            tok = self.peek()
             if (
-                tok.kind == "ident"
-                and tok.value in INVARIANTS
-                and self.tokens[self.pos + 1].kind == "punct"
-                and self.tokens[self.pos + 1].value == "="
+                self.tokens[self.pos] in INVARIANTS
+                and self.tokens[self.pos + 1] == "="
             ):
                 raise self.error(
-                    tok, "a top-level known fact must name the space it concerns"
+                    self.pos, "a top-level known fact must name the space it concerns"
                 )
-            space = self.expect_ident("space name").value
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value not in INVARIANTS:
-            raise self.error(
-                tok,
-                f"expected an invariant {'/'.join(INVARIANTS)}, found {tok.value!r}",
-            )
-        invariant = self.advance().value
-        self.expect_punct("=")
+            space = self.expect_ident("space name")
+        if self.tokens[self.pos] not in INVARIANTS:
+            raise self.found(f"an invariant {'/'.join(INVARIANTS)}")
+        invariant = self.expect_ident()
+        self.expect("=")
         value = self.expect_int("value")
-        self.expect_keyword("from")
+        self.expect("from")
         citation = self.expect_string("citation")
-        self.expect_punct(";")
+        self.expect(";")
         return KnownFact(space, invariant, qualifier, value, citation)
 
-    def parse_bundle(self, start: Token) -> BundleRecord:
-        name = self.expect_ident("bundle name").value
+    def parse_bundle(self, start: int) -> BundleRecord:
+        name = self.expect_ident("bundle name")
         fields: dict[str, object] = {}
         unknown = "unknown bundle statement {}"
         filled = self.block(self.BUNDLE, fields, "bundle", name, unknown)
@@ -539,37 +566,37 @@ class _Parser:
                 raise self.error(start, f"bundle {name!r} is missing {slot}")
         return self.checked(start, BundleRecord, name, **fields)
 
-    def bundle_space(self, keyword: Token, fields: dict) -> None:
-        role = keyword.value
-        fields[role.replace("-", "_")] = self.expect_ident(f"{role} space name").value
-        self.expect_punct(";")
+    def bundle_space(self, keyword: int, fields: dict) -> None:
+        role = self.tokens[keyword]
+        fields[role.replace("-", "_")] = self.expect_ident(f"{role} space name")
+        self.expect(";")
 
     def bundle_cells_mod(self, _, fields: dict) -> None:
         fields["d"] = self.expect_int("period d")
         fields["s"] = self.expect_int("residue bound s")
-        self.expect_punct(";")
+        self.expect(";")
 
     def bundle_compatibility(self, _, fields: dict) -> None:
-        kind_tok = self.expect_ident("certificate kind")
-        reason = ""
-        if kind_tok.value == "verified":
-            reason = self.expect_string("justification")
+        at = self.pos
+        kind = self.expect_ident("certificate kind")
+        reason = self.expect_string("justification") if kind == "verified" else ""
         fields["certificate"] = self.checked(
-            kind_tok, CompatibilityCertificate, kind_tok.value, reason
+            at, CompatibilityCertificate, kind, reason
         )
-        self.expect_punct(";")
+        self.expect(";")
 
     def parse_product(self, _) -> ProductDecl:
-        total = self.expect_ident("space name").value
-        self.expect_punct("=")
-        left = self.expect_ident("factor name").value
-        self.expect_punct("*")
-        right = self.expect_ident("factor name").value
-        self.expect_punct(";")
+        total = self.expect_ident("space name")
+        self.expect("=")
+        left = self.expect_ident("factor name")
+        self.expect("*")
+        right = self.expect_ident("factor name")
+        self.expect(";")
         return ProductDecl(total, left, right)
 
-    # One keyword table per block.  Top-level handlers take the keyword token
-    # and return the declaration; block entries are (slot, handler), see block.
+    # One keyword table per block.  Top-level handlers take the keyword's
+    # token index and return the declaration; block entries are (slot,
+    # handler), see block.
     TOP = {
         "ring": parse_ring,
         "space": parse_space,
@@ -603,9 +630,7 @@ class _Parser:
 
 def parse(text: str, path: str | None = None) -> SourceDocument:
     """Parse a document.  Total: every failure lands in diagnostics."""
-    tokens, lex_diags = _lex(text)
-    parser = _Parser(tokens, lex_diags)
-    return parser.parse_document(path)
+    return _Parser(text).parse_document(path)
 
 
 def ring_presentation(decl: RingDecl) -> RingPresentation:

@@ -335,6 +335,26 @@ def test_composite_modulus_message_names_the_modulus():
     assert str(info.value) == "modulus must be a prime >= 2 (got 1000001)"
 
 
+@pytest.mark.parametrize(
+    "p, gens, subs, message",
+    [
+        # a generator's own checks come before any relation's
+        (2, [("x", 2), ("y", 0)], {"x": (2, 1, (("z", 1),))}, "'y' must have degree"),
+        # a relation's checks come before a generator that is not nilpotent
+        (2, [("a", 2), ("x", 2, 3)], {"x": (2, 1, (("z", 1),))}, "'z' is not a gen"),
+        # of two truncation problems, the first generator's, a zero relation's
+        # in its generator's place
+        (3, [("a", 1), ("b", 2)], {"a": (3, 0, ())}, "'a' over Z/3 squares"),
+        (3, [("a", 2), ("b", 1)], {"b": (3, 0, ())}, "'a' has neither"),
+        (3, [("a", 2), ("b", 1, 3)], {"a": (2, 1, (("c", 1),))}, "'c' is not a gen"),
+    ],
+)
+def test_ring_errors_come_in_a_fixed_order(p, gens, subs, message):
+    subs = {name: Substitution(*sub) for name, sub in subs.items()}
+    with pytest.raises(AlgebraError, match=message):
+        RingPresentation(p, gens, subs)
+
+
 def test_duplicate_generator_names_rejected():
     with pytest.raises(AlgebraError, match="duplicate"):
         RingPresentation(2, [("x", 1, 2), ("x", 3, 2)])

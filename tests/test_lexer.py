@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from catbound import dsl
 from catbound.corpus import read_sources
-from catbound.dsl import _lex
+from catbound.dsl import _lex, _position_table, _value
 from reference_lexer import reference_lex
 
 # Quotes, escapes, comments, every blank, letters the identifier rule
@@ -17,9 +18,27 @@ ALPHABET = (
 )
 
 
+def kind(tok):
+    if not tok:
+        return "eof"
+    if tok[0] == '"':
+        return "string"
+    if tok[0] in "{};:=^*":
+        return "punct"
+    return "int" if tok[0].isdecimal() else "ident"
+
+
 def lexed(text):
-    tokens, diags = _lex(text)
-    return [(t.kind, t.value, t.line, t.col) for t in tokens], [str(d) for d in diags]
+    """The tokens as (kind, value, line, col), rebuilt from the token texts
+    and the position table, and the diagnostics as text."""
+    tokens, diags, positions = _lex(text)
+    if positions is None:
+        positions = _position_table(text)
+    assert len(positions) == len(tokens)
+    return (
+        [(kind(t), _value(t), line, col) for t, (line, col) in zip(tokens, positions)],
+        [str(d) for d in diags],
+    )
 
 
 def reference(text):
@@ -66,17 +85,69 @@ def test_explicit_cases_lex_identically(text):
 
 
 def test_end_of_file_column_sits_at_a_final_comment():
-    tokens, _ = _lex("x  # note")
-    assert (tokens[-1].kind, tokens[-1].line, tokens[-1].col) == ("eof", 1, 4)
-    tokens, _ = _lex("x  # note\n  ")
-    assert (tokens[-1].line, tokens[-1].col) == (2, 3)
+    tokens, _ = lexed("x  # note")
+    assert tokens[-1] == ("eof", "", 1, 4)
+    tokens, _ = lexed("x  # note\n  ")
+    assert tokens[-1][2:] == (2, 3)
 
 
 def test_only_decimal_digits_form_integers():
-    tokens, diags = _lex("1² ٣")
-    assert [(t.kind, t.value) for t in tokens] == [
+    tokens, diags = lexed("1² ٣")
+    assert [t[:2] for t in tokens] == [
         ("int", "1"),
         ("int", "٣"),
         ("eof", ""),
     ]
-    assert [str(d) for d in diags] == ["1:2: unexpected character '²'"]
+    assert diags == ["1:2: unexpected character '²'"]
+
+
+def faulty_document(units):
+    """A document of `units` declarations, most of them with one fault (a
+    bad character, an unterminated string or a missing ';'), and the
+    diagnostics it must give, their columns found in each line's own text:
+    the lexer's first, then the parser's."""
+    rng = random.Random(17)
+    lines, lexer, parser = [], [], []
+    for k in range(units):
+        pad = rng.choice(["", " ", "\t", "  \t "])
+        at = len(lines) + 1
+        fault = rng.randrange(4)
+        if fault == 0:
+            text = f"{pad}space B{k} {{ dim 3; @ }}"
+            lexer.append(f"{at}:{text.index('@') + 1}: unexpected character '@'")
+        elif fault == 1:
+            text = f'{pad}space U{k} {{ stage 1 dim 2 "open;'
+            quote = text.index('"') + 1
+            lexer.append(f"{at}:{quote}: unterminated string literal")
+            parser.append(f"{at + 1}:1: expected ';', found '}}'")
+            lines.append(text)
+            text = "}"
+        elif fault == 2:
+            text = f"{pad}space M{k} {{ dim 3 }}"
+            parser.append(f"{at}:{text.index('}') + 1}: expected ';', found '}}'")
+        else:
+            text = f'{pad}space C{k} {{ dim 3; }}  # neither @ nor " is a fault here'
+        lines.append(text)
+    return "\n".join(lines), lexer + parser
+
+
+def test_a_document_with_thousands_of_faults_builds_one_position_table(monkeypatch):
+    built = []
+
+    def counted(text):
+        built.append(len(text))
+        return position_table(text)
+
+    position_table = dsl._position_table
+    monkeypatch.setattr(dsl, "_position_table", counted)
+    text, want = faulty_document(3000)
+    assert len(want) > 2000
+    doc = dsl.parse(text)
+    assert [str(d) for d in doc.diagnostics] == want
+    assert {d.name[0] for d in doc.declarations} == {"B", "C"}
+    assert built == [len(text)]
+    clean = "\n".join(line for line in text.splitlines() if "space C" in line)
+    assert dsl.parse(clean).ok
+    for _, source in read_sources():
+        assert dsl.parse(source).ok
+    assert built == [len(text)]

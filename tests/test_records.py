@@ -1,6 +1,6 @@
 """Record semantics: value records are immutable NamedTuples, the three
 checking records run their checks in every constructor (linking included),
-and the two mutable records are __slots__ classes."""
+the mutable Interval is a __slots__ class, and a token is a plain str."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +10,7 @@ from catbound.catalog import LinkError, link
 from catbound.cones import BundleRecord, ConeError, check_compatibility, filtration_ledger
 from catbound.corpus import parse_sources, read_sources
 from catbound.cup import cup_length
-from catbound.dsl import KnownFact, ProductDecl, _lex, _quote, parse, render
+from catbound.dsl import KnownFact, ProductDecl, _lex, _quote, _value, parse, render
 from catbound.solver import Interval, ganea_check, propagate
 
 BUNDLE = """
@@ -77,15 +77,16 @@ def test_value_records_are_immutable(record):
     assert not hasattr(record, "__dict__")
 
 
-def test_interval_and_token_are_slots_classes():
+def test_interval_is_a_slots_class_and_tokens_are_strings():
     iv = Interval()
     iv.lower, iv.upper = 2, 3
     assert str(iv) == "[2,3]"
-    tokens, _ = _lex("space")
-    for obj in (iv, tokens[0]):
-        assert not hasattr(obj, "__dict__")
-        with pytest.raises(AttributeError):
-            obj.extra = None
+    assert not hasattr(iv, "__dict__")
+    with pytest.raises(AttributeError):
+        iv.extra = None
+    tokens, _, _ = _lex('space "s"')
+    assert tokens == ["space", '"s"', ""]
+    assert all(type(tok) is str for tok in tokens)
 
 
 def test_solutions_compare_by_value():
@@ -169,9 +170,10 @@ def test_quoted_fields_round_trip_backslashes_and_quotes():
 
 @given(st.text(st.characters(blacklist_characters="\n")))
 def test_quote_is_the_inverse_of_the_lexer(text):
-    tokens, diags = _lex(_quote(text))
+    tokens, diags, _ = _lex(_quote(text))
     assert diags == []
-    assert [(t.kind, t.value) for t in tokens[:-1]] == [("string", text)]
+    assert tokens == [_quote(text), ""]
+    assert _value(tokens[0]) == text
 
 
 def test_the_corpus_survives_render_and_parse():
