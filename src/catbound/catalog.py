@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 from .algebra import RingPresentation
 from .cones import BundleRecord, ConeError
-from .dsl import KnownFact, ProductDecl, RingDecl, SourceDocument, SpaceDecl
+from .dsl import KnownFact, ProductDecl, SourceDocument, SpaceDecl
 
 
 class LinkError(ValueError):
@@ -36,37 +36,27 @@ class Catalog(NamedTuple):
 
 
 def link(docs: Iterable[SourceDocument]) -> Catalog:
-    ring_decls: dict[str, RingDecl] = {}
-    space_decls: dict[str, SpaceDecl] = {}
-    bundle_decls: dict[str, BundleRecord] = {}
-    fact_decls: list[KnownFact] = []
-    product_decls: list[ProductDecl] = []
+    # every declaration filed under its kind, in the order it is met
+    filed: dict[str, list] = {
+        kind: [] for kind in ("ring", "space", "bundle", "fact", "product")
+    }
     named: dict[str, str] = {}
 
     for doc in docs:
         for decl in doc.declarations:
-            if isinstance(decl, KnownFact):
-                fact_decls.append(decl)
-                continue
-            if isinstance(decl, ProductDecl):
-                product_decls.append(decl)
-                continue
-            if decl.name in named:
-                raise LinkError(
-                    f"duplicate declaration of {decl.name!r} "
-                    f"(already declared as a {named[decl.name]})"
-                )
-            named[decl.name] = decl.kind
-            if isinstance(decl, RingDecl):
-                ring_decls[decl.name] = decl
-            elif isinstance(decl, SpaceDecl):
-                space_decls[decl.name] = decl
-            else:
-                bundle_decls[decl.name] = decl
+            if decl.kind in ("ring", "space", "bundle"):
+                if decl.name in named:
+                    raise LinkError(
+                        f"duplicate declaration of {decl.name!r} "
+                        f"(already declared as a {named[decl.name]})"
+                    )
+                named[decl.name] = decl.kind
+            filed[decl.kind].append(decl)
 
-    rings = {name: decl.presentation for name, decl in ring_decls.items()}
+    rings = {decl.name: decl.presentation for decl in filed["ring"]}
     spaces: dict[str, SpaceDecl] = {}
-    for name, decl in space_decls.items():
+    for decl in filed["space"]:
+        name = decl.name
         if decl.cohomology is not None:
             ref = decl.cohomology
             ring = rings.get(ref.ring)
@@ -93,36 +83,33 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                         f"space {name!r}: stage dims must be nondecreasing"
                     )
         spaces[name] = decl
-        fact_decls.extend(decl.knowns)
+        filed["fact"].extend(decl.knowns)
+
+    def space(ref: str, where: str, tail: str = " is not a declared space") -> SpaceDecl:
+        """The space named ref; a LinkError `where ref tail` if none is."""
+        if ref not in spaces:
+            raise LinkError(f"{where}{ref!r}{tail}")
+        return spaces[ref]
 
     bundles: dict[str, BundleRecord] = {}
-    for name, decl in bundle_decls.items():
-        for role, ref in (
-            ("fiber", decl.fiber),
-            ("base", decl.base),
-            ("total", decl.total),
-        ):
-            if ref not in spaces:
-                raise LinkError(
-                    f"bundle {name!r}: {role} {ref!r} is not a declared space"
-                )
-        if (
-            decl.structure_group != "trivial"
-            and decl.structure_group not in spaces
-        ):
-            raise LinkError(
-                f"bundle {name!r}: structure group {decl.structure_group!r} "
-                "is not a declared space (or the literal trivial)"
+    for decl in filed["bundle"]:
+        name = decl.name
+        fiber = space(decl.fiber, f"bundle {name!r}: fiber ")
+        base = space(decl.base, f"bundle {name!r}: base ")
+        space(decl.total, f"bundle {name!r}: total ")
+        if decl.structure_group != "trivial":
+            space(
+                decl.structure_group,
+                f"bundle {name!r}: structure group ",
+                " is not a declared space (or the literal trivial)",
             )
-        base = spaces[decl.base]
         if base.dim is None:
             raise LinkError(
                 f"bundle {name!r}: base {decl.base!r} has no declared dim"
             )
         try:
             record = decl._replace(
-                base_dim=base.dim,
-                fiber_decomposition=spaces[decl.fiber].decomposition,
+                base_dim=base.dim, fiber_decomposition=fiber.decomposition
             )
         except ConeError as exc:
             raise LinkError(str(exc)) from None
@@ -133,23 +120,13 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
             )
         bundles[name] = record
 
-    for fact in fact_decls:
-        if fact.space not in spaces:
-            raise LinkError(
-                f"known fact refers to undeclared space {fact.space!r}"
-            )
-
-    for prod in product_decls:
-        for role, ref in (
-            ("total", prod.total),
-            ("left factor", prod.left),
-            ("right factor", prod.right),
-        ):
-            if ref not in spaces:
-                raise LinkError(
-                    f"product statement: {role} {ref!r} is not a declared space"
-                )
+    for fact in filed["fact"]:
+        space(fact.space, "known fact refers to undeclared space ", "")
+    for prod in filed["product"]:
+        space(prod.total, "product statement: total ")
+        space(prod.left, "product statement: left factor ")
+        space(prod.right, "product statement: right factor ")
     # records sort as tuples of their fields; duplicates collapse
-    facts = tuple(sorted(set(fact_decls)))
-    products = tuple(sorted(set(product_decls)))
+    facts = tuple(sorted(set(filed["fact"])))
+    products = tuple(sorted(set(filed["product"])))
     return Catalog(rings, spaces, bundles, products, facts)

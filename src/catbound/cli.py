@@ -20,7 +20,6 @@ from .cones import (
     check_compatibility,
     filtration_ledger,
     general_bundle_bound,
-    main_theorem_bound,
 )
 from .corpus import CorpusError, load_corpus, parse_sources, read_sources
 from .cup import SearchBudgetExceeded, cup_length, space_weights, weighted_wgt_lower
@@ -213,10 +212,8 @@ def cmd_bound(catalog: Catalog, args) -> tuple[dict, str]:
         f"bundle {bundle.name}: {bundle.fiber} -> {bundle.total} -> "
         f"{bundle.base}, cells-mod {bundle.d} {bundle.s}"
     ]
-    bound = fallback = None
-    try:
-        bound = main_theorem_bound(bundle)
-    except BoundRefused:
+    fallback = None
+    if not verdict.passed:
         lines.append(f"refused: {verdict.reason}")
         solution = propagate(catalog, max_search=args.max_search)
         f = solution.states[bundle.fiber].intervals["cat"].upper
@@ -235,7 +232,7 @@ def cmd_bound(catalog: Catalog, args) -> tuple[dict, str]:
         lines += [
             f"certificate: {verdict.rule} ({verdict.reason})",
             f"Cat({bundle.total}) <= {bundle.fiber_decomposition.length} + "
-            f"{bundle.base_dim}//{bundle.d} = {bound}",
+            f"{bundle.base_dim}//{bundle.d} = {verdict.bound}",
         ]
     payload = {
         "bundle": bundle.name,
@@ -248,7 +245,7 @@ def cmd_bound(catalog: Catalog, args) -> tuple[dict, str]:
         "passed": verdict.passed,
         "rule": verdict.rule,
         "reason": verdict.reason,
-        "bound": bound,
+        "bound": verdict.bound,
         "fallback": fallback,
     }
     return payload, "\n".join(lines)

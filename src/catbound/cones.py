@@ -145,6 +145,8 @@ class Verdict(NamedTuple):
     passed: bool
     rule: str | None
     reason: str
+    # Cat(total) <= m + floor(base_dim / d) when passed, else None
+    bound: int | None = None
 
 
 def james_ganea_bound(dim: int, d: int) -> int:
@@ -158,7 +160,8 @@ def james_ganea_bound(dim: int, d: int) -> int:
 
 
 def check_compatibility(bundle: BundleRecord) -> Verdict:
-    """Decide whether the recorded certificate licenses the stagewise bound.
+    """Decide whether the recorded certificate licenses the stagewise bound,
+    and give the bound when it does.
 
     skeletal: principal bundle (fiber = structure group) whose stages are all
     declared skeleta, with s = 0.  trivial: trivial structure group, any
@@ -187,32 +190,31 @@ def check_compatibility(bundle: BundleRecord) -> Verdict:
             return Verdict(
                 False, None, "inconsistent skeletal certificate: " + "; ".join(problems)
             )
-        return Verdict(True, "skeletal", "principal bundle, skeletal stages, s = 0")
-    if cert.kind == "trivial" and bundle.structure_group != "trivial":
+        rule, reason = "skeletal", "principal bundle, skeletal stages, s = 0"
+    elif cert.kind == "trivial" and bundle.structure_group != "trivial":
         return Verdict(
             False,
             None,
             "inconsistent trivial-bundle certificate: structure group is "
             f"{bundle.structure_group!r}",
         )
-    if bundle.fiber_decomposition is None:
+    elif bundle.fiber_decomposition is None:
         return Verdict(False, None, "fiber has no cone decomposition")
-    if cert.kind == "trivial":
-        return Verdict(
-            True, "trivialBundle", "trivial structure group; any decomposition works"
-        )
-    # verified
-    return Verdict(True, "verified", cert.reason)
+    elif cert.kind == "trivial":
+        rule, reason = "trivialBundle", "trivial structure group; any decomposition works"
+    else:  # verified
+        rule, reason = "verified", cert.reason
+    m = bundle.fiber_decomposition.length
+    return Verdict(True, rule, reason, m + james_ganea_bound(bundle.base_dim, bundle.d))
 
 
 def main_theorem_bound(bundle: BundleRecord) -> int:
-    """Cat(total) <= m + floor(base_dim / d) for a certified bundle; refuses
+    """The verdict's bound, Cat(total) <= m + floor(base_dim / d); refuses
     (with the verdict's reason) when no certificate passes."""
     verdict = check_compatibility(bundle)
     if not verdict.passed:
         raise BoundRefused(f"bundle {bundle.name!r}: {verdict.reason}")
-    m = bundle.fiber_decomposition.length
-    return m + james_ganea_bound(bundle.base_dim, bundle.d)
+    return verdict.bound
 
 
 def product_bound(cat_x: int, cat_y: int) -> int:
@@ -257,15 +259,16 @@ class FiltrationLedger(NamedTuple):
 
 def filtration_ledger(bundle: BundleRecord) -> FiltrationLedger:
     """Expand the stagewise filtration behind the certified bundle bound:
-    stage k glues the pieces {(i,j) : i+j = k, 0 <= i <= n, 0 <= j <= m},
-    minus (0,0), where n = floor(base_dim/d) and m is the decomposition
-    length.  A_i is (d*i - 2)-connected of dimension d*i + s - 1, so the
-    piece C(A_i) x C(K_j) has dimension d*i + s + attach_dim(j).  Refuses
+    stage k, for k = 1 .. n + m, glues the pieces {(i,j) : i+j = k,
+    0 <= i <= n, 0 <= j <= m}, where n = floor(base_dim/d) and m is the
+    decomposition length.  A_i is (d*i - 2)-connected of dimension
+    d*i + s - 1, so the piece C(A_i) x C(K_j) has dimension
+    d*i + s + attach_dim(j).  Refuses where the bound refuses, and refuses
     a ledger of more than MAX_LEDGER_PIECES pieces before building it."""
-    main_theorem_bound(bundle)  # refuses exactly where the bound refuses
+    bound = main_theorem_bound(bundle)
     dec = bundle.fiber_decomposition
-    n = james_ganea_bound(bundle.base_dim, bundle.d)
     m = dec.length
+    n = bound - m  # the base's share, floor(base_dim / d)
     size = (n + 1) * (m + 1) - 1
     if size > MAX_LEDGER_PIECES:
         raise BoundRefused(
@@ -279,8 +282,6 @@ def filtration_ledger(bundle: BundleRecord) -> FiltrationLedger:
         dims = []
         for i in range(max(0, k - m), min(n, k) + 1):
             j = k - i
-            if (i, j) == (0, 0):
-                continue
             pieces.append((i, j))
             dim = 0
             if i > 0:

@@ -48,11 +48,11 @@ block (top level, ring, generator attributes, space, bundle), read by one
 block loop.  A single-valued statement or attribute (every one but gen, rel,
 stage, known and loopspace-even) may appear once per block; "trunc" and
 "exterior" fill the same truncation.  Parsing is total: errors become
-diagnostics with line and column, the offending declaration is dropped
-whole, and parsing resumes after the closing brace of the block the error
-occurred in, or, for an error outside a block, at the next declaration
-keyword.  A block missing its "}" therefore takes the declarations after it
-down with it, still with one diagnostic.
+diagnostics with line and column, listed in source order, the offending
+declaration is dropped whole, and parsing resumes after the closing brace
+of the block the error occurred in, or, for an error outside a block, at
+the next declaration keyword.  A block missing its "}" therefore takes
+the declarations after it down with it, still with one diagnostic.
 """
 
 from __future__ import annotations
@@ -418,6 +418,9 @@ class _Parser:
                     # recovery always makes progress
                     self.pos += 1
                 self.skip_declaration()
+        # in source order; a stable sort keeps the lexer's diagnostic, which
+        # comes first in the list, before the parser's at the same token
+        self.diags.sort(key=lambda d: (d.line, d.col))
         return SourceDocument(path, decls, self.diags)
 
     def parse_modulus(self) -> int:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .catalog import Catalog
-from .cones import BoundRefused, general_bundle_bound, main_theorem_bound, product_bound
+from .cones import check_compatibility, general_bundle_bound, product_bound
 from .cup import space_weights, weighted_wgt_lower
 
 CHAIN = ("cup", "sigmacat", "cat", "Cat")
@@ -148,16 +148,10 @@ class _RingCache:
 
 
 def _certify(catalog: Catalog) -> list:
-    """Every bundle, in name order, with its stagewise bound, or None where
-    the certificate refuses it: one certification per bundle per solve."""
-    certified = []
-    for bundle in sorted(catalog.bundles.values(), key=lambda b: b.name):
-        try:
-            bound = main_theorem_bound(bundle)
-        except BoundRefused:
-            bound = None
-        certified.append((bundle, bound))
-    return certified
+    """Every bundle, in name order, with its verdict's stagewise bound, None
+    where the certificate refuses it: one certification per bundle per solve."""
+    bundles = sorted(catalog.bundles.values(), key=lambda b: b.name)
+    return [(bundle, check_compatibility(bundle).bound) for bundle in bundles]
 
 
 # -- rules -------------------------------------------------------------------

@@ -303,34 +303,43 @@ def test_a_ring_deeper_than_the_recursion_limit_is_searched(tmp_path, capsys):
 
 
 def test_bound_refuses_a_certificate_without_a_fiber_decomposition(tmp_path, capsys):
-    f = tmp_path / "undecomposed.lsc"
-    f.write_text(
-        "space F { dim 3; }\nspace B { dim 7; connectivity 6; }\nspace X { }\n"
-        "bundle b { fiber F; base B; total X; structure-group trivial; "
-        "cells-mod 7 0; compatibility trivial; }\n"
-    )
-    code, out, err = run(capsys, "bound", "b", "--corpus", str(f))
-    assert (code, err) == (0, "")
-    lines = out.splitlines()
-    assert lines[:2] == [
-        "bundle b: F -> X -> B, cells-mod 7 0",
-        "refused: fiber has no cone decomposition",
-    ]
-    assert len(lines) == 3 and lines[2].startswith("fallback: cat(X) <= ")
-    code, out, _ = run(capsys, "bound", "b", "--corpus", str(f), "--format", "json")
-    data = json.loads(out)
-    assert code == 0
-    assert (data["passed"], data["rule"], data["reason"], data["bound"]) == (
-        False,
-        None,
-        "fiber has no cone decomposition",
-        None,
-    )
-    assert run(capsys, "ledger", "b", "--corpus", str(f)) == (
-        1,
-        "",
-        "error: bundle 'b': fiber has no cone decomposition\n",
-    )
+    # the fallback needs a finite cat bound for the fiber: a dim gives one
+    for fiber, fallback, fallback_line in (
+        (
+            "space F { dim 3; }",
+            31,
+            "fallback: cat(X) <= (3+1)*(7+1)-1 = 31 from cat(F) <= 3 and cat(B) <= 7",
+        ),
+        (
+            "space F { }",
+            None,
+            "fallback: unavailable (no finite cat bound for fiber and base)",
+        ),
+    ):
+        f = tmp_path / "undecomposed.lsc"
+        f.write_text(
+            f"{fiber}\nspace B {{ dim 7; connectivity 6; }}\nspace X {{ }}\n"
+            "bundle b { fiber F; base B; total X; structure-group trivial; "
+            "cells-mod 7 0; compatibility trivial; }\n"
+        )
+        code, out, err = run(capsys, "bound", "b", "--corpus", str(f))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "bundle b: F -> X -> B, cells-mod 7 0",
+            "refused: fiber has no cone decomposition",
+            fallback_line,
+        ]
+        code, out, _ = run(capsys, "bound", "b", "--corpus", str(f), "--format", "json")
+        data = json.loads(out)
+        assert code == 0
+        assert (
+            data["passed"], data["rule"], data["reason"], data["bound"], data["fallback"]
+        ) == (False, None, "fiber has no cone decomposition", None, fallback)
+        assert run(capsys, "ledger", "b", "--corpus", str(f)) == (
+            1,
+            "",
+            "error: bundle 'b': fiber has no cone decomposition\n",
+        )
 
 
 def test_ledger_refuses_a_huge_filtration_promptly(tmp_path, capsys):
@@ -350,6 +359,16 @@ def test_ledger_refuses_a_huge_filtration_promptly(tmp_path, capsys):
         "",
         "error: bundle 'b': the ledger has 200000001 pieces, "
         "more than the 100000 it lists\n",
+    )
+
+
+def test_validate_reports_a_link_error(tmp_path, capsys):
+    f = tmp_path / "unlinked.lsc"
+    f.write_text("space X { dim 3; cohomology Nope over Z/2; }\n")
+    assert run(capsys, "validate", str(f)) == (
+        1,
+        "link error: space 'X' refers to undeclared ring 'Nope'\n",
+        "",
     )
 
 

@@ -59,13 +59,13 @@ def test_james_ganea_bound():
 
 def test_skeletal_certificate_passes_for_principal_skeletal_bundles():
     v = check_compatibility(principal("b", "F", 7, [3]))
-    assert v.passed and v.rule == "skeletal"
+    assert v.passed and v.rule == "skeletal" and v.bound == 1 + 7
 
 
 def test_skeletal_certificate_rejects_shifted_cells():
     b = principal("b", "F", 7, [3], d=3, s=1)
     v = check_compatibility(b)
-    assert not v.passed
+    assert not v.passed and v.bound is None
     assert "needs s = 0" in v.reason
 
 
@@ -105,10 +105,10 @@ def test_trivial_certificate_needs_trivial_structure_group():
         certificate=CompatibilityCertificate("trivial"),
     )
     v = check_compatibility(good)
-    assert v.passed and v.rule == "trivialBundle"
+    assert v.passed and v.rule == "trivialBundle" and v.bound == 1 + 7
     bad = principal("b", "F", 7, [3], certificate=CompatibilityCertificate("trivial"))
     v = check_compatibility(bad)
-    assert not v.passed and "structure group" in v.reason
+    assert not v.passed and "structure group" in v.reason and v.bound is None
 
 
 def test_verified_certificate_carries_its_reason():
@@ -118,6 +118,7 @@ def test_verified_certificate_carries_its_reason():
     )
     v = check_compatibility(b)
     assert v.passed and v.rule == "verified" and v.reason == "stagewise check"
+    assert v.bound == main_theorem_bound(b) == 1 + 7
 
 
 @pytest.mark.parametrize(
@@ -127,7 +128,9 @@ def test_verified_certificate_carries_its_reason():
 )
 def test_no_certificate_passes_without_a_fiber_decomposition(certificate):
     b = BundleRecord("b", "T", "F", "B", "trivial", 1, 0, 7, certificate=certificate)
-    assert check_compatibility(b) == (False, None, "fiber has no cone decomposition")
+    assert check_compatibility(b) == (
+        False, None, "fiber has no cone decomposition", None
+    )
     with pytest.raises(BoundRefused) as refused:
         main_theorem_bound(b)
     assert refused.value.reason == "bundle 'b': fiber has no cone decomposition"

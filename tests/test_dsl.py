@@ -329,6 +329,23 @@ def test_overlong_modulus_is_a_diagnostic_and_parsing_resumes():
     assert [(d.kind, d.name) for d in doc.declarations] == [("ring", "S")]
 
 
+@pytest.mark.parametrize(
+    "text, diagnostic",
+    [
+        ("ring R over Q { gen x : deg 1; }", "1:13: expected a modulus Z/<p>, found 'Q'"),
+        (
+            "space X { dim 1; stage 1 dim 1 ; }",
+            "1:32: expected stage description, found ';'",
+        ),
+    ],
+    ids=["modulus", "stage-description"],
+)
+def test_a_wrong_token_is_reported_at_its_position(text, diagnostic):
+    doc = parse(text)
+    assert [str(d) for d in doc.diagnostics] == [diagnostic]
+    assert doc.declarations == []
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.text(max_size=200))
 def test_parse_is_total(text):

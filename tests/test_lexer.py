@@ -104,31 +104,31 @@ def test_only_decimal_digits_form_integers():
 def faulty_document(units):
     """A document of `units` declarations, most of them with one fault (a
     bad character, an unterminated string or a missing ';'), and the
-    diagnostics it must give, their columns found in each line's own text:
-    the lexer's first, then the parser's."""
+    diagnostics it must give, their columns found in each line's own text,
+    in line order."""
     rng = random.Random(17)
-    lines, lexer, parser = [], [], []
+    lines, want = [], []
     for k in range(units):
         pad = rng.choice(["", " ", "\t", "  \t "])
         at = len(lines) + 1
         fault = rng.randrange(4)
         if fault == 0:
             text = f"{pad}space B{k} {{ dim 3; @ }}"
-            lexer.append(f"{at}:{text.index('@') + 1}: unexpected character '@'")
+            want.append(f"{at}:{text.index('@') + 1}: unexpected character '@'")
         elif fault == 1:
             text = f'{pad}space U{k} {{ stage 1 dim 2 "open;'
             quote = text.index('"') + 1
-            lexer.append(f"{at}:{quote}: unterminated string literal")
-            parser.append(f"{at + 1}:1: expected ';', found '}}'")
+            want.append(f"{at}:{quote}: unterminated string literal")
+            want.append(f"{at + 1}:1: expected ';', found '}}'")
             lines.append(text)
             text = "}"
         elif fault == 2:
             text = f"{pad}space M{k} {{ dim 3 }}"
-            parser.append(f"{at}:{text.index('}') + 1}: expected ';', found '}}'")
+            want.append(f"{at}:{text.index('}') + 1}: expected ';', found '}}'")
         else:
             text = f'{pad}space C{k} {{ dim 3; }}  # neither @ nor " is a fault here'
         lines.append(text)
-    return "\n".join(lines), lexer + parser
+    return "\n".join(lines), want
 
 
 def test_a_document_with_thousands_of_faults_builds_one_position_table(monkeypatch):
@@ -151,3 +151,17 @@ def test_a_document_with_thousands_of_faults_builds_one_position_table(monkeypat
     for _, source in read_sources():
         assert dsl.parse(source).ok
     assert built == [len(text)]
+
+
+def test_diagnostics_come_in_source_order():
+    doc = dsl.parse("space Y { dim 2 }\nspace X { dim 3; @ }")
+    assert [str(d) for d in doc.diagnostics] == [
+        "1:17: expected ';', found '}'",
+        "2:18: unexpected character '@'",
+    ]
+    # at one token, the lexer's diagnostic stays before the parser's
+    doc = dsl.parse('space Z { dim "open')
+    assert [str(d) for d in doc.diagnostics] == [
+        "1:15: unterminated string literal",
+        "1:15: expected dimension, found 'open'",
+    ]

@@ -2,7 +2,7 @@ import pytest
 
 from catbound import solver
 from catbound.catalog import link
-from catbound.cones import main_theorem_bound
+from catbound.cones import check_compatibility
 from catbound.corpus import load_corpus
 from catbound.cup import space_weights, weighted_wgt_lower
 from catbound.dsl import parse
@@ -310,9 +310,9 @@ def test_each_bundle_is_certified_once_per_solve(monkeypatch):
 
     def counted(bundle):
         calls.append(bundle.name)
-        return main_theorem_bound(bundle)
+        return check_compatibility(bundle)
 
-    monkeypatch.setattr(solver, "main_theorem_bound", counted)
+    monkeypatch.setattr(solver, "check_compatibility", counted)
     propagate(catalog)
     assert len(calls) == len(catalog.bundles) == 12
     assert sorted(calls) == sorted(catalog.bundles)
