@@ -82,9 +82,7 @@ def render_table(solution: Solution) -> str:
             + ["-"]
         )
     rows.append(
-        ["exceptional"]
-        + [f"{name}={table_cell(solution, name)}" for name in _EXCEPTIONAL[:4]]
-        + [f"E8={table_cell(solution, 'E8')}"]
+        ["exceptional"] + [f"{name}={table_cell(solution, name)}" for name in _EXCEPTIONAL]
     )
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     lines = ["cat of compact simple Lie groups", "================================", ""]
@@ -242,10 +240,7 @@ def cmd_bound(catalog: Catalog, args) -> tuple[dict, str]:
         "d": bundle.d,
         "s": bundle.s,
         "certificate": bundle.certificate.kind,
-        "passed": verdict.passed,
-        "rule": verdict.rule,
-        "reason": verdict.reason,
-        "bound": verdict.bound,
+        **verdict._asdict(),
         "fallback": fallback,
     }
     return payload, "\n".join(lines)
@@ -345,17 +340,18 @@ _INT_OPTIONS = {
     "--seed": (int, "shuffle the solver rule order (the result is identical)"),
 }
 
-#: name, handler, help, positional argument, takes --seed, takes --max-search
+#: name, handler, help, positional argument, the _INT_OPTIONS flags it takes
 _COMMANDS = (
-    ("cup", cmd_cup, "cup-length of a presented ring", _RING_NAME, False, True),
-    ("wgt", cmd_wgt, "weighted cup-length lower bound", _RING_NAME, False, True),
+    ("cup", cmd_cup, "cup-length of a presented ring", _RING_NAME, ("--max-search",)),
+    ("wgt", cmd_wgt, "weighted cup-length lower bound", _RING_NAME, ("--max-search",)),
     ("bound", cmd_bound, "stagewise upper bound for a bundle",
-     ("name", {"help": "bundle name"}), False, True),
+     ("name", {"help": "bundle name"}), ("--max-search",)),
     ("ledger", cmd_ledger, "stage-by-stage filtration of a bundle bound",
-     ("name", {"help": "bundle name"}), False, False),
-    ("table", cmd_table, "solve the catalog and print the table", None, True, True),
+     ("name", {"help": "bundle name"}), ()),
+    ("table", cmd_table, "solve the catalog and print the table", None,
+     ("--max-search", "--seed")),
     ("check-ganea", cmd_check_ganea, "report which spaces satisfy the check",
-     ("space", {"nargs": "?", "default": None}), True, True),
+     ("space", {"nargs": "?", "default": None}), ("--max-search", "--seed")),
 )
 
 
@@ -372,14 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory or .lsc file to load (default: shipped corpus)",
     )
     common.add_argument("--format", choices=("text", "json"), default="text")
-    for name, func, summary, positional, seed, search in _COMMANDS:
+    for name, func, summary, positional, flags in _COMMANDS:
         p = sub.add_parser(name, help=summary, parents=[common])
         if positional is not None:
             p.add_argument(positional[0], **positional[1])
-        for flag, wanted in (("--max-search", search), ("--seed", seed)):
-            if wanted:
-                kind, summary = _INT_OPTIONS[flag]
-                p.add_argument(flag, type=kind, default=None, help=summary)
+        for flag in flags:
+            kind, summary = _INT_OPTIONS[flag]
+            p.add_argument(flag, type=kind, default=None, help=summary)
         p.set_defaults(func=func)
 
     p = sub.add_parser("validate", help="parse and link documents, report problems")

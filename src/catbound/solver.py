@@ -109,10 +109,6 @@ class GaneaResult(NamedTuple):
 class SpaceState(NamedTuple):
     intervals: dict[str, Interval]
 
-    @property
-    def has_wcat(self) -> bool:
-        return "wcat" in self.intervals
-
 
 class Solution(NamedTuple):
     states: dict[str, SpaceState]
@@ -121,12 +117,6 @@ class Solution(NamedTuple):
 
     def interval(self, space: str, invariant: str) -> Interval:
         return self.states[space].intervals[invariant]
-
-    def contradiction_for(self, space: str) -> Contradiction | None:
-        for c in self.contradictions:
-            if c.space == space:
-                return c
-        return None
 
 
 class _RingCache:
@@ -293,6 +283,7 @@ def propagate(
 # Justifications are read off the fixpoint rather than logged during
 # iteration, so the report does not depend on the rule order: each settled
 # end goes to the first candidate, in canonical rule order, equal to it.
+# The rules are monotone, so one always exists; a missing one raises KeyError.
 
 
 def _attach_provenance(solution: Solution, rule_args: tuple) -> None:
@@ -306,10 +297,6 @@ def _attach_provenance(solution: Solution, rule_args: tuple) -> None:
                 if value == (iv.lower if side == "lower" else iv.upper):
                     found[key] = Provenance(space, inv, side, value, rule_name, detail)
 
-    def justify(name, inv, side, value):
-        entry = found.get((name, inv, side))
-        return entry or Provenance(name, inv, side, value, "derived", "")
-
     for name in sorted(states):
         entries = []
         contradiction = None
@@ -317,10 +304,10 @@ def _attach_provenance(solution: Solution, rule_args: tuple) -> None:
         for inv, iv in states[name].intervals.items():
             lower_p = upper_p = None
             if iv.lower > 0:
-                lower_p = justify(name, inv, "lower", iv.lower)
+                lower_p = found[name, inv, "lower"]
                 entries.append(lower_p)
             if iv.upper is not None:
-                upper_p = justify(name, inv, "upper", iv.upper)
+                upper_p = found[name, inv, "upper"]
                 entries.append(upper_p)
             if iv.crossed and contradiction is None:
                 # bounds crossed: the declared inputs for this space are
@@ -342,16 +329,10 @@ def ganea_check(solution: Solution, space: str) -> GaneaResult:
     equal to the stabilized bound sigmacat.  Anything else is reported as
     unknown; the check never claims a failure.
     """
-    state = solution.states[space]
-    if solution.contradiction_for(space) is not None:
-        return GaneaResult(space, "unknown", None)
-    cat = state.intervals["cat"]
-    if not cat.determined:
-        return GaneaResult(space, "unknown", None)
-    cup = state.intervals["cup"]
-    if cup.determined and cup.lower == cat.lower:
-        return GaneaResult(space, "holds", "cup-equality")
-    sigma = state.intervals["sigmacat"]
-    if sigma.determined and sigma.lower == cat.lower:
-        return GaneaResult(space, "holds", "sigmacat-equality")
+    intervals = solution.states[space].intervals
+    cat = intervals["cat"]
+    if cat.determined and all(c.space != space for c in solution.contradictions):
+        for inv, rule in (("cup", "cup-equality"), ("sigmacat", "sigmacat-equality")):
+            if intervals[inv].determined and intervals[inv].lower == cat.lower:
+                return GaneaResult(space, "holds", rule)
     return GaneaResult(space, "unknown", None)

@@ -358,6 +358,8 @@ def test_ring_errors_come_in_a_fixed_order(p, gens, subs, message):
 def test_duplicate_generator_names_rejected():
     with pytest.raises(AlgebraError, match="duplicate"):
         RingPresentation(2, [("x", 1, 2), ("x", 3, 2)])
+    with pytest.raises(AlgebraError, match="^generator name must be nonempty$"):
+        RingPresentation(2, [("", 1, 2)])
 
 
 def test_degree_and_trunc_and_weight_bounds():
@@ -403,6 +405,24 @@ def test_generator_cannot_carry_two_rules():
             [("x1", 1, 4), ("x2", 2, 2)],
             substitutions={"x1": Substitution(2, 1, (("x2", 1),))},
         )
+    # a zero relation is a truncation too
+    with pytest.raises(AlgebraError, match="'x1' has both a truncation and a relation$"):
+        RingPresentation(2, [("x1", 1, 4)], substitutions={"x1": Substitution(2, 0, ())})
+
+
+def test_substitution_exponents_are_checked():
+    with pytest.raises(AlgebraError, match="^substitution exponent on 'x1' must be >= 2$"):
+        RingPresentation(
+            2,
+            [("x1", 2), ("x2", 2, 2)],
+            substitutions={"x1": Substitution(1, 1, (("x2", 1),))},
+        )
+    with pytest.raises(AlgebraError, match="^substitution target exponents must be >= 1$"):
+        RingPresentation(
+            2,
+            [("x1", 1), ("x2", 2, 2)],
+            substitutions={"x1": Substitution(2, 1, (("x2", 0),))},
+        )
 
 
 def test_odd_prime_rejects_inconsistent_odd_generators():
@@ -425,6 +445,16 @@ def test_unknown_substitution_names_rejected():
         RingPresentation(
             2, [("x", 1)], substitutions={"x": Substitution(2, 1, (("q", 1),))}
         )
+
+
+def test_ring_lookups_refuse_what_the_ring_does_not_have():
+    ring = sub_ring()
+    with pytest.raises(AlgebraError, match="^unknown generator 'nope'$"):
+        ring.index("nope")
+    with pytest.raises(AlgebraError, match="^exponents must be non-negative$"):
+        ring.monomial({"x1": -1})
+    with pytest.raises(AlgebraError, match="^monomial has wrong exponent vector length$"):
+        normal_form(Monomial(1, (1,)), ring)
 
 
 def test_non_nilpotent_presentation_is_reported():

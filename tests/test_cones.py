@@ -219,6 +219,8 @@ def test_bundle_record_validation():
         BundleRecord("b", "T", "F", "B", "F", 0, 0, 7)
     with pytest.raises(ConeError, match="0 <= s <= d-1"):
         BundleRecord("b", "T", "F", "B", "F", 2, 2, 8)
+    with pytest.raises(ConeError, match="base dimension must be >= 0"):
+        BundleRecord("b", "T", "F", "B", "F", 2, 0, -1)
     with pytest.raises(ConeError, match="smaller than the cell period"):
         BundleRecord("b", "T", "F", "B", "F", 2, 0, 1)
     BundleRecord("b", "T", "F", "B", "F", 2, 0, 0)  # a point base is fine

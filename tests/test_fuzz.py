@@ -7,8 +7,9 @@ carry faults: at some choices an out-of-range value, a malformed relation or
 a dangling name takes the place of the valid option, so every stage meets
 input it must refuse, while the other half reach the solver.  Each document
 goes through parse, link, propagate and both renderings; nothing may raise
-but the errors the command line reports.  A document that parses cleanly
-must also survive render and parse unchanged.
+but the errors the command line reports, and every settled interval end
+must be credited to a rule.  A document that parses cleanly must also
+survive render and parse unchanged.
 """
 
 from math import gcd
@@ -146,5 +147,15 @@ def test_grammar_documents_fail_only_with_reported_errors(text):
         solution = propagate(link([doc]), max_search=MAX_SEARCH)
     except _ERRORS:
         return
+    # every positive lower end and every finite upper end, and nothing else,
+    # is credited at its value
+    for name, state in solution.states.items():
+        ends = []
+        for inv, iv in state.intervals.items():
+            if iv.lower > 0:
+                ends.append((name, inv, "lower", iv.lower))
+            if iv.upper is not None:
+                ends.append((name, inv, "upper", iv.upper))
+        assert [e[:4] for e in solution.provenance[name]] == ends
     render_table(solution)
     solution_json(solution)

@@ -2,11 +2,12 @@ import pytest
 
 from catbound import solver
 from catbound.catalog import link
+from catbound.cli import render_table
 from catbound.cones import check_compatibility
 from catbound.corpus import load_corpus
 from catbound.cup import space_weights, weighted_wgt_lower
-from catbound.dsl import parse
-from catbound.solver import Interval, ganea_check, propagate
+from catbound.dsl import KnownFact, SourceDocument, SpaceDecl, parse
+from catbound.solver import Interval, Provenance, ganea_check, propagate
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +85,10 @@ def test_recorded_fact_carries_its_citation(corpus_solution):
 
 
 def test_wcat_interval_only_exists_when_recorded(corpus_solution):
-    assert corpus_solution.states["Sp(3)"].has_wcat
+    assert "wcat" in corpus_solution.states["Sp(3)"].intervals
     wcat = corpus_solution.interval("Sp(3)", "wcat")
     assert (wcat.lower, wcat.upper) == (5, None)
-    assert not corpus_solution.states["SO(5)"].has_wcat
+    assert "wcat" not in corpus_solution.states["SO(5)"].intervals
 
 
 def test_no_contradictions_in_the_shipped_corpus(corpus_solution):
@@ -299,6 +300,21 @@ def test_a_crossed_wcat_interval_is_a_contradiction_not_a_crash():
     x = s.contradictions[0]
     assert (x.lower.value, x.upper.value) == (4, 3)
     assert "one source" in x.lower.detail and "another" in x.upper.detail
+
+
+def test_a_crossing_without_a_lower_bound_has_a_trivial_lower_side():
+    # the parser refuses a negative value, so the document is built by hand
+    document = SourceDocument(
+        None,
+        [SpaceDecl("X", (), (), dim=3), KnownFact("X", "cat", "upper", -1, "hand-built")],
+        [],
+    )
+    s = propagate(link([document]))
+    [c] = s.contradictions
+    assert c.lower == Provenance("X", "cup", "lower", 0, "trivial", "")
+    assert render_table(s).splitlines()[-1] == (
+        "X: cup lower 0 (trivial: ) vs upper -1 (chain: sigmacat upper end)"
+    )
 
 
 # -- one definition per rule ---------------------------------------------------------
