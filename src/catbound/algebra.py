@@ -462,6 +462,8 @@ def nilpotency_order(name: str, ring: RingPresentation) -> int:
     grow the exponents that truncations test, so g^k = 0 is monotone in k:
     double, then bisect."""
     factor, at = ring._homes[ring.index(name)]
+    if factor.subs[at] is None:  # no rule: g^k = 0 exactly when k reaches the cap
+        return factor.caps[at]
 
     def vanishes(k: int) -> bool:
         exps = [0] * len(factor.gens)

@@ -4,13 +4,11 @@ Every space carries one interval per invariant in the chain
 
     cup <= sigmacat <= cat <= Cat
 
-(wcat is recorded when facts mention it but never propagated).  Each rule is
-one generator of candidate bounds (space, invariant, side, value, detail)
-read from the current state.  A candidate only raises a lower end or cuts an
-upper end, so the rules are monotone maps on a finite lattice: applying them
-in any order until nothing changes reaches the same fixpoint.  A seed may
-shuffle the rule order; the result is identical by construction.  The first
-five rules read only the catalog and run in the first pass alone.
+(wcat is recorded when facts mention it but never propagated).  Each rule
+yields candidate bounds; a candidate only raises a lower end or cuts an upper
+end, so the rules are monotone maps on a finite lattice: applying them in any
+order until nothing changes reaches the same fixpoint.  A seed may shuffle
+the order; the result is identical by construction.
 
 Rules, in canonical order:
   ring-cup       longest nonzero product in a presented ring -> cup.lower
@@ -24,9 +22,13 @@ Rules, in canonical order:
                  stagewise bound refuses, applied to cat.upper
   chain          lower ends push up the chain, upper ends push down
 
-Each bundle is certified once per solve.  Provenance is one more pass over
-the same generators, in canonical order, on the final state: each settled
-end is credited to the first candidate equal to it.  A space whose interval
+The first five read only the catalog and run once per solve; each bundle is
+certified once.  Then a worklist settles each space after the spaces it
+reads: a visit applies the products and refused bundles that bound the space
+and closes its chain in closed form, and only a change of its cat or Cat
+upper end queues the spaces that read it again.  Provenance is credited from
+what the settle left, without replaying the rules: each settled end goes to
+the first candidate, in canonical order, equal to it.  A space whose interval
 ends cross (possible only if the declared inputs are themselves
 inconsistent) is reported as a contradiction with a provenance entry per
 side; remaining spaces are unaffected.
@@ -34,6 +36,7 @@ side; remaining spaces are unaffected.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import NamedTuple
 
 from .catalog import Catalog
@@ -144,12 +147,12 @@ def _certify(catalog: Catalog) -> list:
     return [(bundle, check_compatibility(bundle).bound) for bundle in bundles]
 
 
-# -- rules -------------------------------------------------------------------
-# Each rule yields candidate bounds (space, invariant, side, value, detail)
-# from the current state; `bundles` is `_certify`'s list.
+# -- static rules --------------------------------------------------------------
+# Each yields candidate bounds (space, invariant, side, value, detail) read
+# from the catalog alone; `bundles` is `_certify`'s list.
 
 
-def _rule_ring_cup(catalog, states, cache, bundles):
+def _rule_ring_cup(catalog, cache, bundles):
     for name, space in catalog.spaces.items():
         if space.ring is not None:
             value, witness = cache.search(space.ring, (1,) * space.ring.ngens)
@@ -158,7 +161,7 @@ def _rule_ring_cup(catalog, states, cache, bundles):
                 yield name, "cup", "upper", value, "complete presentation"
 
 
-def _rule_ring_weight(catalog, states, cache, bundles):
+def _rule_ring_weight(catalog, cache, bundles):
     for name, space in catalog.spaces.items():
         if space.ring is not None:
             weights = space_weights(space.ring, space.loopspace_even)
@@ -166,7 +169,7 @@ def _rule_ring_weight(catalog, states, cache, bundles):
             yield name, "sigmacat", "lower", value, f"weighted {witness}"
 
 
-def _rule_recorded_fact(catalog, states, cache, bundles):
+def _rule_recorded_fact(catalog, cache, bundles):
     for fact in catalog.facts:
         if fact.qualifier in ("lower", "exact"):
             yield fact.space, fact.invariant, "lower", fact.value, fact.citation
@@ -174,13 +177,13 @@ def _rule_recorded_fact(catalog, states, cache, bundles):
             yield fact.space, fact.invariant, "upper", fact.value, fact.citation
 
 
-def _rule_dimension(catalog, states, cache, bundles):
+def _rule_dimension(catalog, cache, bundles):
     for name, space in catalog.spaces.items():
         if space.dim is not None:
             yield name, "Cat", "upper", space.dim, f"dim {space.dim}"
 
 
-def _rule_cone_bundle(catalog, states, cache, bundles):
+def _rule_cone_bundle(catalog, cache, bundles):
     for bundle, bound in bundles:
         if bound is not None:
             m = bundle.fiber_decomposition.length
@@ -188,57 +191,49 @@ def _rule_cone_bundle(catalog, states, cache, bundles):
             yield bundle.total, "Cat", "upper", bound, detail
 
 
-def _rule_product(catalog, states, cache, bundles):
-    for prod in catalog.products:
-        left = states[prod.left].intervals
-        right = states[prod.right].intervals
-        for inv in ("cat", "Cat"):
-            a, b = left[inv].upper, right[inv].upper
-            if a is not None and b is not None:
-                detail = f"{prod.left} x {prod.right}: {a} + {b}"
-                yield prod.total, inv, "upper", product_bound(a, b), detail
-
-
-def _rule_fiber_base(catalog, states, cache, bundles):
-    # only where the stagewise bound refuses
-    for bundle, bound in bundles:
-        if bound is not None:
-            continue
-        f = states[bundle.fiber].intervals["cat"].upper
-        b = states[bundle.base].intervals["cat"].upper
-        if f is not None and b is not None:
-            detail = f"bundle {bundle.name}: ({f}+1)({b}+1)-1"
-            yield bundle.total, "cat", "upper", general_bundle_bound(f, b), detail
-
-
-_CHAIN_STEPS = tuple(
-    (lo, hi, f"{lo} lower end", f"{hi} upper end") for lo, hi in zip(CHAIN, CHAIN[1:])
-)
-
-
-def _rule_chain(catalog, states, cache, bundles):
-    for name, state in states.items():
-        intervals = state.intervals
-        for lo, hi, lower_detail, upper_detail in _CHAIN_STEPS:
-            yield name, hi, "lower", intervals[lo].lower, lower_detail
-            upper = intervals[hi].upper
-            if upper is not None:
-                yield name, lo, "upper", upper, upper_detail
-
-
-# (name, static, rule) in canonical order.  A static rule reads only the
-# catalog, so its candidates are the same on every pass, and a satisfied
-# candidate stays satisfied: the fixpoint applies it in its first pass only.
+# (name, rule) in canonical order; each runs once per solve.
 _RULES = (
-    ("ring-cup", True, _rule_ring_cup),
-    ("ring-weight", True, _rule_ring_weight),
-    ("recorded-fact", True, _rule_recorded_fact),
-    ("dimension", True, _rule_dimension),
-    ("cone-bundle", True, _rule_cone_bundle),
-    ("product", False, _rule_product),
-    ("fiber-base", False, _rule_fiber_base),
-    ("chain", False, _rule_chain),
+    ("ring-cup", _rule_ring_cup),
+    ("ring-weight", _rule_ring_weight),
+    ("recorded-fact", _rule_recorded_fact),
+    ("dimension", _rule_dimension),
+    ("cone-bundle", _rule_cone_bundle),
 )
+
+
+# -- state-dependent rules -------------------------------------------------------
+# Each bounds an upper end of one item's total space from the current state,
+# yielding (invariant, value, args); `_DETAILS[rule].format(*args)` is the
+# detail text, made only for a credited candidate.
+
+
+def _rule_product(prod, intervals_of):
+    left, right = intervals_of[prod.left], intervals_of[prod.right]
+    for inv in ("cat", "Cat"):
+        a, b = left[inv].upper, right[inv].upper
+        if a is not None and b is not None:
+            yield inv, product_bound(a, b), (prod.left, prod.right, a, b)
+
+
+def _rule_fiber_base(bundle, intervals_of):
+    # only where the stagewise bound refuses
+    f = intervals_of[bundle.fiber]["cat"].upper
+    b = intervals_of[bundle.base]["cat"].upper
+    if f is not None and b is not None:
+        yield "cat", general_bundle_bound(f, b), (bundle.name, f, b)
+
+
+_DETAILS = {"product": "{} x {}: {} + {}", "fiber-base": "bundle {}: ({}+1)({}+1)-1"}
+
+
+def _close_chain(chain: list[Interval]) -> None:
+    """The chain rule's fixpoint on one space: lower ends take the running
+    max up the chain, upper ends the running min down it."""
+    for lo, hi in zip(chain, chain[1:]):
+        hi.raise_lower(lo.lower)
+    for i in (2, 1, 0):
+        if chain[i + 1].upper is not None:
+            chain[i].cut_upper(chain[i + 1].upper)
 
 
 def propagate(
@@ -253,61 +248,113 @@ def propagate(
         if name in with_wcat:
             intervals["wcat"] = Interval()
         states[name] = SpaceState(intervals)
+    intervals_of = {name: state.intervals for name, state in states.items()}
 
-    order = list(_RULES)
+    rules = list(enumerate(_RULES))
+    queue = list(catalog.spaces)
     if rule_seed is not None:
         import random  # only a seeded solve needs it
 
-        random.Random(rule_seed).shuffle(order)
-    rule_args = (catalog, states, _RingCache(max_search), _certify(catalog))
-    intervals_of = {name: state.intervals for name, state in states.items()}
+        rng = random.Random(rule_seed)
+        rng.shuffle(rules)
+        rng.shuffle(queue)
+    bundles = _certify(catalog)
 
-    changed = True
-    while changed:
-        changed = False
-        for _, _, rule in order:
-            for space, inv, side, value, _ in rule(*rule_args):
-                iv = intervals_of[space][inv]
-                if side == "lower":
-                    changed |= iv.raise_lower(value)
-                else:
-                    changed |= iv.cut_upper(value)
-        order = [row for row in order if not row[1]]
+    # Static rules, once.  Each end keeps the credit (rank, rule, detail,
+    # value) of the candidate that moved it last, or of the candidate of
+    # least canonical rank among those equal to it: whatever the rule order.
+    credit: dict[tuple[str, str, str], tuple] = {}
+    rule_args = (catalog, _RingCache(max_search), bundles)
+    for index, (rule_name, rule) in rules:
+        for rank, (space, inv, side, value, detail) in enumerate(rule(*rule_args)):
+            iv = intervals_of[space][inv]
+            moved = iv.raise_lower(value) if side == "lower" else iv.cut_upper(value)
+            key = (space, inv, side)
+            held = credit.get(key)
+            if moved or (held is not None and value == held[3] and (index, rank) < held[0]):
+                credit[key] = ((index, rank), rule_name, detail, value)
+
+    # inflow[total]: the products and refused bundles bounding it, in
+    # canonical order; feeds[space]: the totals that read it.
+    inflow = {name: [] for name in catalog.spaces}
+    feeds = {name: [] for name in catalog.spaces}
+    for prod in catalog.products:
+        inflow[prod.total].append(("product", _rule_product, prod))
+        feeds[prod.left].append(prod.total)
+        feeds[prod.right].append(prod.total)
+    for bundle, bound in bundles:
+        if bound is None:
+            inflow[bundle.total].append(("fiber-base", _rule_fiber_base, bundle))
+            feeds[bundle.fiber].append(bundle.total)
+            feeds[bundle.base].append(bundle.total)
+
+    # Settle each space after the spaces it reads.  A visit writes only the
+    # visited space, and only its cat and Cat upper ends are read elsewhere,
+    # so a change there re-queues its readers and nothing else.
+    queued = set(queue)
+    queue = deque(queue)
+    while queue:
+        name = queue.popleft()
+        queued.discard(name)
+        intervals = intervals_of[name]
+        before = (intervals["cat"].upper, intervals["Cat"].upper)
+        for _, rule, item in inflow[name]:
+            for inv, value, _ in rule(item, intervals_of):
+                intervals[inv].cut_upper(value)
+        _close_chain([intervals[inv] for inv in CHAIN])
+        if (intervals["cat"].upper, intervals["Cat"].upper) != before:
+            for total in feeds[name]:
+                if total not in queued:
+                    queued.add(total)
+                    queue.append(total)
 
     solution = Solution(states, {}, [])
-    _attach_provenance(solution, rule_args)
+    _attach_provenance(solution, intervals_of, credit, inflow)
     return solution
 
 
 # -- provenance --------------------------------------------------------------
 # Justifications are read off the fixpoint rather than logged during
 # iteration, so the report does not depend on the rule order: each settled
-# end goes to the first candidate, in canonical rule order, equal to it.
-# The rules are monotone, so one always exists; a missing one raises KeyError.
+# end goes to the first candidate, in canonical rule order, equal to it.  The
+# static rules' credit comes first, then the space's inflow re-read on the
+# final state, then its chain neighbour.  The rules are monotone, so one
+# always exists; a missing one raises KeyError.
 
 
-def _attach_provenance(solution: Solution, rule_args: tuple) -> None:
-    states = solution.states
-    found: dict[tuple[str, str, str], Provenance] = {}
-    for rule_name, _, rule in _RULES:
-        for space, inv, side, value, detail in rule(*rule_args):
-            key = (space, inv, side)
-            if key not in found:
-                iv = states[space].intervals[inv]
-                if value == (iv.lower if side == "lower" else iv.upper):
-                    found[key] = Provenance(space, inv, side, value, rule_name, detail)
+# the chain neighbour whose end is a candidate for each (invariant, side)
+_NEIGHBOUR = {(hi, "lower"): lo for lo, hi in zip(CHAIN, CHAIN[1:])}
+_NEIGHBOUR.update({(lo, "upper"): hi for lo, hi in zip(CHAIN, CHAIN[1:])})
 
-    for name in sorted(states):
+
+def _attach_provenance(solution: Solution, intervals_of, credit: dict, inflow: dict) -> None:
+    def credited(name, intervals, inv, side, end) -> Provenance:
+        held = credit.get((name, inv, side))
+        if held is not None and held[3] == end:
+            return Provenance(name, inv, side, end, held[1], held[2])
+        if side == "upper":
+            for rule_name, rule, item in inflow[name]:
+                for got, value, args in rule(item, intervals_of):
+                    if got == inv and value == end:
+                        detail = _DETAILS[rule_name].format(*args)
+                        return Provenance(name, inv, side, end, rule_name, detail)
+        other = _NEIGHBOUR.get((inv, side))
+        if other is not None and getattr(intervals[other], side) == end:
+            return Provenance(name, inv, side, end, "chain", f"{other} {side} end")
+        raise KeyError((name, inv, side))
+
+    for name in sorted(intervals_of):
+        intervals = intervals_of[name]
         entries = []
         contradiction = None
         # chain invariants first, then wcat: the order the intervals are made
-        for inv, iv in states[name].intervals.items():
+        for inv, iv in intervals.items():
             lower_p = upper_p = None
             if iv.lower > 0:
-                lower_p = found[name, inv, "lower"]
+                lower_p = credited(name, intervals, inv, "lower", iv.lower)
                 entries.append(lower_p)
             if iv.upper is not None:
-                upper_p = found[name, inv, "upper"]
+                upper_p = credited(name, intervals, inv, "upper", iv.upper)
                 entries.append(upper_p)
             if iv.crossed and contradiction is None:
                 # bounds crossed: the declared inputs for this space are

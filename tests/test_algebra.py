@@ -480,6 +480,19 @@ def test_nilpotency_order_matches_a_linear_scan():
             assert nilpotency_order(g.name, ring) == expected, (repr(ring), g)
 
 
+def test_a_generator_without_a_rule_vanishes_at_its_cap(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _truncates(*args)
+
+    monkeypatch.setattr(algebra, "_truncates", counted)
+    ring = RingPresentation(2, [("x", 2, 3 * 10**6), ("y", 4, 2)])
+    assert [nilpotency_order(g, ring) for g in ("x", "y")] == [3 * 10**6, 2]
+    assert calls == []
+
+
 def test_factors_are_the_components_of_the_substitution_graph():
     rng = random.Random(20261019)
     for _ in range(100):

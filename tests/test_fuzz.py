@@ -7,14 +7,16 @@ carry faults: at some choices an out-of-range value, a malformed relation or
 a dangling name takes the place of the valid option, so every stage meets
 input it must refuse, while the other half reach the solver.  Each document
 goes through parse, link, propagate and both renderings; nothing may raise
-but the errors the command line reports, and every settled interval end
-must be credited to a rule.  A document that parses cleanly must also
-survive render and parse unchanged.
+but the errors the command line reports, every settled interval end must be
+credited to a rule, and the solution must equal the full-pass reference
+solver's.  A document that parses cleanly must also survive render and parse
+unchanged.
 """
 
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
+from reference_solver import reference_propagate
 
 from catbound.catalog import link
 from catbound.cli import _ERRORS, render_table, solution_json
@@ -144,9 +146,11 @@ def test_grammar_documents_fail_only_with_reported_errors(text):
         again = parse(render(doc))
         assert again.ok and again.declarations == doc.declarations
     try:
-        solution = propagate(link([doc]), max_search=MAX_SEARCH)
+        catalog = link([doc])
+        solution = propagate(catalog, max_search=MAX_SEARCH)
     except _ERRORS:
         return
+    assert solution == reference_propagate(catalog, max_search=MAX_SEARCH)
     # every positive lower end and every finite upper end, and nothing else,
     # is credited at its value
     for name, state in solution.states.items():

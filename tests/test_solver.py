@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from reference_solver import reference_propagate
 
 from catbound import solver
 from catbound.catalog import link
@@ -335,9 +338,8 @@ def test_each_bundle_is_certified_once_per_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("rule_seed", [None, 3])
-def test_static_rules_run_in_the_first_pass_and_for_provenance(monkeypatch, rule_seed):
-    calls = {name: 0 for name, _, _ in solver._RULES}
-    static = {name for name, is_static, _ in solver._RULES if is_static}
+def test_static_rules_run_once_per_solve(monkeypatch, rule_seed):
+    calls = {name: 0 for name, _ in solver._RULES}
 
     def counted(name, rule):
         def wrapper(*args):
@@ -346,14 +348,24 @@ def test_static_rules_run_in_the_first_pass_and_for_provenance(monkeypatch, rule
 
         return wrapper
 
-    rows = tuple((name, flag, counted(name, rule)) for name, flag, rule in solver._RULES)
+    rows = tuple((name, counted(name, rule)) for name, rule in solver._RULES)
     monkeypatch.setattr(solver, "_RULES", rows)
     propagate(load_corpus(), rule_seed=rule_seed)
-    assert {name: calls[name] for name in static} == dict.fromkeys(static, 2)
-    # the state-dependent rules run on every pass (the corpus needs several)
-    # and once more for provenance
-    dynamic = {calls[name] for name in calls if name not in static}
-    assert len(dynamic) == 1 and dynamic.pop() > 3
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def test_the_corpus_settles_each_space_once(monkeypatch):
+    catalog = load_corpus()
+    close_chain = solver._close_chain
+    calls = []
+
+    def counted(chain):
+        calls.append(chain)
+        return close_chain(chain)
+
+    monkeypatch.setattr(solver, "_close_chain", counted)
+    propagate(catalog)
+    assert len(calls) == len(catalog.spaces) == 37
 
 
 def _cat_upper(solution, name):
@@ -405,6 +417,107 @@ def test_corpus_provenance_justifies_every_interval_end(corpus_solution):
             assert e.rule != "derived", e
             iv = corpus_solution.interval(name, e.invariant)
             assert e.value == (iv.lower if e.side == "lower" else iv.upper), e
+
+
+# -- the full-pass solver as a reference -------------------------------------------
+
+
+@pytest.mark.parametrize("rule_seed", [None, *range(10)])
+def test_the_corpus_solves_as_the_reference(rule_seed):
+    catalog = load_corpus()
+    assert propagate(catalog, rule_seed=rule_seed) == reference_propagate(catalog)
+
+
+def _generated_document(seed):
+    """A small catalog with the shapes the settle must order: product chains
+    declared total first, so a total is visited before its factors settle;
+    bundles, certified and refused, between random spaces, cycles included;
+    recorded facts on random invariants, crossings included."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 12)
+    names = [f"X{i}" for i in range(n)]
+    decls = ["ring E over Z/2 { gen a : deg 1 exterior; gen b : deg 2 trunc 3; }"]
+    with_dim = []
+    for name in names:
+        stmts = []
+        if rng.random() < 0.85:
+            dim = rng.randint(2, 24)
+            with_dim.append(name)
+            stmts += [f"dim {dim};", f"connectivity {rng.randint(0, 2)};"]
+            if rng.random() < 0.5:
+                stmts.append(f'stage 1 dim {dim} skeleton "cell";')
+        if rng.random() < 0.3:
+            stmts.append("cohomology E over Z/2;")
+        for _ in range(rng.randint(0, 2)):
+            qualifier, low, high = rng.choice((("", 1, 8), ("lower ", 0, 6), ("upper ", 3, 14)))
+            inv = rng.choice(("cup", "sigmacat", "cat", "Cat", "wcat"))
+            stmts.append(f'known {qualifier}{inv} = {rng.randint(low, high)} from "f";')
+        decls.append(f"space {name} {{ {' '.join(stmts)} }}")
+    for i in range(n - 1):
+        if rng.random() < 0.6:
+            decls.append(f"product {names[i]} = {names[i + 1]} * {rng.choice(names[i + 1:])};")
+    for i in range(rng.randint(1, 4)):
+        fiber, total = rng.choice(names), rng.choice(names)
+        compatibility = rng.choice(("skeletal", "none", "trivial"))
+        decls.append(
+            f"bundle b{i} {{ fiber {fiber}; base {rng.choice(with_dim)}; total {total}; "
+            f"structure-group {fiber}; cells-mod 1 0; compatibility {compatibility}; }}"
+        )
+    return "\n".join(decls)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_generated_catalogs_solve_as_the_reference(seed):
+    catalog = link([doc(_generated_document(seed))])
+    expected = reference_propagate(catalog)
+    for rule_seed in (None, seed):
+        assert propagate(catalog, rule_seed=rule_seed) == expected
+
+
+CYCLES = {
+    "mutually fibred refused bundles": """
+        space A { dim 5; known upper cat = 2 from "a"; }
+        space B { dim 4; known upper cat = 1 from "b"; }
+        space C { dim 9; }
+        bundle ab { fiber A; base B; total C; structure-group A; cells-mod 1 0; }
+        bundle cb { fiber C; base B; total A; structure-group C; cells-mod 1 0; }
+    """,
+    "a product with itself as a factor": """
+        space P { dim 8; }
+        space Q { dim 3; known upper cat = 0 from "contractible"; }
+        product P = P * Q;
+    """,
+    # all three bound cat T by 2: the credit goes to the first in canonical order
+    "the total of two products and of a refused bundle": """
+        space F { dim 3; known upper cat = 0 from "f"; }
+        space B { dim 3; known upper cat = 2 from "b"; }
+        space T { dim 12; }
+        product T = F * B;
+        product T = B * F;
+        bundle fb { fiber F; base B; total T; structure-group F; cells-mod 1 0; }
+    """,
+    "a square": """
+        space Q { dim 2; known upper Cat = 1 from "q"; }
+        space A { dim 5; }
+        product A = Q * Q;
+    """,
+}
+
+
+@pytest.mark.parametrize("name", CYCLES)
+def test_cycles_and_shared_totals_settle_as_the_reference(name):
+    catalog = link([doc(CYCLES[name])])
+    expected = reference_propagate(catalog)
+    for rule_seed in (None, *range(10)):
+        assert propagate(catalog, rule_seed=rule_seed) == expected
+
+
+def test_a_tie_between_inflows_is_credited_in_canonical_order():
+    s = propagate(link([doc(CYCLES["the total of two products and of a refused bundle"])]))
+    entry = next(
+        e for e in s.provenance["T"] if e.invariant == "cat" and e.side == "upper"
+    )
+    assert (entry.rule, entry.value, entry.detail) == ("product", 2, "B x F: 2 + 0")
 
 
 # -- work done per ring ------------------------------------------------------------
