@@ -292,6 +292,7 @@ class RingPresentation:
         # Generator i's tensor factor and its local index there.
         self._homes: tuple[tuple[TensorFactor, int], ...] = tuple(homes)
         self._orders: tuple[int, ...] | None = None
+        self._top_degrees: tuple[tuple[int, ...], ...] | None = None
         # the solver's search caches look rings up by value many times
         self._hash = hash((p, gens))
 
@@ -316,6 +317,29 @@ class RingPresentation:
         if self._orders is None:
             self._orders = tuple(nilpotency_order(g.name, self) for g in self.generators)
         return self._orders
+
+    def top_degrees(self) -> tuple[tuple[int, ...], ...]:
+        """For each tensor factor, in order, the top degrees of the
+        subalgebras on its generators from k on: entry k is
+        sum_{j >= k} deg_j * (r_j - 1), r_j being generator j's rule power t
+        or its cap, and the last entry is 0.  The nonzero normal forms are
+        exactly the monomials with every e_j < r_j and rewriting keeps
+        degree, so no nonzero product in a factor lies above its entry 0,
+        and the ring's top degree is the sum of the entries 0.  Computed
+        once."""
+        if self._top_degrees is None:
+            per_factor = []
+            for factor in self.factors:
+                below = [0]
+                for g, sub, cap in zip(
+                    reversed(factor.gens), reversed(factor.subs), reversed(factor.caps)
+                ):
+                    r = cap if sub is None else sub[0]
+                    below.append(below[-1] + self.generators[g].degree * (r - 1))
+                below.reverse()
+                per_factor.append(tuple(below))
+            self._top_degrees = tuple(per_factor)
+        return self._top_degrees
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingPresentation):

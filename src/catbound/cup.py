@@ -28,13 +28,14 @@ smallest maximiser has e_i < t; that settles the loopspace-even tie
 x1^2 = x2 with x2 weighted 2.  With unit weights a doubling chain collapses
 to its first generator.
 
-The search is a depth-first walk that tries each generator's exponents in
-descending order and cuts a branch once its value plus the admissible suffix
-bound sum_{j>i} w_j * top_j falls strictly below the best value found so far,
-top_j being order_j - 1, or its cap for a collapsed generator.  The bound
-never underestimates a completion, so no maximiser is cut.  Leaves arrive in
-descending lexicographic order and ties replace the current best, so each
-factor's witness is its lexicographically smallest maximiser.
+A factor that keeps two or more generators after the collapse is searched
+in two depth-first phases under one bound, which never underestimates a
+completion: the lesser of sum_{j>i} w_j * top_j (top_j being order_j - 1,
+or its cap for a collapsed generator) and what the degree left below the
+factor's top degree can buy.  The first phase descends and cuts ties too,
+so it proves the value; the second runs only when the first cut a branch
+that might hold a second maximiser, and it ascends to the lexicographically
+smallest one, which is the factor's witness.
 
 Each product is tested for zero on its exponent vector alone.  That is exact:
 over the field Z/p its coefficient is a product of signs and substitution
@@ -101,13 +102,193 @@ class CupResult(NamedTuple):
 
 # Each tensor factor is searched on its own; nodes counts products over the
 # whole ring, so max_nodes (None stands for DEFAULT_MAX_NODES) bounds the total.
-# Within a factor, level i tries e_i from its top down to 0, each as one product
-# mono * x_i^e of local exponent vectors; mono is in normal form, so _truncates
-# starts at i.  A zero product is skipped, not a stop, since a smaller power may
-# survive; a bound strictly below the best is a stop.  Each product with e > 0
-# is one node.  The walk is a loop over explicit per-level state, not a
-# recursion, so a factor with thousands of generators does not exhaust the
+# A node is a product mono * x_i^e with e > 0, in either phase below; mono is
+# the product of the exponents chosen before level i, in normal form, so
+# _truncates starts at i.
+#
+# Within a factor that keeps two or more generators after the collapse, D is
+# its top degree and D_i that of its generators from i on
+# (RingPresentation.top_degrees).  A prefix of value val and degree d
+# extended by x_i^e has degree d' = d + e * deg_i.  If d' > D the product is
+# zero.  Otherwise its completion, a nonzero product of the later
+# generators, has degree at most min(D - d', D_{i+1}), so it adds at most
+# min(suffix[i+1], floor(min(D - d', D_{i+1}) * num / den)), where
+# suffix[i+1] = sum_{j>i} w_j * top_j and num / den is the largest w_j / deg_j
+# over the later generators with top_j > 0.  The bound is not monotone in e,
+# since the degree left grows as e falls, so no walk may stop at the first
+# exponent that fails it.  But each of its terms is linear in e, so the
+# exponents whose bound reaches a target form one interval, which _window
+# finds by integer division; a level walks only that interval.
+#
+# Phase 1 (_find_value) finds the value V.  It walks exponents in descending
+# order and cuts ties as well: a level's interval asks for more than the best
+# value found so far, and it is recomputed when the walk enters the level or
+# the best value has changed since.  It notes whether it cut an exponent whose
+# bound equals the best value; a better leaf found later clears the note.
+# Without the note, every leaf phase 1 reached beat the one before and every
+# branch it cut is worth less than V, so the last leaf is the only maximiser
+# and the witness.  With the note, phase 2 (_find_witness) walks exponents in
+# ascending order under the same bound against V.  It leaves a level at its
+# first zero product, since a higher power of the same prefix is zero too,
+# and it stops at the first leaf worth V: the lexicographically smallest
+# maximiser.  Both walks are loops over explicit per-level state, not
+# recursions, so a factor with thousands of generators does not exhaust the
 # stack.
+def _window(need: int, room: int, top: int, level: tuple) -> tuple[int, int]:
+    """The exponents e in [0, top] at one level whose bound reaches need more
+    than the prefix's value, with room degrees left below D: e * w plus the
+    completion's bound, min(most, floor((room - e * deg) * num / den)), is
+    at least need, and e * deg <= room.  Written with comparisons rather
+    than min and max, which cost more than the arithmetic here."""
+    w, deg, most, num, den, slope = level
+    lo = 0 if need <= most else (need - most + w - 1) // w
+    hi = room // deg
+    if top < hi:
+        hi = top
+    # (room - e * deg) * num >= (need - e * w) * den, linear in e
+    rest = room * num - need * den
+    if slope > 0:
+        cut = rest // slope
+        if cut < hi:
+            hi = cut
+    elif slope < 0:
+        cut = -(rest // -slope)
+        if cut > lo:
+            lo = cut
+    elif rest < 0:
+        hi = -1
+    return lo, hi
+
+
+def _plan(ring: RingPresentation, f: int, w: list[int], tops: list[int]) -> tuple:
+    """The search constants of factor f, given its generators' weights and
+    exponent caps: its rules, the weights, degrees and caps, each level's
+    _window constants, and its top degree."""
+    factor = ring.factors[f]
+    n = len(factor.gens)
+    degs = [ring.generators[g].degree for g in factor.gens]
+    below = ring.top_degrees()[f]
+    # Level i's constants for _window: w_i, deg_i, then the completion's
+    # most = min(suffix[i+1], floor(D_{i+1} * num / den)), num and den, and
+    # slope = deg_i * num - w_i * den.
+    levels = [None] * n
+    suffix, num, den = 0, 0, 1
+    for i in reversed(range(n)):
+        most = min(suffix, below[i + 1] * num // den)
+        levels[i] = (w[i], degs[i], most, num, den, degs[i] * num - w[i] * den)
+        suffix += w[i] * tops[i]
+        if tops[i] and w[i] * den > num * degs[i]:
+            num, den = w[i], degs[i]
+    return factor.subs, factor.caps, w, degs, tops, levels, below[0]
+
+
+def _find_value(
+    plan: tuple, nodes: int, max_nodes: int, ring: RingPresentation
+) -> tuple[int, list[int], bool, int]:
+    """Phase 1: the factor's value, the last leaf found, whether an exponent
+    whose bound equals the value was cut, and the nodes counted so far."""
+    subs, caps, w, degs, tops, levels, top_degree = plan
+    n = len(subs)
+    evec = [0] * n
+    # Level i's state: the exponent it tries next and the last it may try,
+    # the best value its window was computed for (-1: none yet), and the
+    # product, value and degree of the exponents chosen above it.  Only level
+    # 0's entries are read before a descent sets them.
+    next_e = [0] * n
+    last_e = [0] * n
+    seen = [-1] * n
+    monos = [[0] * n] * n
+    vals = [0] * n
+    dsum = [0] * n
+    best_val = 0
+    best_wit = [0] * n
+    tied = False
+    next_e[0] = tops[0]
+    i = 0
+    while i >= 0:
+        if seen[i] != best_val:
+            seen[i] = best_val
+            need = best_val - vals[i]
+            room = top_degree - dsum[i]
+            top = next_e[i]
+            lo, hi = _window(need + 1, room, top, levels[i])
+            if not tied and (lo > 0 or hi < top):
+                # The window drops exponents: is one of them worth a tie?
+                tlo, thi = _window(need, room, top, levels[i])
+                tied = tlo <= thi and (lo > hi or tlo < lo or thi > hi)
+            next_e[i], last_e[i] = hi, lo
+        e = next_e[i]
+        if e < last_e[i]:
+            i -= 1
+            continue
+        next_e[i] = e - 1
+        cur = monos[i]
+        if e > 0:
+            nodes += 1
+            if nodes > max_nodes:
+                raise _over_budget(ring, max_nodes)
+            cur = cur.copy()
+            cur[i] += e
+            if _truncates(cur, subs, caps, i):
+                continue
+        evec[i] = e
+        if i == n - 1:  # the window asked for more than best_val
+            best_val = vals[i] + e * w[i]
+            best_wit = evec.copy()
+            tied = False
+            i -= 1  # a smaller last exponent is worth less, not a tie
+        else:
+            vals[i + 1] = vals[i] + e * w[i]
+            dsum[i + 1] = dsum[i] + e * degs[i]
+            i += 1
+            next_e[i], seen[i], monos[i] = tops[i], -1, cur
+    return best_val, best_wit, tied, nodes
+
+
+def _find_witness(
+    plan: tuple, value: int, nodes: int, max_nodes: int, ring: RingPresentation
+) -> tuple[list[int], int]:
+    """Phase 2: the lexicographically smallest exponent vector worth value,
+    which phase 1 proved the factor's maximum, and the nodes counted so far."""
+    subs, caps, w, degs, tops, levels, top_degree = plan
+    n = len(subs)
+    evec = [0] * n
+    # Level i's state: the exponent it tries next and the last it may try,
+    # and the product, value and degree of the exponents chosen above it.
+    next_e = [0] * n
+    last_e = [0] * n
+    monos = [[0] * n] * n
+    vals = [0] * n
+    dsum = [0] * n
+    next_e[0], last_e[0] = _window(value, top_degree, tops[0], levels[0])
+    i = 0
+    while i >= 0:
+        e = next_e[i]
+        if e > last_e[i]:
+            i -= 1
+            continue
+        next_e[i] = e + 1
+        cur = monos[i]
+        if e > 0:
+            nodes += 1
+            if nodes > max_nodes:
+                raise _over_budget(ring, max_nodes)
+            cur = cur.copy()
+            cur[i] += e
+            if _truncates(cur, subs, caps, i):
+                last_e[i] = -1
+                continue
+        evec[i] = e
+        if i == n - 1:  # the window asked for value: no leaf is worth more
+            return evec, nodes
+        val = vals[i + 1] = vals[i] + e * w[i]
+        d = dsum[i + 1] = dsum[i] + e * degs[i]
+        i += 1
+        monos[i] = cur
+        next_e[i], last_e[i] = _window(value - val, top_degree - d, tops[i], levels[i])
+    raise AssertionError("phase 1 found a value that no vector reaches")
+
+
 def _search(
     ring: RingPresentation,
     weights: tuple[int, ...],
@@ -119,75 +300,43 @@ def _search(
     total = 0
     witness = [0] * ring.ngens
     nodes = 0
-    for factor in ring.factors:
-        if len(factor.gens) == 1:
-            # A lone generator carries no substitution, so its top power
-            # survives: the walk below would take one node to find it, but
-            # its setup costs several times more, and most factors are
-            # lone generators.
-            g = factor.gens[0]
-            nodes += 1
-            if nodes > max_nodes:
-                raise _over_budget(ring, max_nodes)
-            total += weights[g] * (orders[g] - 1)
-            witness[g] = orders[g] - 1
-            continue
-        subs, caps = factor.subs, factor.caps
-        n = len(subs)
-        w = [weights[g] for g in factor.gens]
-        tops = [orders[g] - 1 for g in factor.gens]
-        for i, sub in enumerate(subs):
-            # x_i^t = c * x_j: with w_j < t * w_i no maximiser uses x_j,
-            # otherwise the smallest maximiser has e_i < t.
-            if sub is not None and len(sub[1]) == 1:
-                (j, a), = sub[1]
-                if a == 1:
-                    if w[j] < sub[0] * w[i]:
-                        tops[j] = 0
-                    else:  # min: an earlier rule may have fixed e_i = 0
-                        tops[i] = min(tops[i], sub[0] - 1)
-        # suffix[i]: the most that generators i, i+1, ... can still add.
-        suffix = [0] * (n + 1)
-        for i in reversed(range(n)):
-            suffix[i] = suffix[i + 1] + w[i] * tops[i]
-        best_val = 0
-        best_wit = [0] * n
-        evec = [0] * n
-        # Level i's state: the exponent it tries next, and the product and
-        # value of the exponents chosen above it.  Only level 0's entries are
-        # read before a descent sets them.
-        next_e = tops.copy()
-        monos = [[0] * n] * n
-        vals = [0] * n
-        i = 0
-        while i >= 0:
-            e = next_e[i]
-            val = vals[i]
-            if e < 0 or val + e * w[i] + suffix[i + 1] < best_val:
-                i -= 1  # smaller exponents only lower the bound further
+    for f, factor in enumerate(ring.factors):
+        g = factor.gens[0]
+        top = orders[g] - 1
+        if len(factor.gens) > 1:
+            w = [weights[k] for k in factor.gens]
+            tops = [orders[k] - 1 for k in factor.gens]
+            for i, sub in enumerate(factor.subs):
+                # x_i^t = c * x_j: with w_j < t * w_i no maximiser uses x_j,
+                # otherwise the smallest maximiser has e_i < t.
+                if sub is not None and len(sub[1]) == 1:
+                    (j, a), = sub[1]
+                    if a == 1:
+                        if w[j] < sub[0] * w[i]:
+                            tops[j] = 0
+                        else:  # min: an earlier rule may have fixed e_i = 0
+                            tops[i] = min(tops[i], sub[0] - 1)
+            if tops.count(0) < len(tops) - 1:
+                plan = _plan(ring, f, w, tops)
+                value, best, tied, nodes = _find_value(plan, nodes, max_nodes, ring)
+                if tied:
+                    best, nodes = _find_witness(plan, value, nodes, max_nodes, ring)
+                total += value
+                for k, e in zip(factor.gens, best):
+                    witness[k] = e
                 continue
-            next_e[i] = e - 1
-            cur = monos[i]
-            if e > 0:
-                nodes += 1
-                if nodes > max_nodes:
-                    raise _over_budget(ring, max_nodes)
-                cur = cur.copy()
-                cur[i] += e
-                if _truncates(cur, subs, caps, i):
-                    continue
-            evec[i] = e
-            val += e * w[i]
-            if i == n - 1:
-                if val >= best_val:  # ties: later leaves are lexicographically smaller
-                    best_val = val
-                    best_wit = evec.copy()
-            else:
-                i += 1
-                next_e[i], monos[i], vals[i] = tops[i], cur, val
-        total += best_val
-        for g, e in zip(factor.gens, best_wit):
-            witness[g] = e
+            top = tops[0]
+        # One generator is left: a lone one, which carries no substitution,
+        # or the first of a factor whose other generators the collapse fixed
+        # at 0, such as a doubling chain.  (The first is never a target, so
+        # it keeps a cap of at least 1.)  Its top power survives and is the
+        # only vector worth as much, so it takes the one node the walks would
+        # take, without their setup; most factors are lone generators.
+        nodes += 1
+        if nodes > max_nodes:
+            raise _over_budget(ring, max_nodes)
+        total += weights[g] * top
+        witness[g] = top
     return CupResult(total, tuple(witness))
 
 

@@ -534,6 +534,32 @@ def test_substitution_chain_order_is_the_product():
     assert ring.nilpotency_orders() == (60, 30, 10, 5)
 
 
+def test_top_degree_is_the_highest_nonzero_normal_form():
+    # Entry k of a factor's top degrees is reached by the normal form with
+    # every e_j = r_j - 1 for j >= k, and no nonzero product lies above it.
+    rng = random.Random(20261019)
+    for _ in range(100):
+        ring = random_presentation(rng)
+        orders = ring.nilpotency_orders()
+        assert len(ring.top_degrees()) == len(ring.factors)
+        for factor, below in zip(ring.factors, ring.top_degrees()):
+            assert len(below) == len(factor.gens) + 1 and below[-1] == 0
+            for k, (g, sub, cap) in enumerate(zip(factor.gens, factor.subs, factor.caps)):
+                r = cap if sub is None else sub[0]
+                assert below[k] - below[k + 1] == ring.generators[g].degree * (r - 1)
+            exps = [0] * ring.ngens
+            for g, sub, cap in zip(factor.gens, factor.subs, factor.caps):
+                exps[g] = (cap if sub is None else sub[0]) - 1
+            m = Monomial(1, tuple(exps))
+            assert normal_form(m, ring) == m and degree(m, ring) == below[0]
+            for _ in range(10):
+                exps = [0] * ring.ngens
+                for g in factor.gens:
+                    exps[g] = rng.randint(0, orders[g] - 1)
+                m = normal_form(Monomial(1, tuple(exps)), ring)
+                assert m.is_zero() or degree(m, ring) <= below[0], repr(ring)
+
+
 def _rewrite(exps, ring, start):
     """The rewrite of a whole-ring exponent vector from index start on, one
     tensor factor at a time: True when a truncation fires in some factor."""

@@ -88,3 +88,16 @@ def test_sources_have_documentation():
     assert names == sorted(names)
     here = Path("src/catbound/corpus")
     assert (here / "SOURCES.md").exists()
+
+
+def test_each_shipped_ring_tops_out_at_its_space_dimension():
+    # H^k = 0 above the dimension, and the search's bound reads the ring's
+    # top degree: the sum over its factors of RingPresentation.top_degrees.
+    catalog = load_corpus()
+    checked = set()
+    for space in catalog.spaces.values():
+        if space.ring is not None and space.dim is not None:
+            top = sum(below[0] for below in space.ring.top_degrees())
+            assert top == space.dim, space.name
+            checked.add(space.ring.name)
+    assert checked == set(catalog.rings)

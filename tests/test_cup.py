@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from catbound import algebra
+from catbound import algebra, cup
 from catbound.algebra import (
     AlgebraError,
     Monomial,
@@ -276,9 +276,9 @@ def _budget_cases():
     rings = link([parse(RAND_RINGS)]).rings
     r9, r6 = rings["Rand9_r"], rings["Rand6_r"]
     return [
-        pytest.param(r9, (1,) * 6, 348, 22, (4, 2, 2, 8, 1, 5), id="Rand9_r-cup"),
-        pytest.param(r9, (1, 2, 1, 2, 1, 1), 145, 35, (4, 5, 2, 8, 0, 3), id="Rand9_r-wgt"),
-        pytest.param(r6, (1,) * 6, 93, 19, (5, 1, 5, 2, 1, 5), id="Rand6_r-cup"),
+        pytest.param(r9, (1,) * 6, 33, 22, (4, 2, 2, 8, 1, 5), id="Rand9_r-cup"),
+        pytest.param(r9, (1, 2, 1, 2, 1, 1), 24, 35, (4, 5, 2, 8, 0, 3), id="Rand9_r-wgt"),
+        pytest.param(r6, (1,) * 6, 10, 19, (5, 1, 5, 2, 1, 5), id="Rand6_r-cup"),
         pytest.param(doubling_chain(6), (1,) * 6, 1, 63, (63,) + (0,) * 5, id="C6-cup"),
     ]
 
@@ -385,7 +385,18 @@ def _single_target_pairs(ring, weights):
     return kinds
 
 
-def test_search_matches_the_reference_engine():
+def test_search_matches_the_reference_engine(monkeypatch):
+    # Whether each multi-generator factor's first phase cut a tie, so that
+    # the second phase ran to find the smallest maximiser.
+    tied = []
+    find_value = cup._find_value
+
+    def spy(*args):
+        found = find_value(*args)
+        tied.append(found[2])
+        return found
+
+    monkeypatch.setattr(cup, "_find_value", spy)
     rng = random.Random(20261017)
     seen = set()
     shapes = set()
@@ -396,15 +407,14 @@ def test_search_matches_the_reference_engine():
             shapes.add("split")
         ones = (1,) * ring.ngens
         weights = tuple(rng.randint(1, 3) for _ in ring.generators)
-        shapes |= _single_target_pairs(ring, ones) | _single_target_pairs(ring, weights)
-        res = cup_length(ring)
-        assert (res.value, res.witness) == reference_search(ring, ones), repr(ring)
-        res = weighted_wgt_lower(ring, weights)
-        assert (res.value, res.witness) == reference_search(ring, weights), (
-            repr(ring), weights,
-        )
+        even = space_weights(ring, loopspace_even=True)
+        for w in (ones, weights, even):
+            shapes |= _single_target_pairs(ring, w)
+            res = weighted_wgt_lower(ring, w)
+            assert (res.value, res.witness) == reference_search(ring, w), (repr(ring), w)
     assert seen >= {(p, s) for p in (2, 3, 5) for s in (False, True)}
     assert shapes == {"split", "collapsed", "tie"}
+    assert set(tied) == {False, True}
 
 
 def test_witness_is_the_smallest_of_tied_maximisers():
@@ -413,6 +423,82 @@ def test_witness_is_the_smallest_of_tied_maximisers():
     ring = pu2_ring()
     res = weighted_wgt_lower(ring, (1, 2))
     assert (res.value, res.witness) == reference_search(ring, (1, 2)) == (3, (1, 1))
+
+
+# -- hard rings: a bound from the top degree ----------------------------------
+
+
+def squares_ring(t):
+    """x^2 = y^2, both of degree 2, y^t = 0: cup-length t."""
+    subs = {"x": Substitution(2, 1, (("y", 2),))}
+    return RingPresentation(2, [("x", 2), ("y", 2, t)], subs, name="squares")
+
+
+def product_ring(t):
+    """x^2 = y z, all of degree 2, y^t = z^t = 0: cup-length 2t - 1."""
+    subs = {"x": Substitution(2, 1, (("y", 1), ("z", 1)))}
+    return RingPresentation(2, [("x", 2), ("y", 2, t), ("z", 2, t)], subs, name="product")
+
+
+def cube_ring(t):
+    """x^3 = y z and y^2 = z, of degrees 2, 2 and 4, z^t = 0: cup-length
+    2t + 1."""
+    subs = {
+        "x": Substitution(3, 1, (("y", 1), ("z", 1))),
+        "y": Substitution(2, 1, (("z", 1),)),
+    }
+    return RingPresentation(2, [("x", 2), ("y", 2), ("z", 4, t)], subs, name="cube")
+
+
+def fibonacci_ring(n):
+    """x_i^2 = x_{i+1} x_{i+2}, all of degree 2, the last two cubed to zero:
+    cup-length n + 2, reached by Fibonacci-many raw vectors."""
+    gens = [(f"x{i}", 2) for i in range(n - 2)]
+    gens += [(f"x{n - 2}", 2, 3), (f"x{n - 1}", 2, 3)]
+    subs = {
+        f"x{i}": Substitution(2, 1, ((f"x{i + 1}", 1), (f"x{i + 2}", 1)))
+        for i in range(n - 2)
+    }
+    return RingPresentation(2, gens, subs, name=f"F{n}")
+
+
+@pytest.mark.parametrize(
+    "ring, value",
+    [
+        pytest.param(squares_ring(10**5), 10**5, id="squares-1e5"),
+        pytest.param(squares_ring(10**30), 10**30, id="squares-1e30"),
+        pytest.param(product_ring(1000), 1999, id="product-1000"),
+        pytest.param(product_ring(10**6), 2 * 10**6 - 1, id="product-1e6"),
+        pytest.param(cube_ring(10**4), 2 * 10**4 + 1, id="cube-1e4"),
+        pytest.param(fibonacci_ring(14), 16, id="F14"),
+        pytest.param(fibonacci_ring(40), 42, id="F40"),
+    ],
+)
+def test_hard_rings_answer_within_a_small_budget(ring, value):
+    # Each ran out of the default 2 * 10^6 nodes when the search walked
+    # every tie under a bound blind to the top degree.
+    assert cup_length(ring, max_nodes=_NORTH_STAR_NODES).value == value
+
+
+def test_no_walk_steps_through_an_exponent_range():
+    # Phase 2 must jump over the 10^30 exponents that fail the bound.
+    res = cup_length(squares_ring(10**30), max_nodes=10)
+    assert (res.value, res.witness) == (10**30, (1, 10**30 - 1))
+
+
+@pytest.mark.parametrize(
+    "ring, value",
+    [
+        *(pytest.param(squares_ring(t), t, id=f"squares-{t}") for t in (3, 5, 8, 13)),
+        *(pytest.param(product_ring(t), 2 * t - 1, id=f"product-{t}") for t in (3, 5, 8, 13)),
+        *(pytest.param(cube_ring(t), 2 * t + 1, id=f"cube-{t}") for t in (3, 5, 8, 13)),
+        *(pytest.param(fibonacci_ring(n), n + 2, id=f"F{n}") for n in (4, 6, 8)),
+    ],
+)
+def test_hard_rings_agree_with_the_reference_at_small_truncations(ring, value):
+    res = cup_length(ring)
+    assert (res.value, res.witness) == reference_search(ring, (1,) * ring.ngens)
+    assert res.value == value
 
 
 # -- north-star rings within a small node budget ------------------------------
