@@ -59,6 +59,8 @@ from .algebra import (
 
 DEFAULT_MAX_NODES = 2_000_000
 _ORACLE_MAX_GENS = 3
+_ORACLE_DEGREE_CAP = 12
+_ORACLE_MAX_SPAN = 4096
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -366,11 +368,7 @@ def weighted_wgt_lower(
     return _search(ring, weights, max_nodes)
 
 
-def cup_bruteforce_oracle(
-    ring: RingPresentation,
-    degree_cap: int = 12,
-    max_span: int = 4096,
-) -> int:
+def cup_bruteforce_oracle(ring: RingPresentation) -> int:
     """Independent check for cup_length: the longest nonzero product of
     positive-degree monomials, found by breadth-first closure over a spanning
     set.  Any nonzero product of m elements expands to a nonzero product of m
@@ -386,12 +384,12 @@ def cup_bruteforce_oracle(
     for evec in _cartesian(*(range(b + 1) for b in bounds)):
         if not any(evec):
             continue
-        if sum(e * d for e, d in zip(evec, degs)) > degree_cap:
+        if sum(e * d for e, d in zip(evec, degs)) > _ORACLE_DEGREE_CAP:
             continue
         m = normal_form(Monomial(1, evec), ring)
         if not m.is_zero():
             span.add(m.exps)
-        if len(span) > max_span:
+        if len(span) > _ORACLE_MAX_SPAN:
             raise AlgebraError("oracle spanning set too large")
     if not span:
         return 0

@@ -487,6 +487,36 @@ def test_no_walk_steps_through_an_exponent_range():
 
 
 @pytest.mark.parametrize(
+    "max_nodes, phases",
+    [pytest.param(53, [1], id="phase-1"), pytest.param(67, [1, 2], id="phase-2")],
+)
+def test_the_budget_runs_out_in_either_phase(monkeypatch, max_nodes, phases):
+    # F14 takes 54 nodes to prove its value and 14 more to find its witness.
+    entered = []
+
+    def spy(phase, find):
+        def run(*args):
+            entered.append(phase)
+            return find(*args)
+
+        return run
+
+    monkeypatch.setattr(cup, "_find_value", spy(1, cup._find_value))
+    monkeypatch.setattr(cup, "_find_witness", spy(2, cup._find_witness))
+    message = f"cup search exceeded {max_nodes} nodes on ring 'F14'; raise the budget"
+    with pytest.raises(SearchBudgetExceeded, match=message):
+        cup_length(fibonacci_ring(14), max_nodes=max_nodes)
+    assert entered == phases
+
+
+def test_the_budget_covers_both_phases_exactly():
+    ring = fibonacci_ring(14)
+    res = cup_length(ring, max_nodes=68)
+    assert res.value == 16
+    assert res.witness_str(ring) == "x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12^2 x13^2"
+
+
+@pytest.mark.parametrize(
     "ring, value",
     [
         *(pytest.param(squares_ring(t), t, id=f"squares-{t}") for t in (3, 5, 8, 13)),

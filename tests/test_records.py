@@ -5,7 +5,7 @@ the mutable Interval is a __slots__ class, and a token is a plain str."""
 import pytest
 from hypothesis import given, strategies as st
 
-from catbound.algebra import Substitution
+from catbound.algebra import RingPresentation, Substitution
 from catbound.catalog import LinkError, link
 from catbound.cones import BundleRecord, ConeError, check_compatibility, filtration_ledger
 from catbound.corpus import parse_sources, read_sources
@@ -95,6 +95,13 @@ def test_solutions_compare_by_value():
     assert propagate(catalog, rule_seed=5) == propagate(catalog)
     assert Interval(1, 2) == Interval(1, 2) != Interval(1, None)
     assert repr(Interval(1, None)) == "Interval(lower=1, upper=None)"
+
+
+def test_interval_and_ring_are_unequal_to_foreign_types():
+    # Their __eq__ returns NotImplemented, so Python falls back to identity.
+    assert Interval(1, 2) != (1, 2) and not Interval(1, 2) == (1, 2)
+    ring = RingPresentation(2, [("x", 1, 2)], name="R")
+    assert ring != "R" and not ring == "R"
 
 
 def test_duplicate_facts_and_products_collapse_across_documents():
