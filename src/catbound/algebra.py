@@ -21,7 +21,8 @@ threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 
 class AlgebraError(ValueError):
@@ -55,24 +56,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Generator(NamedTuple):
+class Generator(namedtuple("Generator", "name degree trunc weight", defaults=(None, 1))):
     """A ring generator: name, degree >= 1, optional truncation, search weight."""
 
-    name: str
-    degree: int
-    trunc: int | None = None
-    weight: int = 1
+    __slots__ = ()
 
 
-class Substitution(NamedTuple):
+class Substitution(namedtuple("Substitution", "exponent coeff powers")):
     """Rewrite rule g^exponent -> coeff * prod(powers), later generators only."""
 
-    exponent: int
-    coeff: int
-    powers: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
 
-class TensorFactor(NamedTuple):
+class TensorFactor(namedtuple("TensorFactor", "gens subs caps")):
     """One connected component of a ring's substitution graph, in local
     indices: position k stands for ring generator gens[k], and gens is
     increasing.  subs[k] is None or (t, ((j, a), ...), c) for
@@ -81,16 +77,13 @@ class TensorFactor(NamedTuple):
     the exponents alone take sub[0] and sub[1].  caps[k] is the effective
     truncation of a generator without a substitution, None otherwise."""
 
-    gens: tuple[int, ...]
-    subs: tuple[tuple[int, tuple[tuple[int, int], ...], int] | None, ...]
-    caps: tuple[int | None, ...]
+    __slots__ = ()
 
 
-class Monomial(NamedTuple):
+class Monomial(namedtuple("Monomial", "coeff exps")):
     """coeff * prod(g_i^exps[i]) with exps indexed by ring generator order."""
 
-    coeff: int
-    exps: tuple[int, ...]
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return self.coeff == 0

@@ -16,7 +16,8 @@ documents as they are, filling in copies of the records through `_replace`
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .algebra import RingPresentation
 from .cones import BundleRecord, ConeError
@@ -27,12 +28,8 @@ class LinkError(ValueError):
     pass
 
 
-class Catalog(NamedTuple):
-    rings: dict[str, RingPresentation]
-    spaces: dict[str, SpaceDecl]
-    bundles: dict[str, BundleRecord]
-    products: tuple[ProductDecl, ...]
-    facts: tuple[KnownFact, ...]
+class Catalog(namedtuple("Catalog", "rings spaces bundles products facts")):
+    __slots__ = ()
 
 
 def link(docs: Iterable[SourceDocument]) -> Catalog:
@@ -70,6 +67,13 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                     f"ring {ref.ring!r} is presented over Z/{ring.p}"
                 )
             decl = decl._replace(ring=ring)
+            # H^k = 0 above the dimension, so no nonzero product lies there
+            top = sum(below[0] for below in ring.top_degrees())
+            if decl.dim is not None and top > decl.dim:
+                raise LinkError(
+                    f"space {name!r}: ring {ref.ring!r} has top degree {top}, "
+                    f"above the space dim {decl.dim}"
+                )
         stages = decl.stages
         if stages and decl.dim is not None:
             if stages[-1].attach_dim != decl.dim:

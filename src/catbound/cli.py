@@ -9,7 +9,6 @@ the rule order a seed picks.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .algebra import AlgebraError
@@ -326,6 +325,8 @@ _RING_NAME = ("name", {"help": "ring name, or space name with a presentation"})
 
 def _node_budget(text: str) -> int:
     """--max-search's type: an integer >= 0; anything else exits 2."""
+    import argparse  # loaded already: only the parser calls this
+
     try:
         n = int(text)
     except ValueError:
@@ -355,7 +356,9 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # only the command line needs it, not the library
+
     parser = argparse.ArgumentParser(
         prog="catbound",
         description="category bounds for symbolically presented spaces",

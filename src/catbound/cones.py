@@ -15,7 +15,7 @@ parser and the linker report a ConeError's text as it stands.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class ConeError(ValueError):
@@ -32,7 +32,7 @@ class BoundRefused(RuntimeError):
 
 
 class _Checked:
-    """Mixin for a NamedTuple record that checks the theorem's hypotheses
+    """Mixin for a namedtuple record that checks the theorem's hypotheses
     when it is built: `_check` raises ConeError.  `_replace` goes through the
     constructor, so a filled-in copy is checked again."""
 
@@ -47,23 +47,19 @@ class _Checked:
         return type(self)(**{**self._asdict(), **changes})
 
 
-class ConeStage(NamedTuple):
+class ConeStage(
+    namedtuple("ConeStage", "index attach_dim description skeleton", defaults=("", False))
+):
     """Stage i attaches the cone on some complex K_i; attach_dim is the
     dimension of C(K_i), i.e. of the new top cells.  skeleton marks stages
     that are literal skeleta of the decomposed space."""
 
-    index: int
-    attach_dim: int
-    description: str = ""
-    skeleton: bool = False
+    __slots__ = ()
 
 
-class _ConeDecomposition(NamedTuple):
-    space: str
-    stages: tuple[ConeStage, ...] = ()
-
-
-class ConeDecomposition(_Checked, _ConeDecomposition):
+class ConeDecomposition(
+    _Checked, namedtuple("ConeDecomposition", "space stages", defaults=((),))
+):
     __slots__ = ()
 
     def _check(self):
@@ -90,12 +86,9 @@ class ConeDecomposition(_Checked, _ConeDecomposition):
 CERTIFICATE_KINDS = ("none", "skeletal", "trivial", "verified")
 
 
-class _CompatibilityCertificate(NamedTuple):
-    kind: str = "none"
-    reason: str = ""
-
-
-class CompatibilityCertificate(_Checked, _CompatibilityCertificate):
+class CompatibilityCertificate(
+    _Checked, namedtuple("CompatibilityCertificate", "kind reason", defaults=("none", ""))
+):
     __slots__ = ()
 
     def _check(self):
@@ -105,21 +98,17 @@ class CompatibilityCertificate(_Checked, _CompatibilityCertificate):
             raise ConeError("a verified certificate needs a nonempty reason")
 
 
-class _BundleRecord(NamedTuple):
-    name: str
-    total: str
-    fiber: str
-    base: str
-    structure_group: str
-    d: int
-    s: int
-    # the linker fills these two in from the base and fiber spaces
-    base_dim: int = 0
-    fiber_decomposition: ConeDecomposition | None = None
-    certificate: CompatibilityCertificate = CompatibilityCertificate()
-
-
-class BundleRecord(_Checked, _BundleRecord):
+class BundleRecord(
+    _Checked,
+    namedtuple(
+        "BundleRecord",
+        "name total fiber base structure_group d s"
+        # the linker fills these two in from the base and fiber spaces
+        " base_dim fiber_decomposition"
+        " certificate",
+        defaults=(0, None, CompatibilityCertificate()),
+    ),
+):
     """F -> total -> base with structure group G; d, s describe the base's
     cell structure (base is (d-1)-connected, cells in dims 0..s mod d)."""
 
@@ -141,12 +130,9 @@ class BundleRecord(_Checked, _BundleRecord):
             )
 
 
-class Verdict(NamedTuple):
-    passed: bool
-    rule: str | None
-    reason: str
-    # Cat(total) <= m + floor(base_dim / d) when passed, else None
-    bound: int | None = None
+class Verdict(namedtuple("Verdict", "passed rule reason bound", defaults=(None,))):
+    # bound: Cat(total) <= m + floor(base_dim / d) when passed, else None
+    __slots__ = ()
 
 
 def james_ganea_bound(dim: int, d: int) -> int:
@@ -236,21 +222,16 @@ def general_bundle_bound(cat_fiber: int, cat_base: int) -> int:
 MAX_LEDGER_PIECES = 100_000
 
 
-class LedgerStage(NamedTuple):
+class LedgerStage(namedtuple("LedgerStage", "k pieces dims")):
     """Stage k of the filtration of the total space: the pieces glued on at
     that stage, as pairs (i, j) meaning C(A_i) x C(K_j), with i = 0 or j = 0
     for the one-sided pieces.  dims holds dim(piece), aligned with pieces."""
 
-    k: int
-    pieces: tuple[tuple[int, int], ...]
-    dims: tuple[int, ...]
+    __slots__ = ()
 
 
-class FiltrationLedger(NamedTuple):
-    bundle: str
-    n: int
-    m: int
-    stages: tuple[LedgerStage, ...]
+class FiltrationLedger(namedtuple("FiltrationLedger", "bundle n m stages")):
+    __slots__ = ()
 
     @property
     def total_bound(self) -> int:

@@ -45,8 +45,8 @@ truncation fires while its exponents are rewritten.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product as _cartesian
-from typing import NamedTuple
 
 from .algebra import (
     AlgebraError,
@@ -85,12 +85,11 @@ def space_weights(ring: RingPresentation, loopspace_even: bool) -> tuple[int, ..
     )
 
 
-class CupResult(NamedTuple):
+class CupResult(namedtuple("CupResult", "value witness")):
     """Outcome of a search: the maximum and one witness vector, the
     lexicographically smallest exponent vector attaining the maximum."""
 
-    value: int
-    witness: tuple[int, ...]
+    __slots__ = ()
 
     def witness_str(self, ring: RingPresentation) -> str:
         parts = []

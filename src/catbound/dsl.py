@@ -58,7 +58,7 @@ the declarations after it down with it, still with one diagnostic.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .algebra import AlgebraError, Generator, RingPresentation, Substitution
 from .cones import (
@@ -73,10 +73,8 @@ INVARIANTS = ("cup", "sigmacat", "cat", "Cat", "wcat")
 QUALIFIERS = ("lower", "upper", "exact")
 
 
-class Diagnostic(NamedTuple):
-    line: int
-    col: int
-    message: str
+class Diagnostic(namedtuple("Diagnostic", "line col message")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.line}:{self.col}: {self.message}"
@@ -91,65 +89,54 @@ class DslError(ValueError):
 # in a copy, never the parsed record.
 
 
-class RingDecl(NamedTuple):
-    name: str
-    p: int
-    gens: tuple[Generator, ...]
-    rels: tuple[tuple[str, Substitution], ...]
-    # built once by the parser's validation and reused by the linker
-    presentation: RingPresentation | None = None
-
+class RingDecl(
+    namedtuple(
+        "RingDecl",
+        "name p gens rels"
+        # built once by the parser's validation and reused by the linker
+        " presentation",
+        defaults=(None,),
+    )
+):
+    __slots__ = ()
     kind = "ring"
 
 
-class KnownFact(NamedTuple):
-    space: str | None
-    invariant: str
-    qualifier: str
-    value: int
-    citation: str
-
+class KnownFact(namedtuple("KnownFact", "space invariant qualifier value citation")):
+    __slots__ = ()
     kind = "fact"
 
 
-class CohomologyRef(NamedTuple):
-    ring: str
-    p: int
-    complete: bool = False
+class CohomologyRef(namedtuple("CohomologyRef", "ring p complete", defaults=(False,))):
+    __slots__ = ()
 
 
-class SpaceDecl(NamedTuple):
-    name: str
-    knowns: tuple[KnownFact, ...]
-    stages: tuple[ConeStage, ...]
-    dim: int | None = None
-    connectivity: int | None = None
-    cohomology: CohomologyRef | None = None
-    loopspace_even: bool = False
-    # built by the parser from the stages; a point is a cone tower of length
-    # zero, and any other space without stages has none
-    decomposition: ConeDecomposition | None = None
-    # the presented ring `cohomology` names, filled in by the linker
-    ring: RingPresentation | None = None
-
+class SpaceDecl(
+    namedtuple(
+        "SpaceDecl",
+        "name knowns stages dim connectivity cohomology loopspace_even"
+        # built by the parser from the stages; a point is a cone tower of
+        # length zero, and any other space without stages has none
+        " decomposition"
+        # the presented ring `cohomology` names, filled in by the linker
+        " ring",
+        defaults=(None, None, None, False, None, None),
+    )
+):
+    __slots__ = ()
     kind = "space"
 
 
-class ProductDecl(NamedTuple):
-    total: str
-    left: str
-    right: str
-
+class ProductDecl(namedtuple("ProductDecl", "total left right")):
+    __slots__ = ()
     kind = "product"
 
 
 Declaration = RingDecl | SpaceDecl | BundleRecord | ProductDecl | KnownFact
 
 
-class SourceDocument(NamedTuple):
-    path: str | None
-    declarations: list[Declaration]
-    diagnostics: list[Diagnostic]
+class SourceDocument(namedtuple("SourceDocument", "path declarations diagnostics")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

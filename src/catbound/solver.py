@@ -36,8 +36,7 @@ side; remaining spaces are unaffected.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import NamedTuple
+from collections import deque, namedtuple
 
 from .catalog import Catalog
 from .cones import check_compatibility, general_bundle_bound, product_bound
@@ -87,36 +86,29 @@ class Interval:
         return f"[{self.lower},{hi}]"
 
 
-class Provenance(NamedTuple):
-    space: str
-    invariant: str
-    side: str  # lower | upper
-    value: int
-    rule: str
-    detail: str
+class Provenance(namedtuple("Provenance", "space invariant side value rule detail")):
+    # side: lower | upper
+    __slots__ = ()
 
 
-class Contradiction(NamedTuple):
-    space: str
-    invariant: str
-    lower: Provenance
-    upper: Provenance
+class Contradiction(namedtuple("Contradiction", "space invariant lower upper")):
+    # lower, upper: the Provenance of each crossing bound
+    __slots__ = ()
 
 
-class GaneaResult(NamedTuple):
-    space: str
-    status: str  # holds | unknown
-    rule: str | None  # cup-equality | sigmacat-equality
+class GaneaResult(namedtuple("GaneaResult", "space status rule")):
+    # status: holds | unknown; rule: cup-equality | sigmacat-equality | None
+    __slots__ = ()
 
 
-class SpaceState(NamedTuple):
-    intervals: dict[str, Interval]
+class SpaceState(namedtuple("SpaceState", "intervals")):
+    # intervals: invariant name -> Interval
+    __slots__ = ()
 
 
-class Solution(NamedTuple):
-    states: dict[str, SpaceState]
-    provenance: dict[str, list[Provenance]]
-    contradictions: list[Contradiction]
+class Solution(namedtuple("Solution", "states provenance contradictions")):
+    # states: space -> SpaceState; provenance: space -> [Provenance]
+    __slots__ = ()
 
     def interval(self, space: str, invariant: str) -> Interval:
         return self.states[space].intervals[invariant]

@@ -372,6 +372,18 @@ def test_validate_reports_a_link_error(tmp_path, capsys):
     )
 
 
+def test_a_ring_above_its_space_dim_is_an_error(tmp_path, capsys):
+    # x^k != 0 for k < 10^30 claims classes up to degree 2 * (10^30 - 1)
+    f = tmp_path / "toobig.lsc"
+    f.write_text(
+        f"ring R over Z/2 {{ gen x : deg 2 trunc {10**30}; }}\n"
+        "space X { dim 3; cohomology R over Z/2; }\n"
+    )
+    message = f"space 'X': ring 'R' has top degree {2 * 10**30 - 2}, above the space dim 3"
+    assert run(capsys, "validate", str(f)) == (1, f"link error: {message}\n", "")
+    assert run(capsys, "table", "--corpus", str(f)) == (1, "", f"error: {message}\n")
+
+
 def test_validate_reports_diagnostics_with_positions(tmp_path, capsys):
     f = tmp_path / "bad.lsc"
     f.write_text("ring R over Z/4 { gen x : deg 1 trunc 2; }\n")
@@ -487,9 +499,43 @@ def test_validate_reports_a_non_decimal_digit_without_a_traceback(tmp_path, caps
     assert "Traceback" not in combined
 
 
+# -- help texts ----------------------------------------------------------------
+
+HELP_ARGVS = [["--help"]] + [
+    [command, "--help"]
+    for command in ("cup", "wgt", "bound", "ledger", "table", "check-ganea", "validate")
+]
+
+
+def test_every_help_text_matches_the_golden_file(monkeypatch, capsys):
+    """catbound --help and each subcommand's --help at 80 columns, byte for
+    byte; help.txt heads each text with the command that prints it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for argv in HELP_ARGVS:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        texts.append(f"$ catbound {' '.join(argv)}\n{out}")
+    assert "".join(texts) == (GOLDEN / "help.txt").read_text(encoding="utf-8")
+
+
 # -- import footprint ------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded(flags, statement, modules):
+    """Which of modules a fresh interpreter started with flags has loaded
+    after running statement."""
+    code = f"import sys\n{statement}\nprint(sorted({set(modules)!r} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("flags", [(), ("-X", "dev", "-W", "error")], ids=["plain", "dev"])
@@ -501,15 +547,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_import_footprint(flags, statement):
     """A fresh interpreter loads neither the dataclass machinery nor json,
     on import or through a text-format table."""
-    code = (
-        f"import sys\n{statement}\n"
-        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
-    )
-    done = subprocess.run(
-        [sys.executable, *flags, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert loaded(flags, statement, {"dataclasses", "inspect", "json"}) == "[]"
+
+
+def test_import_footprint_without_site():
+    """site may preload typing and so hide it; without site, importing the
+    package and its command line loads no typing and no argparse either,
+    which only the parser needs."""
+    modules = {"typing", "argparse", "dataclasses", "inspect", "json"}
+    assert loaded(("-S",), "import catbound, catbound.cli", modules) == "[]"

@@ -403,6 +403,12 @@ def test_link_is_order_independent():
         assert link(shuffled) == reference
 
 
+TOP_TOO_HIGH = (
+    "ring E over Z/2 { gen a : deg 1 exterior; gen b : deg 2 trunc 3; }\n"
+    "ring R over Z/2 { gen x : deg 2 trunc 1000; }\n"
+)
+
+
 @pytest.mark.parametrize(
     "source, message",
     [
@@ -449,6 +455,18 @@ def test_link_is_order_independent():
         ),
         ("product P = A * B;", "not a declared space"),
         ('known X cat = 1 from "s";', "undeclared space"),
+        # E tops out at deg a + 2 deg b = 5, R at 2 * 999; the first space
+        # declared is the one named
+        (
+            TOP_TOO_HIGH + "space Y { dim 4; cohomology E over Z/2; }\n"
+            "space X { dim 3; cohomology R over Z/2; }",
+            "^space 'Y': ring 'E' has top degree 5, above the space dim 4$",
+        ),
+        (
+            TOP_TOO_HIGH + "space X { dim 3; cohomology R over Z/2; }\n"
+            "space Y { dim 4; cohomology E over Z/2; }",
+            "^space 'X': ring 'R' has top degree 1998, above the space dim 3$",
+        ),
     ],
 )
 def test_link_errors(source, message):

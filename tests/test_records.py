@@ -1,4 +1,4 @@
-"""Record semantics: value records are immutable NamedTuples, the three
+"""Record semantics: value records are immutable namedtuples, the three
 checking records run their checks in every constructor (linking included),
 the mutable Interval is a __slots__ class, and a token is a plain str."""
 
@@ -34,6 +34,7 @@ def every_record():
         + "ring R over Z/2 { gen x : deg 1 trunc 4; }\n"
         + 'space X { dim 4; cohomology R over Z/2; known cat = 3 from "s"; }\n'
         + "product P = X * X; space P { dim 8; }\n"
+        + 'space C { dim 1; known lower cat = 2 from "s"; }\n'
     )
     catalog = link([doc])
     solution = propagate(catalog)
@@ -45,6 +46,7 @@ def every_record():
         ring.generators[0],
         Substitution(2, 1, (("x", 1),)),
         ring.one(),
+        ring.factors[0],
         catalog.spaces["F"].stages[0],
         bundle.fiber_decomposition,
         bundle.certificate,
@@ -62,6 +64,7 @@ def every_record():
         doc,
         catalog,
         solution.provenance["X"][0],
+        solution.contradictions[0],
         ganea_check(solution, "X"),
         solution.states["X"],
         solution,
@@ -75,6 +78,20 @@ def test_value_records_are_immutable(record):
     with pytest.raises(AttributeError):
         record.extra = None
     assert not hasattr(record, "__dict__")
+
+
+def test_every_record_class_is_in_every_record():
+    # a subclass that forgets __slots__ = () gains a __dict__ unnoticed
+    # unless an instance of it is in every_record()
+    from catbound import algebra, catalog, cones, cup, dsl, solver
+
+    classes = {
+        value
+        for module in (algebra, catalog, cones, cup, dsl, solver)
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, tuple)
+    }
+    assert classes == {type(record) for record in every_record()}
 
 
 def test_interval_is_a_slots_class_and_tokens_are_strings():

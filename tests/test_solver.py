@@ -440,13 +440,15 @@ def _generated_document(seed):
     with_dim = []
     for name in names:
         stmts = []
+        dim = None
         if rng.random() < 0.85:
             dim = rng.randint(2, 24)
             with_dim.append(name)
             stmts += [f"dim {dim};", f"connectivity {rng.randint(0, 2)};"]
             if rng.random() < 0.5:
                 stmts.append(f'stage 1 dim {dim} skeleton "cell";')
-        if rng.random() < 0.3:
+        # E's top degree, 5, may not exceed the dim: H^k = 0 above it
+        if rng.random() < 0.3 and (dim is None or dim >= 5):
             stmts.append("cohomology E over Z/2;")
         for _ in range(rng.randint(0, 2)):
             qualifier, low, high = rng.choice((("", 1, 8), ("lower ", 0, 6), ("upper ", 3, 14)))
