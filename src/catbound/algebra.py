@@ -311,28 +311,36 @@ class RingPresentation:
             self._orders = tuple(nilpotency_order(g.name, self) for g in self.generators)
         return self._orders
 
+    def _spans(self, factor: TensorFactor) -> list[int]:
+        """deg_j * (r_j - 1) for each generator j of a factor, in order, r_j
+        being its rule power t or its cap: the most degree it can add to a
+        nonzero normal form."""
+        return [
+            self.generators[g].degree * ((cap if sub is None else sub[0]) - 1)
+            for g, sub, cap in zip(factor.gens, factor.subs, factor.caps)
+        ]
+
     def top_degrees(self) -> tuple[tuple[int, ...], ...]:
         """For each tensor factor, in order, the top degrees of the
         subalgebras on its generators from k on: entry k is
-        sum_{j >= k} deg_j * (r_j - 1), r_j being generator j's rule power t
-        or its cap, and the last entry is 0.  The nonzero normal forms are
-        exactly the monomials with every e_j < r_j and rewriting keeps
-        degree, so no nonzero product in a factor lies above its entry 0,
-        and the ring's top degree is the sum of the entries 0.  Computed
-        once."""
+        sum_{j >= k} deg_j * (r_j - 1), and the last entry is 0.  The nonzero
+        normal forms are exactly the monomials with every e_j < r_j and
+        rewriting keeps degree, so no nonzero product in a factor lies above
+        its entry 0.  Computed once."""
         if self._top_degrees is None:
             per_factor = []
             for factor in self.factors:
                 below = [0]
-                for g, sub, cap in zip(
-                    reversed(factor.gens), reversed(factor.subs), reversed(factor.caps)
-                ):
-                    r = cap if sub is None else sub[0]
-                    below.append(below[-1] + self.generators[g].degree * (r - 1))
-                below.reverse()
-                per_factor.append(tuple(below))
+                for span in reversed(self._spans(factor)):
+                    below.append(below[-1] + span)
+                per_factor.append(tuple(reversed(below)))
             self._top_degrees = tuple(per_factor)
         return self._top_degrees
+
+    def top_degree(self) -> int:
+        """The ring's top degree, the sum of `top_degrees`' entries 0,
+        without building them."""
+        return sum(sum(self._spans(factor)) for factor in self.factors)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingPresentation):

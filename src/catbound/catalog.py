@@ -32,6 +32,16 @@ class Catalog(namedtuple("Catalog", "rings spaces bundles products facts")):
     __slots__ = ()
 
 
+def _dims_add(where: str, total: SpaceDecl, one: SpaceDecl, other: SpaceDecl) -> None:
+    """Refuse dim(total) > dim(one) + dim(other), when all three are declared."""
+    dims = (total.dim, one.dim, other.dim)
+    if None not in dims and dims[0] > dims[1] + dims[2]:
+        raise LinkError(
+            f"{where}: total {total.name!r} has dim {dims[0]}, above "
+            f"dim {one.name!r} + dim {other.name!r} = {dims[1]} + {dims[2]}"
+        )
+
+
 def link(docs: Iterable[SourceDocument]) -> Catalog:
     # every declaration filed under its kind, in the order it is met
     filed: dict[str, list] = {
@@ -68,11 +78,19 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                 )
             decl = decl._replace(ring=ring)
             # H^k = 0 above the dimension, so no nonzero product lies there
-            top = sum(below[0] for below in ring.top_degrees())
+            top = ring.top_degree()
             if decl.dim is not None and top > decl.dim:
                 raise LinkError(
                     f"space {name!r}: ring {ref.ring!r} has top degree {top}, "
                     f"above the space dim {decl.dim}"
+                )
+            # and H^k = 0 for 0 < k <= the connectivity, so no generator lies there
+            low = [g for g in ring.generators if g.degree <= (decl.connectivity or 0)]
+            if low:
+                raise LinkError(
+                    f"space {name!r}: ring {ref.ring!r} has generator {low[0].name!r} "
+                    f"in degree {low[0].degree}, within the space connectivity "
+                    f"{decl.connectivity}"
                 )
         stages = decl.stages
         if stages and decl.dim is not None:
@@ -100,7 +118,7 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
         name = decl.name
         fiber = space(decl.fiber, f"bundle {name!r}: fiber ")
         base = space(decl.base, f"bundle {name!r}: base ")
-        space(decl.total, f"bundle {name!r}: total ")
+        total = space(decl.total, f"bundle {name!r}: total ")
         if decl.structure_group != "trivial":
             space(
                 decl.structure_group,
@@ -122,14 +140,18 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                 f"bundle {name!r}: cells-mod {decl.d} needs a "
                 f"{decl.d - 1}-connected base"
             )
+        _dims_add(f"bundle {name!r}", total, fiber, base)
         bundles[name] = record
 
     for fact in filed["fact"]:
         space(fact.space, "known fact refers to undeclared space ", "")
     for prod in filed["product"]:
-        space(prod.total, "product statement: total ")
-        space(prod.left, "product statement: left factor ")
-        space(prod.right, "product statement: right factor ")
+        _dims_add(
+            "product statement",
+            space(prod.total, "product statement: total "),
+            space(prod.left, "product statement: left factor "),
+            space(prod.right, "product statement: right factor "),
+        )
     # records sort as tuples of their fields; duplicates collapse
     facts = tuple(sorted(set(filed["fact"])))
     products = tuple(sorted(set(filed["product"])))

@@ -109,17 +109,12 @@ def render_table(solution: Solution) -> str:
     return "\n".join(lines)
 
 
-def solution_json(solution: Solution) -> dict:
-    def prov(p):
-        return {
-            "invariant": p.invariant,
-            "side": p.side,
-            "value": p.value,
-            "rule": p.rule,
-            "detail": p.detail,
-        }
+_PROVENANCE_KEYS = ("invariant", "side", "value", "rule", "detail")
 
+
+def solution_json(solution: Solution) -> dict:
     spaces = {}
+    provenance = solution.provenance
     for name in sorted(solution.states):
         state = solution.states[name]
         result = ganea_check(solution, name)
@@ -130,7 +125,10 @@ def solution_json(solution: Solution) -> dict:
             },
             "ganea": result.status,
             "ganea_rule": result.rule,
-            "provenance": [prov(p) for p in solution.provenance[name]],
+            "provenance": [
+                {"invariant": inv, "side": side, "value": value, "rule": rule, "detail": detail}
+                for inv, side, value, rule, detail, _ in provenance.credits(name)
+            ],
         }
     return {
         "spaces": spaces,
@@ -138,8 +136,8 @@ def solution_json(solution: Solution) -> dict:
             {
                 "space": c.space,
                 "invariant": c.invariant,
-                "lower": prov(c.lower),
-                "upper": prov(c.upper),
+                "lower": dict(zip(_PROVENANCE_KEYS, c.lower[1:])),
+                "upper": dict(zip(_PROVENANCE_KEYS, c.upper[1:])),
             }
             for c in solution.contradictions
         ],

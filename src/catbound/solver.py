@@ -26,17 +26,20 @@ The first five read only the catalog and run once per solve; each bundle is
 certified once.  Then a worklist settles each space after the spaces it
 reads: a visit applies the products and refused bundles that bound the space
 and closes its chain in closed form, and only a change of its cat or Cat
-upper end queues the spaces that read it again.  Provenance is credited from
-what the settle left, without replaying the rules: each settled end goes to
-the first candidate, in canonical order, equal to it.  A space whose interval
-ends cross (possible only if the declared inputs are themselves
-inconsistent) is reported as a contradiction with a provenance entry per
-side; remaining spaces are unaffected.
+upper end queues the spaces that read it again.  Provenance is credited in
+the settle: the end of each visit credits each of the space's ends to the
+first candidate, in canonical order, equal to it, over the previous visit's
+credit, so the last visit's stands.  `Solution.provenance` is a read-only
+mapping that builds a space's `Provenance` records when they are first read.
+A space whose interval ends cross (possible only if the declared inputs are
+themselves inconsistent) is reported as a contradiction with a provenance
+entry per side; remaining spaces are unaffected.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from collections.abc import Iterable, Mapping
 
 from .catalog import Catalog
 from .cones import check_compatibility, general_bundle_bound, product_bound
@@ -107,11 +110,56 @@ class SpaceState(namedtuple("SpaceState", "intervals")):
 
 
 class Solution(namedtuple("Solution", "states provenance contradictions")):
-    # states: space -> SpaceState; provenance: space -> [Provenance]
+    # states: space -> SpaceState; provenance: Provenances
     __slots__ = ()
 
     def interval(self, space: str, invariant: str) -> Interval:
         return self.states[space].intervals[invariant]
+
+
+class Provenances(Mapping):
+    """Read-only map space -> [Provenance], one record per positive lower end
+    and finite upper end, chain invariants first, then wcat.  The solve
+    leaves each end's credit as a plain tuple (invariant, side, value, rule,
+    detail, args), args being a product's or fiber-base bound's (item, ...)
+    and None for the other rules; a space's records are built when first
+    read.  `contradicted` holds the spaces whose ends cross."""
+
+    __slots__ = ("_credits", "_records", "contradicted")
+
+    def __init__(self, credits: dict, contradicted: Iterable[str]):
+        self._credits, self._records = credits, {}
+        self.contradicted = frozenset(contradicted)
+
+    def __getitem__(self, space: str) -> list:
+        if space not in self._records:
+            self._records[space] = [Provenance(space, *end[:5]) for end in self._credits[space]]
+        return self._records[space]
+
+    def __iter__(self):
+        return iter(sorted(self._credits))
+
+    def __len__(self) -> int:
+        return len(self._credits)
+
+    def credits(self, space: str) -> list:
+        """The space's credit tuples, in record order, building no record."""
+        return self._credits[space]
+
+    def inputs(self, space: str, invariant: str, side: str) -> tuple:
+        """The ends (space, invariant, side) this end's credit read: the
+        factors' uppers for product, the fiber's and base's cat uppers for
+        fiber-base, the neighbouring end for chain, none for a static rule.
+        A credit may read itself, through P = P * Q or mutually fibred
+        bundles: such a cycle is listed, and nothing here follows it."""
+        rule, _, args = {end[:2]: end[3:] for end in self._credits[space]}[invariant, side]
+        if rule == "chain":
+            return ((space, _NEIGHBOUR[invariant, side][0], side),)
+        if rule == "product":
+            return ((args[0].left, invariant, "upper"), (args[0].right, invariant, "upper"))
+        if rule == "fiber-base":
+            return ((args[0].fiber, "cat", "upper"), (args[0].base, "cat", "upper"))
+        return ()
 
 
 class _RingCache:
@@ -195,8 +243,8 @@ _RULES = (
 
 # -- state-dependent rules -------------------------------------------------------
 # Each bounds an upper end of one item's total space from the current state,
-# yielding (invariant, value, args); `_DETAILS[rule].format(*args)` is the
-# detail text, made only for a credited candidate.
+# yielding (invariant, value, args) with args[0] the item; the detail text,
+# `_DETAILS[rule].format(*args)`, is made only for a credited candidate.
 
 
 def _rule_product(prod, intervals_of):
@@ -204,7 +252,7 @@ def _rule_product(prod, intervals_of):
     for inv in ("cat", "Cat"):
         a, b = left[inv].upper, right[inv].upper
         if a is not None and b is not None:
-            yield inv, product_bound(a, b), (prod.left, prod.right, a, b)
+            yield inv, product_bound(a, b), (prod, a, b)
 
 
 def _rule_fiber_base(bundle, intervals_of):
@@ -212,10 +260,13 @@ def _rule_fiber_base(bundle, intervals_of):
     f = intervals_of[bundle.fiber]["cat"].upper
     b = intervals_of[bundle.base]["cat"].upper
     if f is not None and b is not None:
-        yield "cat", general_bundle_bound(f, b), (bundle.name, f, b)
+        yield "cat", general_bundle_bound(f, b), (bundle, f, b)
 
 
-_DETAILS = {"product": "{} x {}: {} + {}", "fiber-base": "bundle {}: ({}+1)({}+1)-1"}
+_DETAILS = {
+    "product": "{0.left} x {0.right}: {1} + {2}",
+    "fiber-base": "bundle {0.name}: ({1}+1)({2}+1)-1",
+}
 
 
 def _close_chain(chain: list[Interval]) -> None:
@@ -252,19 +303,19 @@ def propagate(
         rng.shuffle(queue)
     bundles = _certify(catalog)
 
-    # Static rules, once.  Each end keeps the credit (rank, rule, detail,
-    # value) of the candidate that moved it last, or of the candidate of
-    # least canonical rank among those equal to it: whatever the rule order.
-    credit: dict[tuple[str, str, str], tuple] = {}
+    # Static rules, once.  Each end keeps the rank and credit of the
+    # candidate that moved it last, or of the candidate of least canonical
+    # rank among those equal to it: whatever the rule order.
+    static: dict[tuple[str, str, str], tuple] = {}
     rule_args = (catalog, _RingCache(max_search), bundles)
     for index, (rule_name, rule) in rules:
         for rank, (space, inv, side, value, detail) in enumerate(rule(*rule_args)):
             iv = intervals_of[space][inv]
             moved = iv.raise_lower(value) if side == "lower" else iv.cut_upper(value)
             key = (space, inv, side)
-            held = credit.get(key)
-            if moved or (held is not None and value == held[3] and (index, rank) < held[0]):
-                credit[key] = ((index, rank), rule_name, detail, value)
+            held = static.get(key)
+            if moved or (held is not None and value == held[1][2] and (index, rank) < held[0]):
+                static[key] = ((index, rank), (inv, side, value, rule_name, detail, None))
 
     # inflow[total]: the products and refused bundles bounding it, in
     # canonical order; feeds[space]: the totals that read it.
@@ -282,7 +333,11 @@ def propagate(
 
     # Settle each space after the spaces it reads.  A visit writes only the
     # visited space, and only its cat and Cat upper ends are read elsewhere,
-    # so a change there re-queues its readers and nothing else.
+    # so a change there re-queues its readers and nothing else.  The last
+    # visit sees its inflow's final ends, so the credits it writes, over
+    # the previous visit's, are final.
+    credits: dict[str, list] = {}
+    crossings: dict[str, str | None] = {}
     queued = set(queue)
     queue = deque(queue)
     while queue:
@@ -290,75 +345,83 @@ def propagate(
         queued.discard(name)
         intervals = intervals_of[name]
         before = (intervals["cat"].upper, intervals["Cat"].upper)
-        for _, rule, item in inflow[name]:
-            for inv, value, _ in rule(item, intervals_of):
+        candidates = []
+        for rule_name, rule, item in inflow[name]:
+            for inv, value, args in rule(item, intervals_of):
                 intervals[inv].cut_upper(value)
+                candidates.append((inv, value, rule_name, args))
         _close_chain([intervals[inv] for inv in CHAIN])
+        credits[name], crossings[name] = _credit(name, intervals, static, candidates)
         if (intervals["cat"].upper, intervals["Cat"].upper) != before:
             for total in feeds[name]:
                 if total not in queued:
                     queued.add(total)
                     queue.append(total)
 
-    solution = Solution(states, {}, [])
-    _attach_provenance(solution, intervals_of, credit, inflow)
-    return solution
+    # A space whose ends cross has inconsistent declared inputs: report both
+    # sides of its first crossing (one report per space is enough) and leave
+    # the space out of any further reading.
+    contradicted = sorted(name for name, inv in crossings.items() if inv is not None)
+    provenance = Provenances(credits, contradicted)
+    contradictions = []
+    for name in contradicted:
+        inv = crossings[name]
+        lower = intervals_of[name][inv].lower
+        sides = {"lower": Provenance(name, inv, "lower", lower, "trivial", "")}
+        sides.update((p.side, p) for p in provenance[name] if p.invariant == inv)
+        contradictions.append(Contradiction(name, inv, sides["lower"], sides["upper"]))
+    return Solution(states, provenance, contradictions)
 
 
 # -- provenance --------------------------------------------------------------
-# Justifications are read off the fixpoint rather than logged during
-# iteration, so the report does not depend on the rule order: each settled
-# end goes to the first candidate, in canonical rule order, equal to it.  The
-# static rules' credit comes first, then the space's inflow re-read on the
-# final state, then its chain neighbour.  The rules are monotone, so one
-# always exists; a missing one raises KeyError.
+# Justifications are read off the settled state rather than logged as ends
+# move, so the report does not depend on the rule order: each settled end
+# goes to the first candidate, in canonical rule order, equal to it.  The
+# static rules' credit comes first, then the candidates of the space's
+# inflow on its last visit, then its chain neighbour.  The rules are
+# monotone, so one always exists; a missing one raises KeyError.
+
+# the chain neighbour whose end is a candidate for each (invariant, side),
+# with the detail of its credit
+_NEIGHBOUR = {(hi, "lower"): (lo, f"{lo} lower end") for lo, hi in zip(CHAIN, CHAIN[1:])}
+_NEIGHBOUR.update({(lo, "upper"): (hi, f"{hi} upper end") for lo, hi in zip(CHAIN, CHAIN[1:])})
 
 
-# the chain neighbour whose end is a candidate for each (invariant, side)
-_NEIGHBOUR = {(hi, "lower"): lo for lo, hi in zip(CHAIN, CHAIN[1:])}
-_NEIGHBOUR.update({(lo, "upper"): hi for lo, hi in zip(CHAIN, CHAIN[1:])})
-
-
-def _attach_provenance(solution: Solution, intervals_of, credit: dict, inflow: dict) -> None:
-    def credited(name, intervals, inv, side, end) -> Provenance:
-        held = credit.get((name, inv, side))
-        if held is not None and held[3] == end:
-            return Provenance(name, inv, side, end, held[1], held[2])
-        if side == "upper":
-            for rule_name, rule, item in inflow[name]:
-                for got, value, args in rule(item, intervals_of):
-                    if got == inv and value == end:
-                        detail = _DETAILS[rule_name].format(*args)
-                        return Provenance(name, inv, side, end, rule_name, detail)
-        other = _NEIGHBOUR.get((inv, side))
-        if other is not None and getattr(intervals[other], side) == end:
-            return Provenance(name, inv, side, end, "chain", f"{other} {side} end")
-        raise KeyError((name, inv, side))
-
-    for name in sorted(intervals_of):
-        intervals = intervals_of[name]
-        entries = []
-        contradiction = None
-        # chain invariants first, then wcat: the order the intervals are made
-        for inv, iv in intervals.items():
-            lower_p = upper_p = None
-            if iv.lower > 0:
-                lower_p = credited(name, intervals, inv, "lower", iv.lower)
-                entries.append(lower_p)
-            if iv.upper is not None:
-                upper_p = credited(name, intervals, inv, "upper", iv.upper)
-                entries.append(upper_p)
-            if iv.crossed and contradiction is None:
-                # bounds crossed: the declared inputs for this space are
-                # inconsistent; report both sides of the first crossing (one
-                # report per space is enough) and leave the space out of any
-                # further reading
-                if lower_p is None:
-                    lower_p = Provenance(name, inv, "lower", iv.lower, "trivial", "")
-                contradiction = Contradiction(name, inv, lower_p, upper_p)
-        solution.provenance[name] = entries
-        if contradiction is not None:
-            solution.contradictions.append(contradiction)
+def _credit(name, intervals, static, candidates) -> tuple[list, str | None]:
+    """The credit of each positive lower end and finite upper end of one
+    space, chain invariants first, then wcat (the order the intervals are
+    made), and the first invariant whose ends cross, None if none do."""
+    ends = []
+    crossing = None
+    for inv, iv in intervals.items():
+        lower, upper = iv.lower, iv.upper
+        if lower > 0:
+            held = static.get((name, inv, "lower"))
+            if held is not None and held[1][2] == lower:
+                ends.append(held[1])
+            else:
+                other, detail = _NEIGHBOUR.get((inv, "lower"), (None, None))
+                if other is None or intervals[other].lower != lower:
+                    raise KeyError((name, inv, "lower"))
+                ends.append((inv, "lower", lower, "chain", detail, None))
+        if upper is not None:
+            held = static.get((name, inv, "upper"))
+            if held is not None and held[1][2] == upper:
+                ends.append(held[1])
+            else:
+                for got, value, rule, args in candidates:
+                    if got == inv and value == upper:
+                        detail = _DETAILS[rule].format(*args)
+                        ends.append((inv, "upper", upper, rule, detail, args))
+                        break
+                else:
+                    other, detail = _NEIGHBOUR.get((inv, "upper"), (None, None))
+                    if other is None or intervals[other].upper != upper:
+                        raise KeyError((name, inv, "upper"))
+                    ends.append((inv, "upper", upper, "chain", detail, None))
+            if crossing is None and upper < lower:
+                crossing = inv
+    return ends, crossing
 
 
 def ganea_check(solution: Solution, space: str) -> GaneaResult:
@@ -370,7 +433,7 @@ def ganea_check(solution: Solution, space: str) -> GaneaResult:
     """
     intervals = solution.states[space].intervals
     cat = intervals["cat"]
-    if cat.determined and all(c.space != space for c in solution.contradictions):
+    if cat.determined and space not in solution.provenance.contradicted:
         for inv, rule in (("cup", "cup-equality"), ("sigmacat", "sigmacat-equality")):
             if intervals[inv].determined and intervals[inv].lower == cat.lower:
                 return GaneaResult(space, "holds", rule)

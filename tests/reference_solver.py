@@ -19,6 +19,7 @@ from catbound.solver import (
     Contradiction,
     Interval,
     Provenance,
+    Provenances,
     Solution,
     SpaceState,
 )
@@ -179,9 +180,7 @@ def reference_propagate(
                     changed |= iv.cut_upper(value)
         order = [row for row in order if not row[1]]
 
-    solution = Solution(states, {}, [])
-    _attach_provenance(solution, rule_args)
-    return solution
+    return _attach_provenance(states, rule_args)
 
 
 # -- provenance --------------------------------------------------------------
@@ -191,8 +190,7 @@ def reference_propagate(
 # The rules are monotone, so one always exists; a missing one raises KeyError.
 
 
-def _attach_provenance(solution: Solution, rule_args: tuple) -> None:
-    states = solution.states
+def _attach_provenance(states: dict, rule_args: tuple) -> Solution:
     found: dict[tuple[str, str, str], Provenance] = {}
     for rule_name, _, rule in _RULES:
         for space, inv, side, value, detail in rule(*rule_args):
@@ -202,6 +200,8 @@ def _attach_provenance(solution: Solution, rule_args: tuple) -> None:
                 if value == (iv.lower if side == "lower" else iv.upper):
                     found[key] = Provenance(space, inv, side, value, rule_name, detail)
 
+    provenance = {}
+    contradictions = []
     for name in sorted(states):
         entries = []
         contradiction = None
@@ -222,6 +222,10 @@ def _attach_provenance(solution: Solution, rule_args: tuple) -> None:
                 if lower_p is None:
                     lower_p = Provenance(name, inv, "lower", iv.lower, "trivial", "")
                 contradiction = Contradiction(name, inv, lower_p, upper_p)
-        solution.provenance[name] = entries
+        provenance[name] = entries
         if contradiction is not None:
-            solution.contradictions.append(contradiction)
+            contradictions.append(contradiction)
+    # the solver's read-only mapping, holding each record's fields as a credit
+    credits = {name: [(*p[1:], None) for p in entries] for name, entries in provenance.items()}
+    contradicted = {c.space for c in contradictions}
+    return Solution(states, Provenances(credits, contradicted), contradictions)

@@ -403,6 +403,7 @@ def test_link_is_order_independent():
         assert link(shuffled) == reference
 
 
+DIMS = "space F { dim 3; }\nspace B { dim 5; }\nspace T { dim 9; }\n"
 TOP_TOO_HIGH = (
     "ring E over Z/2 { gen a : deg 1 exterior; gen b : deg 2 trunc 3; }\n"
     "ring R over Z/2 { gen x : deg 2 trunc 1000; }\n"
@@ -467,11 +468,48 @@ TOP_TOO_HIGH = (
             "space Y { dim 4; cohomology E over Z/2; }",
             "^space 'X': ring 'R' has top degree 1998, above the space dim 3$",
         ),
+        # H^k = 0 for 0 < k <= the connectivity; E's b lies in degree 2
+        (
+            TOP_TOO_HIGH + "space Y { dim 5; connectivity 2; cohomology E over Z/2; }",
+            "^space 'Y': ring 'E' has generator 'a' in degree 1, "
+            "within the space connectivity 2$",
+        ),
+        (
+            "ring S over Z/2 { gen u : deg 3 exterior; gen v : deg 2 trunc 2; }\n"
+            "space Y { dim 5; connectivity 2; cohomology S over Z/2; }",
+            "^space 'Y': ring 'S' has generator 'v' in degree 2, "
+            "within the space connectivity 2$",
+        ),
+        # a total is no bigger than its parts, the first declared is named
+        (
+            DIMS + "bundle b { fiber F; base B; total T; structure-group F; cells-mod 1 0; }\n"
+            "bundle a { fiber F; base F; total T; structure-group F; cells-mod 1 0; }",
+            r"^bundle 'b': total 'T' has dim 9, above dim 'F' \+ dim 'B' = 3 \+ 5$",
+        ),
+        (
+            DIMS + "product T = F * F;\nproduct T = B * F;",
+            r"^product statement: total 'T' has dim 9, above dim 'F' \+ dim 'F' = 3 \+ 3$",
+        ),
     ],
 )
 def test_link_errors(source, message):
     with pytest.raises(LinkError, match=message):
         link([parse_clean(source)])
+
+
+def test_dim_sums_are_checked_only_where_every_dim_is_declared():
+    catalog = link(
+        [
+            parse_clean(
+                "space F { dim 3; }\nspace B { dim 5; }\nspace T { dim 8; }\n"
+                "space U { }\nspace V { dim 30; }\n"
+                "bundle b { fiber F; base B; total T; structure-group F; cells-mod 1 0; }\n"
+                "bundle u { fiber U; base B; total V; structure-group U; cells-mod 1 0; }\n"
+                "product T = F * B;\nproduct V = U * T;"
+            )
+        ]
+    )
+    assert len(catalog.bundles) == 2 and len(catalog.products) == 2
 
 
 def test_trivial_structure_group_is_a_literal():

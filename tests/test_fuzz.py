@@ -38,6 +38,7 @@ class _Writer:
     def __init__(self, draw):
         self.draw = draw
         self.faulty = draw(st.booleans())
+        self.bounds = {}  # ring name -> (top degree, least degree), as written
 
     def pick(self, options):
         return self.draw(st.sampled_from(options))
@@ -51,7 +52,7 @@ class _Writer:
     def ring(self, name, p):
         n = self.often(self.draw(st.integers(1, 3)), 0)
         degrees = [self.often(self.draw(st.integers(1, 4)), 0) for _ in range(n)]
-        rels = {}
+        rels, powers = {}, {}  # powers: a relation's source -> its rule power
         for src in self.draw(st.lists(st.integers(0, n - 2), max_size=2)) if n > 1 else ():
             tgt = self.draw(st.integers(src + 1, n - 1))
             if p != 2 and degrees[src] % 2:
@@ -64,7 +65,9 @@ class _Writer:
             target = self.pick((f"{GENS[tgt]}^{k}", f"2 * {GENS[tgt]}^{k}", "0"))
             target = self.often(target, GENS[src], f"0 * {GENS[tgt]}", "y^9")
             rels[src] = f"rel {GENS[src]}^{e} = {target};"
+            powers[src] = e
         stmts = []
+        top = 0
         for i, degree in enumerate(degrees):
             if i in rels:
                 trunc = ""
@@ -75,7 +78,11 @@ class _Writer:
             trunc = self.often(trunc, "", " trunc 1", " trunc 3")
             weight = self.often(self.pick(("", " weight 2")), " weight 0")
             stmts.append(f"gen {GENS[i]} : deg {degree}{trunc}{weight};")
+            # deg * (r - 1): r the rule power, else the truncation, else 2
+            r = powers.get(i) or (int(trunc.split()[-1]) if "trunc" in trunc else 2)
+            top += degree * (r - 1)
         stmts += rels.values()
+        self.bounds[name] = (top, min(degrees, default=10**30))
         return f"ring {name} over Z/{p} {{ {' '.join(stmts)} }}"
 
     def known(self, space=""):
@@ -84,20 +91,28 @@ class _Writer:
         return f'known {qualifier}{space}{self.pick(INVARIANTS)} = {value} from "c";'
 
     def space(self, name, rings):
+        # The ring is drawn first.  H^k = 0 above the dim and for 0 < k <= the
+        # connectivity, so the dim is drawn at least the ring's top degree and
+        # the connectivity below its least degree.
+        ring = self.pick(sorted(rings)) if rings and self.draw(st.booleans()) else None
+        top, least = self.bounds[ring] if ring is not None else (0, 10**30)
         # stage dims are nondecreasing and end at the space's dim
         count = self.draw(st.integers(0, 2))
-        dims = sorted(self.often(self.draw(st.integers(1, 8)), 0) for _ in range(count))
+        dims = sorted(
+            self.often(self.draw(st.integers(max(top, 1), top + 8)), 0) for _ in range(count)
+        )
         stmts = [
             f'stage {i} dim {dim}{self.pick(("", " skeleton"))} "s";'
             for i, dim in enumerate(dims, start=1)
         ]
         if dims or self.draw(st.booleans()):
-            dim = self.often(dims[-1], 9) if dims else self.pick(VALUES)
+            above = [v for v in VALUES if v >= top]
+            dim = self.often(dims[-1], 9) if dims else self.pick(above)
             stmts.append(f"dim {dim};")
         if self.draw(st.booleans()):
-            stmts.append(f"connectivity {self.pick(VALUES)};")
-        if rings and self.draw(st.booleans()):
-            ring = self.pick(sorted(rings))
+            connectivity = self.pick([v for v in VALUES if v < least] or [0])
+            stmts.append(f"connectivity {self.often(connectivity, 10**30)};")
+        if ring is not None:
             p = self.often(rings[ring], 7)
             complete = self.pick(("", " complete"))
             stmts.append(f"cohomology {self.often(ring, 'R9')} over Z/{p}{complete};")

@@ -5,7 +5,7 @@ from reference_solver import reference_propagate
 
 from catbound import solver
 from catbound.catalog import link
-from catbound.cli import render_table
+from catbound.cli import render_table, solution_json
 from catbound.cones import check_compatibility
 from catbound.corpus import load_corpus
 from catbound.cup import space_weights, weighted_wgt_lower
@@ -394,7 +394,7 @@ def _tied_bundle(name):
 def test_tied_bundles_credit_the_name_first():
     # zeta is declared first, but alpha comes first by name
     text = TIED_BUNDLES.format(
-        total_dim=20,
+        total_dim=9,
         bundles=_tied_bundle("zeta") + "\n" + _tied_bundle("alpha"),
     )
     s = propagate(link([doc(text)]))
@@ -432,39 +432,56 @@ def _generated_document(seed):
     """A small catalog with the shapes the settle must order: product chains
     declared total first, so a total is visited before its factors settle;
     bundles, certified and refused, between random spaces, cycles included;
-    recorded facts on random invariants, crossings included."""
+    recorded facts on random invariants, crossings included.  A product or
+    bundle whose total's dim exceeds its parts' together is left out, as
+    the linker refuses it."""
     rng = random.Random(seed)
     n = rng.randint(6, 12)
     names = [f"X{i}" for i in range(n)]
     decls = ["ring E over Z/2 { gen a : deg 1 exterior; gen b : deg 2 trunc 3; }"]
     with_dim = []
+    dims = {}
     for name in names:
         stmts = []
-        dim = None
+        dim = dims[name] = None
         if rng.random() < 0.85:
-            dim = rng.randint(2, 24)
+            dim = dims[name] = rng.randint(2, 24)
             with_dim.append(name)
             stmts += [f"dim {dim};", f"connectivity {rng.randint(0, 2)};"]
             if rng.random() < 0.5:
                 stmts.append(f'stage 1 dim {dim} skeleton "cell";')
-        # E's top degree, 5, may not exceed the dim: H^k = 0 above it
+        # E's top degree, 5, may not exceed the dim, and its degree-1
+        # generator needs connectivity 0: H^k = 0 above the dim and up to
+        # the connectivity
         if rng.random() < 0.3 and (dim is None or dim >= 5):
             stmts.append("cohomology E over Z/2;")
+            if dim is not None:
+                stmts[1] = "connectivity 0;"
         for _ in range(rng.randint(0, 2)):
             qualifier, low, high = rng.choice((("", 1, 8), ("lower ", 0, 6), ("upper ", 3, 14)))
             inv = rng.choice(("cup", "sigmacat", "cat", "Cat", "wcat"))
             stmts.append(f'known {qualifier}{inv} = {rng.randint(low, high)} from "f";')
         decls.append(f"space {name} {{ {' '.join(stmts)} }}")
+
+    def fits(total, one, other):
+        return None in (dims[total], dims[one], dims[other]) or (
+            dims[total] <= dims[one] + dims[other]
+        )
+
     for i in range(n - 1):
         if rng.random() < 0.6:
-            decls.append(f"product {names[i]} = {names[i + 1]} * {rng.choice(names[i + 1:])};")
+            right = rng.choice(names[i + 1:])
+            if fits(names[i], names[i + 1], right):
+                decls.append(f"product {names[i]} = {names[i + 1]} * {right};")
     for i in range(rng.randint(1, 4)):
         fiber, total = rng.choice(names), rng.choice(names)
         compatibility = rng.choice(("skeletal", "none", "trivial"))
-        decls.append(
-            f"bundle b{i} {{ fiber {fiber}; base {rng.choice(with_dim)}; total {total}; "
-            f"structure-group {fiber}; cells-mod 1 0; compatibility {compatibility}; }}"
-        )
+        base = rng.choice(with_dim)
+        if fits(total, fiber, base):
+            decls.append(
+                f"bundle b{i} {{ fiber {fiber}; base {base}; total {total}; "
+                f"structure-group {fiber}; cells-mod 1 0; compatibility {compatibility}; }}"
+            )
     return "\n".join(decls)
 
 
@@ -493,15 +510,24 @@ CYCLES = {
     "the total of two products and of a refused bundle": """
         space F { dim 3; known upper cat = 0 from "f"; }
         space B { dim 3; known upper cat = 2 from "b"; }
-        space T { dim 12; }
+        space T { dim 6; }
         product T = F * B;
         product T = B * F;
         bundle fb { fiber F; base B; total T; structure-group F; cells-mod 1 0; }
     """,
     "a square": """
         space Q { dim 2; known upper Cat = 1 from "q"; }
-        space A { dim 5; }
+        space A { dim 4; }
         product A = Q * Q;
+    """,
+    # over a contractible base (f+1)(0+1)-1 = f: each total's cat upper is
+    # credited to the other's
+    "a credit cycle through mutually fibred bundles": """
+        space A { dim 5; }
+        space B { dim 4; known upper cat = 0 from "contractible"; }
+        space C { dim 5; }
+        bundle ab { fiber A; base B; total C; structure-group A; cells-mod 1 0; }
+        bundle cb { fiber C; base B; total A; structure-group C; cells-mod 1 0; }
     """,
 }
 
@@ -520,6 +546,77 @@ def test_a_tie_between_inflows_is_credited_in_canonical_order():
         e for e in s.provenance["T"] if e.invariant == "cat" and e.side == "upper"
     )
     assert (entry.rule, entry.value, entry.detail) == ("product", 2, "B x F: 2 + 0")
+
+
+# -- credit edges, and records built when read ------------------------------------
+
+
+def test_product_and_chain_credits_name_the_ends_they_read(corpus_solution):
+    inputs = corpus_solution.provenance.inputs
+    assert _upper(corpus_solution, "SO(8)", "cat").rule == "product"
+    for inv in ("cat", "Cat"):
+        assert inputs("SO(8)", inv, "upper") == (("SO(7)", inv, "upper"), ("S7", inv, "upper"))
+    # cup upper 12 comes down the chain; cup lower is the ring's, read off the catalog
+    assert inputs("SO(8)", "cup", "upper") == (("SO(8)", "sigmacat", "upper"),)
+    assert inputs("SO(8)", "cat", "lower") == (("SO(8)", "sigmacat", "lower"),)
+    assert inputs("SO(8)", "cup", "lower") == ()
+    with pytest.raises(KeyError):
+        inputs("L7(2)", "cat", "lower")  # a lower end of 0 has no credit
+
+
+def test_a_fiber_base_credit_names_the_fiber_and_base():
+    s = propagate(link([doc(CYCLES["mutually fibred refused bundles"])]))
+    assert _upper(s, "C", "cat").detail == "bundle ab: (2+1)(1+1)-1"
+    read = s.provenance.inputs("C", "cat", "upper")
+    assert read == (("A", "cat", "upper"), ("B", "cat", "upper"))
+
+
+@pytest.mark.parametrize(
+    "name, space, read",
+    [
+        ("a product with itself as a factor", "P", [("P", "cat", "upper")]),
+        ("a credit cycle through mutually fibred bundles", "A", [("C", "cat", "upper")]),
+        ("a credit cycle through mutually fibred bundles", "C", [("A", "cat", "upper")]),
+    ],
+)
+def test_a_credit_cycle_is_recorded_and_not_followed(name, space, read):
+    s = propagate(link([doc(CYCLES[name])]))
+    # inputs takes one step: it lists the end that closes the cycle and returns
+    assert set(read) <= set(s.provenance.inputs(space, "cat", "upper"))
+    assert _upper(s, space, "cat").rule in ("product", "fiber-base")
+
+
+def _upper(solution, name, invariant):
+    return next(
+        e for e in solution.provenance[name] if e.invariant == invariant and e.side == "upper"
+    )
+
+
+def test_the_report_builds_no_provenance_record(monkeypatch, corpus_solution):
+    built = []
+
+    def counted(cls, *fields):
+        built.append(fields)
+        return tuple.__new__(cls, fields)
+
+    monkeypatch.setattr(Provenance, "__new__", counted)
+    s = propagate(load_corpus())
+    render_table(s)
+    solution_json(s)
+    assert s.contradictions == [] and built == []
+    # reading a space's entries builds them, once
+    assert s.provenance["SO(8)"] is s.provenance["SO(8)"]
+    assert len(built) == 8 and s.provenance == corpus_solution.provenance
+
+
+def test_provenance_is_a_read_only_mapping(corpus_solution):
+    provenance = corpus_solution.provenance
+    assert "SO(8)" in provenance and "Nope" not in provenance
+    assert list(provenance) == sorted(corpus_solution.states) and len(provenance) == 37
+    with pytest.raises(TypeError):
+        provenance["SO(8)"] = []
+    with pytest.raises(KeyError):
+        provenance["Nope"]
 
 
 # -- work done per ring ------------------------------------------------------------
@@ -611,3 +708,35 @@ def test_ganea_routes(corpus_solution):
 def test_ganea_never_fails(corpus_solution):
     for name in corpus_solution.states:
         assert ganea_check(corpus_solution, name).status in ("holds", "unknown")
+
+
+class _CountedReads(list):
+    def __iter__(self):
+        self.reads = getattr(self, "reads", 0) + 1
+        return super().__iter__()
+
+
+def test_ganea_verdicts_look_up_the_contradicted_spaces():
+    # 4000 contradicted spaces and 4000 determined ones: each verdict looks
+    # its space up in the set the solve built, so the report stays linear.
+    # K's cat is determined, and equals its sigmacat, but its cup crosses.
+    n = 4000
+    text = "\n".join(
+        [f'space C{i} {{ dim 5; known cat = 4 from "a"; known upper cat = 3 from "b"; }}'
+         for i in range(n)]
+        + [f'space D{i} {{ dim 1; known cat = 1 from "d"; known cup = 1 from "d"; }}'
+           for i in range(n)]
+        + ['space K { dim 5; known cat = 2 from "k"; known lower cup = 2 from "k"; '
+           'known upper cup = 1 from "k"; }']
+    )
+    s = propagate(link([doc(text)]))
+    assert len(s.contradictions) == n + 1
+    assert s.provenance.contradicted == {"K", *(f"C{i}" for i in range(n))}
+    contradictions = _CountedReads(s.contradictions)
+    data = solution_json(s._replace(contradictions=contradictions))
+    assert contradictions.reads == 1  # the JSON's own list, and no verdict's scan
+    verdicts = [(space["ganea"], space["ganea_rule"]) for space in data["spaces"].values()]
+    assert verdicts.count(("holds", "cup-equality")) == n
+    assert verdicts.count(("unknown", None)) == n + 1
+    assert s.interval("K", "cat").determined and s.interval("K", "sigmacat").determined
+    assert ganea_check(s, "K").status == "unknown"
