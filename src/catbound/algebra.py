@@ -132,7 +132,7 @@ class RingPresentation:
                 f"modulus is too large ({p.bit_length()} bits; "
                 "primes below 2^64 are supported)"
             )
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or not (p == 2 or _is_prime(p)):
             raise AlgebraError(f"modulus must be a prime >= 2 (got {p!r})")
         self.p = p
         self.name = name
@@ -183,7 +183,7 @@ class RingPresentation:
         # targets in increasing j with repeated targets merged.
         rules: dict[int, tuple[int, tuple[tuple[int, int], ...], int]] = {}
         self.substitutions: dict[str, Substitution] = {}
-        for src, sub in sorted(subs.items()):
+        for src, sub in sorted(subs.items()) if subs else ():
             if src not in self._index:
                 raise AlgebraError(f"substitution on unknown generator {src!r}")
             i = self._index[src]

@@ -31,28 +31,30 @@ Grammar (statements end with ';', blocks use braces, '#' comments to EOL):
     STRING      := double-quoted, on one line; a backslash escapes '"' or itself
 
 The lexer is one findall of one compiled regex, which also skips blanks,
-newlines and comments.  A token is a plain str, its own source text: a
-STRING keeps its quotes, and "" ends the text.  Tokens carry no position;
-line and column are found only for a diagnostic, in a position table built
-from a finditer of the same regex, at most once per document.  INT takes
-exactly the digits int() accepts: "٣" reads as 3, while a superscript "²"
-is an unexpected character.  NAME letters and digits are ASCII.  An integer
-too long for int() is a diagnostic.
+newlines and comments and tries the commonest token kind, NAME, first.  A
+token is a plain str, its own source text: a STRING keeps its quotes, and
+"" ends the text.  Tokens carry no position; line and column are found
+only for a diagnostic, in a position table built from a finditer of the
+same regex, at most once per document.  INT takes exactly the digits int()
+accepts: "٣" reads as 3, while a superscript "²" is an unexpected
+character.  NAME letters and digits are ASCII.  An integer too long for
+int() is a diagnostic.
 
 "exterior" is sugar for "trunc 2".  "cells-mod d s" states that the base's
 cells sit in dimensions congruent to 0..s mod d.  A top-level "known" names
 the space it concerns; inside a space block the space is implicit.
 
 Statements are dispatched on their leading keyword through one table per
-block (top level, ring, generator attributes, space, bundle), read by one
-block loop.  A single-valued statement or attribute (every one but gen, rel,
-stage, known and loopspace-even) may appear once per block; "trunc" and
-"exterior" fill the same truncation.  Parsing is total: errors become
-diagnostics with line and column, listed in source order, the offending
-declaration is dropped whole, and parsing resumes after the closing brace
-of the block the error occurred in, or, for an error outside a block, at
-the next declaration keyword.  A block missing its "}" therefore takes
-the declarations after it down with it, still with one diagnostic.
+block (top level, ring, space, bundle), read by one block loop; a
+generator reads its attributes in its own loop.  A single-valued statement
+or attribute (every one but gen, rel, stage, known and loopspace-even) may
+appear once per block; "trunc" and "exterior" fill the same truncation.
+Parsing is total: errors become diagnostics with line and column, listed
+in source order, the offending declaration is dropped whole, and parsing
+resumes after the closing brace of the block the error occurred in, or,
+for an error outside a block, at the next declaration keyword.  A block
+missing its "}" therefore takes the declarations after it down with it,
+still with one diagnostic.
 """
 
 from __future__ import annotations
@@ -93,9 +95,8 @@ class RingDecl(
     namedtuple(
         "RingDecl",
         "name p gens rels"
-        # built once by the parser's validation and reused by the linker
+        # built with the record by the parser's validation, reused by the linker
         " presentation",
-        defaults=(None,),
     )
 ):
     __slots__ = ()
@@ -146,18 +147,22 @@ class SourceDocument(namedtuple("SourceDocument", "path declarations diagnostics
 # -- lexer -------------------------------------------------------------------
 
 
-# Blanks, newlines and comments, then one token in the only group: a string
-# (to its closing quote or the end of the line), a punctuation mark, an
-# integer, an identifier, any other character (a bad one), or, at the end
+# Blanks, newlines and comments, then one token in the only group: an
+# identifier, a punctuation mark, an integer, a string (to its closing quote
+# or the end of the line), any other character (a bad one), or, at the end
 # of the text and only there, nothing.  So findall gives the tokens as their
-# own text, then "" (twice when blanks or a comment end the text).
+# own text, then "" (twice when blanks or a comment end the text).  The first
+# four start with different characters, so their order, commonest first, sets
+# only the speed.  re turns a loop over a group far slower than one over a
+# character class: the comment loop starts only at a "#", and a string body's
+# group turns once per backslash.  Possessive quantifiers would need 3.11.
 _TOKEN_RE = re.compile(
     r"""
-    [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*
-    (   "(?:\\["\\]|[^"\n])*"?
+    [ \t\r\n]* (?: \#[^\n]* (?: \n[ \t\r\n]* \#[^\n]* )* [ \t\r\n]* | )
+    (   [A-Za-z][A-Za-z0-9_()/\-]*
       | [{};:=^*]
       | \d+
-      | [A-Za-z][A-Za-z0-9_()/\-]*
+      | "[^"\n\\]* (?: \\["\\]? [^"\n\\]* )* "?
       | .
       |
     )
@@ -172,12 +177,9 @@ _STARTS = _LETTERS | frozenset('{};:=^*"')  # what starts a token but an integer
 def _closed(tok: str) -> bool:
     """Whether a string token ends in its closing quote, that is in a '"'
     after an even run of backslashes."""
-    body = tok[1:-1]
-    return (
-        len(tok) > 1
-        and tok[-1] == '"'
-        and (len(body) - len(body.rstrip("\\"))) % 2 == 0
-    )
+    if len(tok) < 2 or tok[-1] != '"':
+        return False
+    return tok[-2] != "\\" or (len(tok) - len(tok[:-1].rstrip("\\"))) % 2 == 1
 
 
 def _value(tok: str) -> str:
@@ -292,16 +294,14 @@ class _Parser:
 
     def expect_int(self, what: str = "integer") -> int:
         tok = self.tokens[self.pos]
-        if not tok[:1].isdecimal():
-            raise self.found(what)
+        try:  # int() takes no other token, so one call tests and converts
+            value = int(tok)
+        except ValueError:  # not an integer, or beyond the int-conversion limit
+            if not tok[:1].isdecimal():
+                raise self.found(what) from None
+            raise self.error(self.pos, f"{what} is too long ({len(tok)} digits)") from None
         self.pos += 1
-        return self.to_int(self.pos - 1, tok, what)
-
-    def to_int(self, at: int, digits: str, what: str) -> int:
-        try:
-            return int(digits)
-        except ValueError:  # beyond the interpreter's int-conversion limit
-            raise self.error(at, f"{what} is too long ({len(digits)} digits)") from None
+        return value
 
     def expect_string(self, what: str = "string") -> str:
         tok = self.tokens[self.pos]
@@ -350,33 +350,28 @@ class _Parser:
         tok = self.tokens[self.pos]
         return self.error(self.pos, message.format(repr(_value(tok))))
 
-    def block(self, table, target, kind, name, unknown, close="}") -> set:
-        """Statements up to and including the `close` punctuation; returns
-        the slots they filled.  The table maps each keyword to (slot,
-        handler): a statement with a slot may appear once per block (None:
-        it may repeat), and handler(self, keyword_index, target) reads what
-        follows the keyword.  Only a braced block opens with "{" and can be
-        left unclosed; generator attributes run to the ";".  An error raised
-        inside a braced block leaves in_block set, so that recovery skips
+    def block(self, table, target, kind, name, unknown) -> set:
+        """A braced block of statements; returns the slots they filled.  The
+        table maps each keyword to (slot, handler): a statement with a slot
+        may appear once per block (None: it may repeat), and handler(self,
+        keyword_index, target) reads what follows the keyword.  An error
+        raised inside the block leaves in_block set, so that recovery skips
         the rest of the block."""
-        braced = close == "}"
-        if braced:
-            self.expect("{")
-            self.in_block = True
+        self.expect("{")
+        self.in_block = True
         filled: set[str] = set()
         tokens = self.tokens
         while True:
             at = self.pos
             tok = tokens[at]
-            if tok == close:
+            if tok == "}":
                 self.pos = at + 1
-                if braced:
-                    self.in_block = False
+                self.in_block = False
                 return filled
-            if not tok and braced:
-                raise self.error(at, f"unclosed {kind} block {name!r}")
             entry = table.get(tok)
             if entry is None:
+                if not tok:
+                    raise self.error(at, f"unclosed {kind} block {name!r}")
                 raise self.unknown(unknown)
             slot, handler = entry
             if slot is not None:
@@ -411,16 +406,20 @@ class _Parser:
         return SourceDocument(path, decls, self.diags)
 
     def parse_modulus(self) -> int:
+        """"over" and a modulus Z/<p>."""
+        self.expect("over")
         at = self.pos
         tok = self.expect_ident("a modulus of the form Z/<p>")
         digits = tok[2:]
         if not tok.startswith("Z/") or not digits.isdigit():
             raise self.error(at, f"expected a modulus Z/<p>, found {tok!r}")
-        return self.to_int(at, digits, "modulus")
+        try:
+            return int(digits)
+        except ValueError:  # beyond the interpreter's int-conversion limit
+            raise self.error(at, f"modulus is too long ({len(digits)} digits)") from None
 
     def parse_ring(self, start: int) -> RingDecl:
         name = self.expect_ident("ring name")
-        self.expect("over")
         p = self.parse_modulus()
         parts = {"gens": [], "rels": []}
         unknown = "unknown ring statement {} (expected gen or rel)"
@@ -429,9 +428,9 @@ class _Parser:
             raise self.error(
                 start, f"ring {name!r} must declare at least one generator"
             )
-        decl = RingDecl(name, p, tuple(parts["gens"]), tuple(parts["rels"]))
+        fields = (name, p, tuple(parts["gens"]), tuple(parts["rels"]))
         try:
-            return decl._replace(presentation=ring_presentation(decl))
+            return RingDecl(*fields, ring_presentation(fields))
         except AlgebraError as exc:
             raise self.error(start, f"ring {name!r}: {exc}") from None
 
@@ -440,19 +439,24 @@ class _Parser:
         self.expect(":")
         self.expect("deg")
         degree = self.expect_int("degree")
-        attrs: dict[str, int] = {}
-        unknown = "unknown generator attribute {}"
-        self.block(self.GEN, attrs, "generator", name, unknown, close=";")
-        parts["gens"].append(Generator(name, degree, **attrs))
-
-    def gen_trunc(self, _, attrs: dict) -> None:
-        attrs["trunc"] = self.expect_int("truncation")
-
-    def gen_exterior(self, _, attrs: dict) -> None:
-        attrs["trunc"] = 2
-
-    def gen_weight(self, _, attrs: dict) -> None:
-        attrs["weight"] = self.expect_int("weight")
+        trunc = weight = None
+        while (tok := self.tokens[self.pos]) != ";":
+            at = self.pos
+            if tok == "exterior" or tok == "trunc":
+                if trunc is not None:
+                    raise self.error(at, f"generator {name!r}: repeated truncation")
+                self.pos = at + 1
+                trunc = 2 if tok == "exterior" else self.expect_int("truncation")
+            elif tok == "weight":
+                if weight is not None:
+                    raise self.error(at, f"generator {name!r}: repeated weight")
+                self.pos = at + 1
+                weight = self.expect_int("weight")
+            else:
+                raise self.unknown("unknown generator attribute {}")
+        self.pos += 1
+        weight = 1 if weight is None else weight
+        parts["gens"].append(Generator(name, degree, trunc, weight))
 
     def parse_rel(self, _, parts: dict) -> None:
         gen = self.expect_ident("generator name")
@@ -499,7 +503,6 @@ class _Parser:
 
     def space_cohomology(self, _, fields: dict) -> None:
         ring = self.expect_ident("ring name")
-        self.expect("over")
         p = self.parse_modulus()
         complete = self.accept("complete")
         self.expect(";")
@@ -595,11 +598,6 @@ class _Parser:
         "known": parse_known,
     }
     RING = {"gen": (None, parse_gen), "rel": (None, parse_rel)}
-    GEN = {
-        "trunc": ("truncation", gen_trunc),
-        "exterior": ("truncation", gen_exterior),
-        "weight": ("weight", gen_weight),
-    }
     SPACE = {
         "dim": ("dim", space_dim),
         "connectivity": ("connectivity", space_connectivity),
@@ -623,19 +621,16 @@ def parse(text: str, path: str | None = None) -> SourceDocument:
     return _Parser(text).parse_document(path)
 
 
-def ring_presentation(decl: RingDecl) -> RingPresentation:
-    """Build the algebra object a ring declaration denotes (validating it)."""
+def ring_presentation(decl: RingDecl | tuple) -> RingPresentation:
+    """Build the algebra object a ring declaration denotes (validating it)
+    from its first four fields, which the parser passes as a plain tuple."""
+    name, p, gens, rels = decl[:4]
     subs: dict[str, Substitution] = {}
-    for gen, sub in decl.rels:
+    for gen, sub in rels:
         if gen in subs:
             raise AlgebraError(f"two relations on generator {gen!r}")
         subs[gen] = sub
-    return RingPresentation(
-        decl.p,
-        decl.gens,
-        substitutions=subs,
-        name=decl.name,
-    )
+    return RingPresentation(p, gens, substitutions=subs, name=name)
 
 
 # -- renderer ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,108 @@ def test_each_shipped_ring_tops_out_at_its_space_dimension():
             assert top == space.dim, space.name
             checked.add(space.ring.name)
     assert checked == set(catalog.rings)
+
+
+# -- every ring against its closed form in the literature ------------------------
+
+
+def times(a, b):
+    """The product of two polynomials given as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def truncated(d, r):
+    """(1 - t^(d r)) / (1 - t^d) = 1 + t^d + ... + t^(d (r - 1))."""
+    return [int(i % d == 0) for i in range(d * (r - 1) + 1)]
+
+
+def exterior(*degrees):
+    series = [1]
+    for d in degrees:
+        series = times(series, truncated(d, 2))
+    return series
+
+
+def poincare_series(ring):
+    """The product of (1 - t^(d r)) / (1 - t^d) over the ring's generators, r
+    the rule power or the cap: the normal forms with every exponent below
+    its r are a basis of the ring, as top_degrees assumes."""
+    series = [1]
+    for factor in ring.factors:
+        for g, sub, cap in zip(factor.gens, factor.subs, factor.caps):
+            r = cap if sub is None else sub[0]
+            series = times(series, truncated(ring.generators[g].degree, r))
+    return series
+
+
+def closed_form(space, p=2):
+    """The literature's Poincare series of a group's cohomology mod p, or
+    None where no closed form is recorded here."""
+    m = re.fullmatch(r"(SO|SU|Sp|PU)\((\d+)\)", space)
+    if space == "G2":  # mod 2
+        return times([1, 0, 0, 1, 0, 0, 1, 0, 0, 1], truncated(5, 2))
+    if m is None:
+        return None
+    family, n = m[1], int(m[2])
+    if family == "SO":  # mod 2, Borel
+        return exterior(*range(1, n))
+    if family == "SU":
+        return exterior(*range(3, 2 * n, 2))
+    if family == "Sp":
+        return exterior(*range(3, 4 * n, 4))
+    # PU(n) mod p, p^r the largest power of p dividing n (Baum-Browder):
+    # an exterior algebra on 1, 3, ..., 2n - 1 without 2p^r - 1, tensor a
+    # truncated polynomial algebra on y in degree 2 with y^(p^r) = 0; with r
+    # = 0, PU(n) has the cohomology of SU(n) mod p
+    if n % p:
+        return exterior(*range(3, 2 * n, 2))
+    q = p
+    while n % (q * p) == 0:
+        q *= p
+    odd = [d for d in range(1, 2 * n, 2) if d != 2 * q - 1]
+    return times(exterior(*odd), truncated(2, q))
+
+
+def test_every_shipped_ring_has_euler_characteristic_zero_and_tops_at_its_dim():
+    # chi = 0 for every positive-dimensional compact Lie group, and for the
+    # odd-dimensional closed manifolds the corpus holds
+    catalog = load_corpus()
+    for space in catalog.spaces.values():
+        if space.ring is None:
+            continue
+        series = poincare_series(space.ring)
+        assert sum(c if i % 2 == 0 else -c for i, c in enumerate(series)) == 0, space.name
+        assert series[-1] != 0 and len(series) - 1 == space.dim, space.name
+
+
+def test_every_shipped_group_ring_has_its_closed_form():
+    compared = set()
+    for space in load_corpus().spaces.values():
+        if space.ring is None:
+            continue
+        want = closed_form(space.name, space.ring.p)
+        if want is not None:
+            assert poincare_series(space.ring) == want, space.name
+            compared.add(space.name)
+    assert compared == {
+        *(f"SO({n})" for n in (3, 5, 6, 7, 8, 9)),
+        *(f"SU({n})" for n in (2, 3, 4, 5)),
+        *(f"PU({n})" for n in (2, 3, 4, 5)),
+    }
+
+
+@pytest.mark.parametrize("space", ["G2", "Sp(1)", "Sp(2)", "Sp(3)"])
+def test_closed_forms_of_groups_without_a_ring_fit_their_dims(space):
+    # The corpus declares no ring for G2 or Sp(n); their closed forms still
+    # give chi = 0 and the declared dim as their top degree.
+    series = closed_form(space)
+    assert sum(c if i % 2 == 0 else -c for i, c in enumerate(series)) == 0
+    assert len(series) - 1 == load_corpus().spaces[space].dim
+
+
+def test_sp1_has_the_closed_form_of_the_shipped_su2_ring():
+    assert closed_form("Sp(1)") == poincare_series(load_corpus().spaces["SU(2)"].ring)

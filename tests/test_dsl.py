@@ -751,3 +751,69 @@ def test_an_unclosed_block_keeps_the_declarations_before_it(text, diagnostic):
     doc = parse("space A { dim 1; }\n" + text)
     assert [str(d) for d in doc.diagnostics] == [diagnostic]
     assert [(d.kind, d.name) for d in doc.declarations] == [("space", "A")]
+
+
+# Every branch of the generator-attribute loop, each diagnostic at the token
+# it concerns; the generator's attributes start at column 33.
+GEN = "ring R over Z/2 { gen x : deg 2 "
+
+
+@pytest.mark.parametrize(
+    "text, diagnostic, survivors",
+    [
+        (GEN + "exterior trunc 3; }", "1:42: generator 'x': repeated truncation", 1),
+        (GEN + "trunc 3 exterior; }", "1:41: generator 'x': repeated truncation", 1),
+        (GEN + "weight 2 weight 1; }", "1:42: generator 'x': repeated weight", 1),
+        (GEN + "trunc 3 frob; }", "1:41: unknown generator attribute 'frob'", 1),
+        (GEN + '"trunc" 3; }', "1:33: unknown generator attribute 'trunc'", 1),
+        (GEN + "trunc 3 }", "1:41: unknown generator attribute '}'", 1),
+        (GEN + "trunc; }", "1:38: expected truncation, found ';'", 1),
+        (GEN + "trunc exterior; }", "1:39: expected truncation, found 'exterior'", 1),
+        (GEN + f"trunc {'9' * 5000}; }}", "1:39: truncation is too long (5000 digits)", 1),
+        (GEN + f"weight {'9' * 5000}; }}", "1:40: weight is too long (5000 digits)", 1),
+        (GEN + "weight 0 exterior; }", "1:1: ring 'R': weight of 'x' must be an integer >= 1", 1),
+        (GEN + "trunc 3", "1:40: unknown generator attribute ''", 0),
+        (GEN + "exterior", "1:41: unknown generator attribute ''", 0),
+        (GEN + "trunc", "1:38: expected truncation, found ''", 0),
+        (GEN + "weight 1  # c\n", "2:1: unknown generator attribute ''", 0),
+    ],
+    ids=[
+        "exterior-then-trunc",
+        "trunc-then-exterior",
+        "weight-twice",
+        "unknown",
+        "string-keyword",
+        "brace-before-semicolon",
+        "trunc-without-integer",
+        "trunc-then-keyword",
+        "overlong-trunc",
+        "overlong-weight",
+        "weight-zero",
+        "end-after-trunc",
+        "end-after-exterior",
+        "end-after-keyword",
+        "end-after-comment",
+    ],
+)
+def test_each_generator_attribute_branch(text, diagnostic, survivors):
+    doc = parse(text + "\nspace A { dim 1; }" * survivors)
+    assert [str(d) for d in doc.diagnostics] == [diagnostic]
+    assert [(d.kind, d.name) for d in doc.declarations] == [("space", "A")] * survivors
+
+
+@pytest.mark.parametrize(
+    "attrs, trunc, weight",
+    [
+        ("", None, 1),
+        ("exterior", 2, 1),
+        ("trunc 5", 5, 1),
+        ("weight 3", None, 3),
+        ("weight 3 exterior", 2, 3),
+        ("trunc 4 weight 2", 4, 2),
+    ],
+)
+def test_generator_attributes_in_any_order(attrs, trunc, weight):
+    rel = "" if trunc else " rel x^3 = 0;"
+    doc = parse_clean(f"ring R over Z/2 {{ gen x : deg 2 {attrs};{rel} }}")
+    (x,) = doc.declarations[0].gens
+    assert (x.name, x.degree, x.trunc, x.weight) == ("x", 2, trunc, weight)

@@ -13,13 +13,19 @@ solver's.  A document that parses cleanly must also survive render and parse
 unchanged.
 """
 
+import contextlib
+import io
+import re
+import tempfile
 from math import gcd
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from reference_solver import reference_propagate
 
-from catbound.catalog import link
-from catbound.cli import _ERRORS, render_table, solution_json
+from catbound.catalog import LinkError, link
+from catbound.cli import _ERRORS, main, render_table, solution_json
 from catbound.dsl import INVARIANTS, parse, render
 from catbound.solver import propagate
 
@@ -178,3 +184,68 @@ def test_grammar_documents_fail_only_with_reported_errors(text):
         assert [e[:4] for e in solution.provenance[name]] == ends
     render_table(solution)
     solution_json(solution)
+
+
+# -- the link refusals no random document reaches --------------------------------
+# Of the 200 documents above none stops on the connectivity, bundle-dim or
+# product-dim check, so each gets documents built to break it: the writer's
+# valid rings, or spaces whose dims sum below the total's.
+
+
+@st.composite
+def refused_documents(draw, check):
+    """A document link must refuse by `check`, and the refusal's message."""
+    w = _Writer(draw)
+    w.faulty = False  # the refusal under test is the document's one fault
+    if check == "connectivity":
+        p = w.pick((2, 3, 5))
+        ring = w.ring("R0", p)
+        top, least = w.bounds["R0"]
+        connectivity = draw(st.integers(least, least + 3))
+        dim = draw(st.integers(max(top, connectivity + 1), top + 8))
+        space = f"space S0 {{ dim {dim}; connectivity {connectivity}; "
+        decls = [ring, space + f"cohomology R0 over Z/{p}; }}"]
+        low = next(g for g in parse(ring).declarations[0].gens if g.degree <= connectivity)
+        message = (
+            f"space 'S0': ring 'R0' has generator {low.name!r} in degree "
+            f"{low.degree}, within the space connectivity {connectivity}"
+        )
+        return "\n".join(draw(st.permutations(decls))), message
+    f, b = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    t = f + b + draw(st.integers(1, 8))
+    decls = [f"space F {{ dim {f}; }}", f"space B {{ dim {b}; }}", f"space T {{ dim {t}; }}"]
+    if check == "bundle":
+        compatibility = w.pick(("skeletal", "trivial", "none", 'verified "v"'))
+        decls.append(
+            "bundle E { fiber F; base B; total T; "
+            f"structure-group {w.pick(('trivial', 'F'))}; cells-mod 1 0; "
+            f"compatibility {compatibility}; }}"
+        )
+        where = "bundle 'E'"
+    else:
+        decls.append("product T = F * B;")
+        where = "product statement"
+    decls += [w.known(space=f"{w.pick(('F', 'B', 'T'))} ") for _ in range(draw(st.integers(0, 2)))]
+    message = f"{where}: total 'T' has dim {t}, above dim 'F' + dim 'B' = {f} + {b}"
+    return "\n".join(draw(st.permutations(decls))), message
+
+
+@pytest.mark.parametrize("check", ["connectivity", "bundle", "product"])
+def test_each_dim_and_connectivity_refusal_is_reported(check):
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(refused_documents(check))
+    def refused(case):
+        text, message = case
+        doc = parse(text)
+        assert doc.ok, [str(d) for d in doc.diagnostics]
+        with pytest.raises(LinkError, match=f"^{re.escape(message)}$"):
+            link([doc])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "refused.lsc")
+            path.write_text(text, encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["validate", str(path)])
+        assert (code, out.getvalue()) == (1, f"link error: {message}\n")
+
+    refused()

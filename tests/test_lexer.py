@@ -165,3 +165,78 @@ def test_diagnostics_come_in_source_order():
         "1:15: unterminated string literal",
         "1:15: expected dimension, found 'open'",
     ]
+
+
+def catalog_document(seed, units=60):
+    """A document shaped like a generated large catalog: spheres with their
+    stage strings and facts, tori, x^2 = y rings, products, bundles with a
+    verified compatibility, and comments between the declarations."""
+    rng = random.Random(seed)
+    out = []
+    for u in range(units):
+        kind = rng.randrange(5)
+        d = rng.randint(1, 600)
+        if rng.random() < 0.3:
+            out.append(f"# unit {u}, drawn by seed {seed}")
+        if kind == 0:
+            out.append(
+                f"ring S{u}_r over Z/2 {{\n  gen z{u} : deg {d} exterior;\n}}\n\n"
+                f"space S{u} {{\n  dim {d};\n  connectivity {d - 1};\n"
+                f'  stage 1 dim {d} skeleton "the {d}-sphere";\n'
+                f'  known cat = 1 from "spheres have category 1";\n'
+                f"  cohomology S{u}_r over Z/2;\n}}"
+            )
+        elif kind == 1:
+            k = rng.randint(2, 5)
+            gens = "".join(f"  gen t{u}n{i} : deg 1 exterior;\n" for i in range(k))
+            out.append(f"ring T{u}_r over Z/2 {{\n{gens}}}\n\nspace T{u} {{ dim {k}; }}")
+        elif kind == 2:
+            t = rng.randint(2, 9)
+            out.append(
+                f"ring Rp{u}_r over Z/2 {{\n  gen x{u} : deg {d};\n"
+                f"  gen y{u} : deg {2 * d} trunc {t};\n  rel x{u}^2 = y{u};\n}}"
+            )
+        elif kind == 3:
+            out.append(f"product Q{u} = S{u - 1} * T{u - 2};  # a product")
+        else:
+            out.append(
+                f"bundle b{u} {{\n  fiber F{u};\n  base B{u};\n  total X{u};\n"
+                f"  structure-group F{u};\n  cells-mod {d} 0;\n"
+                f'  compatibility verified "checked by hand, \\"case {u}\\"";\n}}'
+            )
+    return "\n\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_catalog_shaped_documents_lex_identically(seed):
+    text = catalog_document(seed)
+    tokens, diags = lexed(text)
+    assert not diags
+    assert len(tokens) > 500
+    assert (tokens, diags) == reference(text)
+
+
+def test_a_catalog_shaped_document_with_faults_at_its_end_lexes_identically():
+    text = catalog_document(99) + 'space Z { dim 3; @ }\nknown Z cat = 1 from "open'
+    tokens, diags = lexed(text)
+    assert [d.split(": ", 1)[1] for d in diags] == [
+        "unexpected character '@'",
+        "unterminated string literal",
+    ]
+    assert (tokens, diags) == reference(text)
+
+
+def test_comment_runs_and_backslash_runs_lex_identically():
+    # The regex skips a run of comments in one loop entered at its first
+    # "#", and reads a string body a run at a time between backslashes:
+    # every mix of blanks, comments, quotes and backslash runs of length
+    # 0 to 4 before a quote, another character or the end of a line.
+    gaps = ["", " ", "\n", "# c\n", "  # c\r\n\t# d\n\n  ", "#\n#", "# c"]
+    bodies = [
+        "\\" * n + tail for n in range(5) for tail in ('"', "x", "\n", "")
+    ]
+    for gap in gaps:
+        for body in bodies:
+            for after in ("", "x", '"y" z', "\n# e"):
+                text = f'a{gap}"{body}{after}{gap}b'
+                assert lexed(text) == reference(text), repr(text)
