@@ -89,26 +89,22 @@ class Monomial(namedtuple("Monomial", "coeff exps")):
         return self.coeff == 0
 
 
-def _effective_truncation(
-    g: Generator, trunc: int | None, p: int
-) -> tuple[int | None, str | None]:
-    """The effective truncation of a generator without a substitution, given
-    its declared one, and what is wrong with it (None: nothing).  Over an
-    odd prime an odd-degree generator squares to zero whatever is declared,
-    and a generator with no truncation is not nilpotent."""
+def _effective_truncation(i: int, g: Generator, trunc: int | None, p: int, late: list) -> int:
+    """The effective truncation of generator i, which has no substitution,
+    given its declared one; what is wrong with it goes on late, as (i, text),
+    and 2 stands in.  Over an odd prime an odd-degree generator squares to
+    zero whatever is declared, and a generator with no truncation is not
+    nilpotent."""
     if p != 2 and g.degree % 2 == 1:
         if trunc is not None and trunc != 2:
-            return 2, (
-                f"odd-degree generator {g.name!r} over Z/{p} squares to "
-                f"zero; truncation {trunc} is inconsistent"
-            )
-        return 2, None
+            late.append((i, f"odd-degree generator {g.name!r} over Z/{p} squares to "
+                         f"zero; truncation {trunc} is inconsistent"))
+        return 2
     if trunc is None:
-        return None, (
-            f"generator {g.name!r} has neither a truncation nor a relation; "
-            "it is not nilpotent, so the algebra is not finite-dimensional"
-        )
-    return trunc, None
+        late.append((i, f"generator {g.name!r} has neither a truncation nor a relation; "
+                     "it is not nilpotent, so the algebra is not finite-dimensional"))
+        return 2
+    return trunc
 
 
 class RingPresentation:
@@ -136,24 +132,26 @@ class RingPresentation:
             raise AlgebraError(f"modulus must be a prime >= 2 (got {p!r})")
         self.p = p
         self.name = name
-        gens = tuple(
-            [g if isinstance(g, Generator) else Generator(*g) for g in generators]
-        )
-        self.generators: tuple[Generator, ...] = gens
-        self._index = {g.name: i for i, g in enumerate(gens)}
-        if len(self._index) != len(gens):
+        gens = []
+        index = self._index = {}
+        for g in generators:
+            g = g if isinstance(g, Generator) else Generator(*g)
+            index[g.name] = len(gens)
+            gens.append(g)
+        if len(index) != len(gens):
             raise AlgebraError(f"duplicate generator name in ring {name!r}")
+        self.generators = gens = tuple(gens)
         subs = substitutions or {}
 
-        # One pass over the generators checks each and gives every one that
-        # no relation names as its source its own one-generator factor; the
-        # relations below merge factors.  A generator's effective truncation
-        # is found here too, but a problem with it is raised only after the
-        # relations are checked, first generator first.
+        # One pass checks each generator; one that no relation names as its
+        # source gets its own factor, its cap as its nilpotency order and
+        # deg * (cap - 1) in the top degree.  The relations below merge
+        # factors; a cap's problem is raised after them, first generator first.
         odd: list[int] = []
         factors: list[TensorFactor | None] = []
         homes: list = []
         late: list[tuple[int, str]] = []
+        orders, top = [], 0  # a rule's source's order is filled in last
         for i, g in enumerate(gens):
             if not g.name:
                 raise AlgebraError("generator name must be nonempty")
@@ -169,14 +167,16 @@ class RingPresentation:
                 raise AlgebraError(f"weight of {g.name!r} must be an integer >= 1")
             if g.degree % 2 == 1:
                 odd.append(i)
-            factor = None  # decided by the generator's relation
+            factor = cap = None  # decided by the generator's relation
             if g.name not in subs:
-                cap, problem = _effective_truncation(g, g.trunc, p)
-                if problem is not None:
-                    late.append((i, problem))
+                cap = g.trunc
+                if cap is None or (p != 2 and g.degree % 2 == 1):
+                    cap = _effective_truncation(i, g, cap, p, late)
+                top += g.degree * (cap - 1)
                 factor = TensorFactor((i,), (None,), (cap,))
             factors.append(factor)
             homes.append((factor, 0))
+            orders.append(cap)
         self._odd = tuple(odd)
 
         # rules[i] is (t, ((j, a), ...), c) for x_i^t = c * prod x_j^a, the
@@ -217,11 +217,11 @@ class RingPresentation:
                     raise AlgebraError(
                         f"generator {src!r} has both a truncation and a relation"
                     )
-                cap, problem = _effective_truncation(gens[i], sub.exponent, p)
-                if problem is not None:
-                    late.append((i, problem))
+                cap = _effective_truncation(i, gens[i], sub.exponent, p, late)
                 factors[i] = factor = TensorFactor((i,), (None,), (cap,))
                 homes[i] = (factor, 0)
+                orders[i] = cap
+                top += gens[i].degree * (cap - 1)
                 continue
             if gens[i].trunc is not None:
                 raise AlgebraError(
@@ -233,6 +233,7 @@ class RingPresentation:
                     "a substitution with nonzero target is inconsistent"
                 )
             rules[i] = (sub.exponent, tuple(sorted(targets.items())), coeff)
+            top += gens[i].degree * (sub.exponent - 1)
             self.substitutions[src] = Substitution(
                 sub.exponent, coeff, tuple(sub.powers)
             )
@@ -284,7 +285,10 @@ class RingPresentation:
         self.factors: tuple[TensorFactor, ...] = tuple(factors)
         # Generator i's tensor factor and its local index there.
         self._homes: tuple[tuple[TensorFactor, int], ...] = tuple(homes)
-        self._orders: tuple[int, ...] | None = None
+        for i in rules:  # a rule's source needs the factors: bisect, once
+            orders[i] = nilpotency_order(gens[i].name, self)
+        self._orders: tuple[int, ...] = tuple(orders)
+        self._top = top
         self._top_degrees: tuple[tuple[int, ...], ...] | None = None
         # the solver's search caches look rings up by value many times
         self._hash = hash((p, gens))
@@ -306,41 +310,32 @@ class RingPresentation:
         return factor.caps[k]
 
     def nilpotency_orders(self) -> tuple[int, ...]:
-        """nilpotency_order of every generator, in order; computed once."""
-        if self._orders is None:
-            self._orders = tuple(nilpotency_order(g.name, self) for g in self.generators)
+        """nilpotency_order of every generator, in order, fixed when the ring
+        is built: a generator without a rule has its cap as its order."""
         return self._orders
-
-    def _spans(self, factor: TensorFactor) -> list[int]:
-        """deg_j * (r_j - 1) for each generator j of a factor, in order, r_j
-        being its rule power t or its cap: the most degree it can add to a
-        nonzero normal form."""
-        return [
-            self.generators[g].degree * ((cap if sub is None else sub[0]) - 1)
-            for g, sub, cap in zip(factor.gens, factor.subs, factor.caps)
-        ]
 
     def top_degrees(self) -> tuple[tuple[int, ...], ...]:
         """For each tensor factor, in order, the top degrees of the
         subalgebras on its generators from k on: entry k is
-        sum_{j >= k} deg_j * (r_j - 1), and the last entry is 0.  The nonzero
-        normal forms are exactly the monomials with every e_j < r_j and
-        rewriting keeps degree, so no nonzero product in a factor lies above
-        its entry 0.  Computed once."""
+        sum_{j >= k} deg_j * (r_j - 1), r_j being its rule power t or its
+        cap, and the last entry is 0.  The nonzero normal forms are exactly
+        the monomials with every e_j < r_j and rewriting keeps degree, so no
+        nonzero product in a factor lies above its entry 0.  Computed once."""
         if self._top_degrees is None:
             per_factor = []
             for factor in self.factors:
                 below = [0]
-                for span in reversed(self._spans(factor)):
-                    below.append(below[-1] + span)
+                for g, sub, cap in zip(factor.gens[::-1], factor.subs[::-1], factor.caps[::-1]):
+                    r = cap if sub is None else sub[0]
+                    below.append(below[-1] + self.generators[g].degree * (r - 1))
                 per_factor.append(tuple(reversed(below)))
             self._top_degrees = tuple(per_factor)
         return self._top_degrees
 
     def top_degree(self) -> int:
-        """The ring's top degree, the sum of `top_degrees`' entries 0,
-        without building them."""
-        return sum(sum(self._spans(factor)) for factor in self.factors)
+        """The ring's top degree, the sum of `top_degrees`' entries 0, fixed
+        when the ring is built."""
+        return self._top
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingPresentation):

@@ -10,8 +10,8 @@ The catalog holds the records the parser built: each ring's presentation,
 and the space and bundle records with their cross-references filled in (a
 space's presented ring, a bundle's base dimension and fibre decomposition).
 Linking only resolves names and checks cross-references; it leaves the parsed
-documents as they are, filling in copies of the records through `_replace`
-(which, for a bundle, runs the record's checks again).
+documents as they are, filling in copies of the records: a space's through
+`_make`, a bundle's through `_replace`, which runs the record's checks again.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                     f"space {name!r} states cohomology over Z/{ref.p} but "
                     f"ring {ref.ring!r} is presented over Z/{ring.p}"
                 )
-            decl = decl._replace(ring=ring)
+            decl = SpaceDecl._make(decl[:-1] + (ring,))  # ring: the last field
             # H^k = 0 above the dimension, so no nonzero product lies there
             top = ring.top_degree()
             if decl.dim is not None and top > decl.dim:
@@ -85,13 +85,13 @@ def link(docs: Iterable[SourceDocument]) -> Catalog:
                     f"above the space dim {decl.dim}"
                 )
             # and H^k = 0 for 0 < k <= the connectivity, so no generator lies there
-            low = [g for g in ring.generators if g.degree <= (decl.connectivity or 0)]
-            if low:
-                raise LinkError(
-                    f"space {name!r}: ring {ref.ring!r} has generator {low[0].name!r} "
-                    f"in degree {low[0].degree}, within the space connectivity "
-                    f"{decl.connectivity}"
-                )
+            for g in ring.generators:
+                if g.degree <= (decl.connectivity or 0):
+                    raise LinkError(
+                        f"space {name!r}: ring {ref.ring!r} has generator {g.name!r} "
+                        f"in degree {g.degree}, within the space connectivity "
+                        f"{decl.connectivity}"
+                    )
         stages = decl.stages
         if stages and decl.dim is not None:
             if stages[-1].attach_dim != decl.dim:

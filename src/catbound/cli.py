@@ -22,7 +22,7 @@ from .cones import (
 )
 from .corpus import CorpusError, load_corpus, parse_sources, read_sources
 from .cup import SearchBudgetExceeded, cup_length, space_weights, weighted_wgt_lower
-from .solver import Solution, ganea_check, propagate
+from .solver import Solution, ganea_check, ganea_verdict, propagate
 
 
 class CliError(ValueError):
@@ -114,20 +114,20 @@ _PROVENANCE_KEYS = ("invariant", "side", "value", "rule", "detail")
 
 def solution_json(solution: Solution) -> dict:
     spaces = {}
-    provenance = solution.provenance
+    credits, contradicted = solution.provenance.credits, solution.provenance.contradicted
     for name in sorted(solution.states):
-        state = solution.states[name]
-        result = ganea_check(solution, name)
+        intervals = solution.states[name].intervals
+        status, ganea_rule = ganea_verdict(intervals, name in contradicted)
         spaces[name] = {
-            "intervals": {
-                inv: {"lower": iv.lower, "upper": iv.upper, "determined": iv.determined}
-                for inv, iv in state.intervals.items()
+            "intervals": {  # lower is an int, so lower == upper is `determined`
+                inv: {"lower": iv.lower, "upper": iv.upper, "determined": iv.lower == iv.upper}
+                for inv, iv in intervals.items()
             },
-            "ganea": result.status,
-            "ganea_rule": result.rule,
+            "ganea": status,
+            "ganea_rule": ganea_rule,
             "provenance": [
                 {"invariant": inv, "side": side, "value": value, "rule": rule, "detail": detail}
-                for inv, side, value, rule, detail, _ in provenance.credits(name)
+                for inv, side, value, rule, detail, _ in credits(name)
             ],
         }
     return {

@@ -362,7 +362,7 @@ def weighted_wgt_lower(
         weights = tuple(g.weight for g in ring.generators)
     if len(weights) != ring.ngens:
         raise AlgebraError("weight assignment does not match the ring's generators")
-    if any(w < 1 for w in weights):
+    if min(weights, default=1) < 1:
         raise AlgebraError("weights must be >= 1")
     return _search(ring, weights, max_nodes)
 

@@ -22,15 +22,17 @@ Rules, in canonical order:
                  stagewise bound refuses, applied to cat.upper
   chain          lower ends push up the chain, upper ends push down
 
-The first five read only the catalog and run once per solve; each bundle is
-certified once.  Then a worklist settles each space after the spaces it
-reads: a visit applies the products and refused bundles that bound the space
-and closes its chain in closed form, and only a change of its cat or Cat
-upper end queues the spaces that read it again.  Provenance is credited in
-the settle: the end of each visit credits each of the space's ends to the
-first candidate, in canonical order, equal to it, over the previous visit's
-credit, so the last visit's stands.  `Solution.provenance` is a read-only
-mapping that builds a space's `Provenance` records when they are first read.
+The first five read only the catalog and run once per solve, with one search
+per (ring, weights) and one certification per bundle; each end keeps beside
+it, on its Interval, the one credit tuple of the static candidate that holds
+it.  Then a worklist settles each space after the spaces it reads: a visit
+applies the products and refused bundles that bound the space, closes its
+chain (a tuple made with the space) in closed form, and credits each end to
+the first candidate, in canonical order, equal to it, over the previous
+visit's credit; only a change of its cat or Cat upper end queues the spaces
+that read it again.  A visit allocates per space, plus one tuple per end
+credited by product, fiber-base or chain.  `Solution.provenance` is a
+read-only mapping that builds a space's `Provenance` records when first read.
 A space whose interval ends cross (possible only if the declared inputs are
 themselves inconsistent) is reported as a contradiction with a provenance
 entry per side; remaining spaces are unaffected.
@@ -48,11 +50,14 @@ from .cup import space_weights, weighted_wgt_lower
 CHAIN = ("cup", "sigmacat", "cat", "Cat")
 
 class Interval:
-    __slots__ = ("lower", "upper")  # mutable: every fixpoint step moves an end
+    # mutable: every fixpoint step moves an end; propagate keeps beside each
+    # end the credit of the static rule that reached it, if any
+    __slots__ = ("lower", "upper", "lower_static", "upper_static")
 
     def __init__(self, lower: int = 0, upper: int | None = None):
         self.lower = lower
         self.upper = upper  # None is "no upper bound known"
+        self.lower_static = self.upper_static = None
 
     def __eq__(self, other):
         if not isinstance(other, Interval):
@@ -154,7 +159,7 @@ class Provenances(Mapping):
         bundles: such a cycle is listed, and nothing here follows it."""
         rule, _, args = {end[:2]: end[3:] for end in self._credits[space]}[invariant, side]
         if rule == "chain":
-            return ((space, _NEIGHBOUR[invariant, side][0], side),)
+            return ((space, _NEIGHBOUR[side][invariant][0], side),)
         if rule == "product":
             return ((args[0].left, invariant, "upper"), (args[0].right, invariant, "upper"))
         if rule == "fiber-base":
@@ -162,54 +167,45 @@ class Provenances(Mapping):
         return ()
 
 
-class _RingCache:
-    """Searches are pure in the ring and the weights, so each (ring, weights)
-    pair is searched once per solve, its witness text formatted once.  The
-    cup search is the one with unit weights."""
+def _searcher(max_search: int | None):
+    """search(ring, weights) -> (value, "witness ...").  Searches are pure in
+    the ring and the weights, so each pair is searched once per solve, its
+    witness text formatted once.  The cup search is the one with unit weights."""
+    results = {}
 
-    def __init__(self, max_search: int | None):
-        self.max_nodes = max_search
-        self.results: dict = {}
+    def search(ring, weights: tuple[int, ...]) -> tuple[int, str]:
+        found = results.get(key := (ring, weights))
+        if found is None:
+            result = weighted_wgt_lower(ring, weights, max_nodes=max_search)
+            found = results[key] = (result.value, f"witness {result.witness_str(ring)}")
+        return found
 
-    def search(self, ring, weights: tuple[int, ...]) -> tuple[int, str]:
-        """(value, "witness ...") of the search with these weights."""
-        key = (ring, weights)
-        if key not in self.results:
-            result = weighted_wgt_lower(ring, weights, max_nodes=self.max_nodes)
-            self.results[key] = (result.value, f"witness {result.witness_str(ring)}")
-        return self.results[key]
-
-
-def _certify(catalog: Catalog) -> list:
-    """Every bundle, in name order, with its verdict's stagewise bound, None
-    where the certificate refuses it: one certification per bundle per solve."""
-    bundles = sorted(catalog.bundles.values(), key=lambda b: b.name)
-    return [(bundle, check_compatibility(bundle).bound) for bundle in bundles]
+    return search
 
 
 # -- static rules --------------------------------------------------------------
 # Each yields candidate bounds (space, invariant, side, value, detail) read
-# from the catalog alone; `bundles` is `_certify`'s list.
+# from the catalog alone; `bundles` lists (bundle, stagewise bound or None).
 
 
-def _rule_ring_cup(catalog, cache, bundles):
+def _rule_ring_cup(catalog, search, bundles):
     for name, space in catalog.spaces.items():
         if space.ring is not None:
-            value, witness = cache.search(space.ring, (1,) * space.ring.ngens)
+            value, witness = search(space.ring, (1,) * len(space.ring.generators))
             yield name, "cup", "lower", value, witness
             if space.cohomology.complete:
                 yield name, "cup", "upper", value, "complete presentation"
 
 
-def _rule_ring_weight(catalog, cache, bundles):
+def _rule_ring_weight(catalog, search, bundles):
     for name, space in catalog.spaces.items():
         if space.ring is not None:
             weights = space_weights(space.ring, space.loopspace_even)
-            value, witness = cache.search(space.ring, weights)
+            value, witness = search(space.ring, weights)
             yield name, "sigmacat", "lower", value, f"weighted {witness}"
 
 
-def _rule_recorded_fact(catalog, cache, bundles):
+def _rule_recorded_fact(catalog, search, bundles):
     for fact in catalog.facts:
         if fact.qualifier in ("lower", "exact"):
             yield fact.space, fact.invariant, "lower", fact.value, fact.citation
@@ -217,13 +213,13 @@ def _rule_recorded_fact(catalog, cache, bundles):
             yield fact.space, fact.invariant, "upper", fact.value, fact.citation
 
 
-def _rule_dimension(catalog, cache, bundles):
+def _rule_dimension(catalog, search, bundles):
     for name, space in catalog.spaces.items():
         if space.dim is not None:
             yield name, "Cat", "upper", space.dim, f"dim {space.dim}"
 
 
-def _rule_cone_bundle(catalog, cache, bundles):
+def _rule_cone_bundle(catalog, search, bundles):
     for bundle, bound in bundles:
         if bound is not None:
             m = bundle.fiber_decomposition.length
@@ -239,6 +235,7 @@ _RULES = (
     ("dimension", _rule_dimension),
     ("cone-bundle", _rule_cone_bundle),
 )
+_RANK = {name: index for index, (name, _) in enumerate(_RULES)}
 
 
 # -- state-dependent rules -------------------------------------------------------
@@ -269,14 +266,17 @@ _DETAILS = {
 }
 
 
-def _close_chain(chain: list[Interval]) -> None:
+def _close_chain(chain: tuple[Interval, ...]) -> None:
     """The chain rule's fixpoint on one space: lower ends take the running
     max up the chain, upper ends the running min down it."""
-    for lo, hi in zip(chain, chain[1:]):
-        hi.raise_lower(lo.lower)
-    for i in (2, 1, 0):
-        if chain[i + 1].upper is not None:
-            chain[i].cut_upper(chain[i + 1].upper)
+    most, least = 0, None
+    for lo, hi in zip(chain, reversed(chain)):
+        if lo.lower < most:
+            lo.lower = most
+        most = lo.lower
+        if hi.upper is None or (least is not None and least < hi.upper):
+            hi.upper = least
+        least = hi.upper
 
 
 def propagate(
@@ -285,13 +285,13 @@ def propagate(
     max_search: int | None = None,
 ) -> Solution:
     with_wcat = {f.space for f in catalog.facts if f.invariant == "wcat"}
-    states = {}
+    states, intervals_of, chains = {}, {}, {}
     for name in catalog.spaces:
-        intervals = {inv: Interval() for inv in CHAIN}
+        chains[name] = chain = (Interval(), Interval(), Interval(), Interval())
+        intervals_of[name] = intervals = dict(zip(CHAIN, chain))
         if name in with_wcat:
             intervals["wcat"] = Interval()
         states[name] = SpaceState(intervals)
-    intervals_of = {name: state.intervals for name, state in states.items()}
 
     rules = list(enumerate(_RULES))
     queue = list(catalog.spaces)
@@ -301,59 +301,63 @@ def propagate(
         rng = random.Random(rule_seed)
         rng.shuffle(rules)
         rng.shuffle(queue)
-    bundles = _certify(catalog)
+    # every bundle, in name order, with its verdict's stagewise bound, None
+    # where the certificate refuses it: one certification per bundle per solve
+    bundles = sorted(catalog.bundles.values(), key=lambda b: b.name)
+    bundles = [(bundle, check_compatibility(bundle).bound) for bundle in bundles]
 
-    # Static rules, once.  Each end keeps the rank and credit of the
+    # Static rules, once.  Each end keeps, beside it, the credit of the
     # candidate that moved it last, or of the candidate of least canonical
-    # rank among those equal to it: whatever the rule order.
-    static: dict[tuple[str, str, str], tuple] = {}
-    rule_args = (catalog, _RingCache(max_search), bundles)
+    # rank among those equal to it: whatever the rule order.  A rule yields
+    # its candidates in canonical order, so only another rule's can tie.
+    rule_args = (catalog, _searcher(max_search), bundles)
     for index, (rule_name, rule) in rules:
-        for rank, (space, inv, side, value, detail) in enumerate(rule(*rule_args)):
+        for space, inv, side, value, detail in rule(*rule_args):
             iv = intervals_of[space][inv]
-            moved = iv.raise_lower(value) if side == "lower" else iv.cut_upper(value)
-            key = (space, inv, side)
-            held = static.get(key)
-            if moved or (held is not None and value == held[1][2] and (index, rank) < held[0]):
-                static[key] = ((index, rank), (inv, side, value, rule_name, detail, None))
+            if side == "lower":
+                held = iv.lower_static
+                if value > iv.lower or (held and held[2] == value and index < _RANK[held[3]]):
+                    iv.lower, iv.lower_static = value, (inv, side, value, rule_name, detail, None)
+            else:
+                held = iv.upper_static
+                if iv.upper is None or value < iv.upper or (
+                    held and held[2] == value and index < _RANK[held[3]]
+                ):
+                    iv.upper, iv.upper_static = value, (inv, side, value, rule_name, detail, None)
 
     # inflow[total]: the products and refused bundles bounding it, in
     # canonical order; feeds[space]: the totals that read it.
-    inflow = {name: [] for name in catalog.spaces}
-    feeds = {name: [] for name in catalog.spaces}
-    for prod in catalog.products:
-        inflow[prod.total].append(("product", _rule_product, prod))
-        feeds[prod.left].append(prod.total)
-        feeds[prod.right].append(prod.total)
-    for bundle, bound in bundles:
-        if bound is None:
-            inflow[bundle.total].append(("fiber-base", _rule_fiber_base, bundle))
-            feeds[bundle.fiber].append(bundle.total)
-            feeds[bundle.base].append(bundle.total)
+    inflow, feeds = {}, {}
+    reads = [("product", _rule_product, p, p.left, p.right) for p in catalog.products]
+    reads += [("fiber-base", _rule_fiber_base, b, b.fiber, b.base)
+              for b, bound in bundles if bound is None]
+    for rule_name, rule, item, one, other in reads:
+        inflow.setdefault(item.total, []).append((rule_name, rule, item))
+        feeds.setdefault(one, []).append(item.total)
+        feeds.setdefault(other, []).append(item.total)
 
     # Settle each space after the spaces it reads.  A visit writes only the
     # visited space, and only its cat and Cat upper ends are read elsewhere,
     # so a change there re-queues its readers and nothing else.  The last
     # visit sees its inflow's final ends, so the credits it writes, over
     # the previous visit's, are final.
-    credits: dict[str, list] = {}
-    crossings: dict[str, str | None] = {}
-    queued = set(queue)
-    queue = deque(queue)
+    credits, crossings = {}, {}  # space -> its credits, its first crossing or None
+    queued, queue = set(queue), deque(queue)
     while queue:
         name = queue.popleft()
         queued.discard(name)
-        intervals = intervals_of[name]
-        before = (intervals["cat"].upper, intervals["Cat"].upper)
+        intervals, chain = intervals_of[name], chains[name]
+        cat, Cat = chain[2], chain[3]
+        before = (cat.upper, Cat.upper)
         candidates = []
-        for rule_name, rule, item in inflow[name]:
+        for rule_name, rule, item in inflow.get(name, ()):
             for inv, value, args in rule(item, intervals_of):
                 intervals[inv].cut_upper(value)
                 candidates.append((inv, value, rule_name, args))
-        _close_chain([intervals[inv] for inv in CHAIN])
-        credits[name], crossings[name] = _credit(name, intervals, static, candidates)
-        if (intervals["cat"].upper, intervals["Cat"].upper) != before:
-            for total in feeds[name]:
+        _close_chain(chain)
+        credits[name], crossings[name] = _credit(name, intervals, candidates)
+        if (cat.upper, Cat.upper) != before:
+            for total in feeds.get(name, ()):
                 if total not in queued:
                     queued.add(total)
                     queue.append(total)
@@ -374,67 +378,65 @@ def propagate(
 
 
 # -- provenance --------------------------------------------------------------
-# Justifications are read off the settled state rather than logged as ends
-# move, so the report does not depend on the rule order: each settled end
-# goes to the first candidate, in canonical rule order, equal to it.  The
-# static rules' credit comes first, then the candidates of the space's
-# inflow on its last visit, then its chain neighbour.  The rules are
-# monotone, so one always exists; a missing one raises KeyError.
+# Each settled end goes to the first candidate, in canonical rule order, equal
+# to it, whatever the rule order: its static credit, then the candidates of
+# the space's inflow on its last visit, then its chain neighbour.  The rules
+# are monotone, so one always exists; a missing one raises KeyError.
 
-# the chain neighbour whose end is a candidate for each (invariant, side),
+# the chain neighbour whose end is a candidate for each side and invariant,
 # with the detail of its credit
-_NEIGHBOUR = {(hi, "lower"): (lo, f"{lo} lower end") for lo, hi in zip(CHAIN, CHAIN[1:])}
-_NEIGHBOUR.update({(lo, "upper"): (hi, f"{hi} upper end") for lo, hi in zip(CHAIN, CHAIN[1:])})
+_NEIGHBOUR = {
+    "lower": {hi: (lo, f"{lo} lower end") for lo, hi in zip(CHAIN, CHAIN[1:])},
+    "upper": {lo: (hi, f"{hi} upper end") for lo, hi in zip(CHAIN, CHAIN[1:])},
+}
 
 
-def _credit(name, intervals, static, candidates) -> tuple[list, str | None]:
+def _credit(name, intervals, candidates) -> tuple[list, str | None]:
     """The credit of each positive lower end and finite upper end of one
     space, chain invariants first, then wcat (the order the intervals are
     made), and the first invariant whose ends cross, None if none do."""
-    ends = []
-    crossing = None
+    ends, crossing = [], None
     for inv, iv in intervals.items():
         lower, upper = iv.lower, iv.upper
         if lower > 0:
-            held = static.get((name, inv, "lower"))
-            if held is not None and held[1][2] == lower:
-                ends.append(held[1])
-            else:
-                other, detail = _NEIGHBOUR.get((inv, "lower"), (None, None))
+            held = iv.lower_static
+            if held is None or held[2] != lower:
+                other, detail = _NEIGHBOUR["lower"].get(inv, (None, None))
                 if other is None or intervals[other].lower != lower:
                     raise KeyError((name, inv, "lower"))
-                ends.append((inv, "lower", lower, "chain", detail, None))
+                held = (inv, "lower", lower, "chain", detail, None)
+            ends.append(held)
         if upper is not None:
-            held = static.get((name, inv, "upper"))
-            if held is not None and held[1][2] == upper:
-                ends.append(held[1])
-            else:
+            held = iv.upper_static
+            if held is None or held[2] != upper:
                 for got, value, rule, args in candidates:
                     if got == inv and value == upper:
-                        detail = _DETAILS[rule].format(*args)
-                        ends.append((inv, "upper", upper, rule, detail, args))
+                        held = (inv, "upper", upper, rule, _DETAILS[rule].format(*args), args)
                         break
                 else:
-                    other, detail = _NEIGHBOUR.get((inv, "upper"), (None, None))
+                    other, detail = _NEIGHBOUR["upper"].get(inv, (None, None))
                     if other is None or intervals[other].upper != upper:
                         raise KeyError((name, inv, "upper"))
-                    ends.append((inv, "upper", upper, "chain", detail, None))
+                    held = (inv, "upper", upper, "chain", detail, None)
+            ends.append(held)
             if crossing is None and upper < lower:
                 crossing = inv
     return ends, crossing
 
 
 def ganea_check(solution: Solution, space: str) -> GaneaResult:
-    """Does cat(X x S^n) = cat(X) + 1 follow from the computed intervals?
+    """Does cat(X x S^n) = cat(X) + 1 follow from the computed intervals?"""
+    contradicted = space in solution.provenance.contradicted
+    return GaneaResult(space, *ganea_verdict(solution.states[space].intervals, contradicted))
 
-    Two sufficient conditions are tried: cat equal to the cup bound, and cat
-    equal to the stabilized bound sigmacat.  Anything else is reported as
-    unknown; the check never claims a failure.
-    """
-    intervals = solution.states[space].intervals
+
+def ganea_verdict(intervals: dict, contradicted: bool) -> tuple[str, str | None]:
+    """ganea_check's (status, rule) on a space's intervals: cat equal to the
+    cup bound, or to the stabilized bound sigmacat, suffices.  Anything else,
+    and any contradicted space, is unknown; the check never claims a failure."""
     cat = intervals["cat"]
-    if cat.determined and space not in solution.provenance.contradicted:
+    if cat.determined and not contradicted:
         for inv, rule in (("cup", "cup-equality"), ("sigmacat", "sigmacat-equality")):
             if intervals[inv].determined and intervals[inv].lower == cat.lower:
-                return GaneaResult(space, "holds", rule)
-    return GaneaResult(space, "unknown", None)
+                return "holds", rule
+    return "unknown", None

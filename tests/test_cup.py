@@ -302,11 +302,17 @@ def test_orders_are_computed_once_per_ring(monkeypatch):
         return original(name, ring)
 
     monkeypatch.setattr(algebra, "nilpotency_order", counted)
-    ring = pu3_ring()
-    cup_length(ring)
-    weighted_wgt_lower(ring)
-    weighted_wgt_lower(ring, space_weights(ring, loopspace_even=True))
-    assert calls == [g.name for g in ring.generators]
+    # A generator without a rule has its cap as its order and calls nothing;
+    # a rule's source is bisected once, when the ring is built; the searches
+    # read the orders and compute none.
+    for make, ruled, orders in ((pu3_ring, [], (2, 3, 2)), (pu2_ring, ["x1"], (4, 2))):
+        ring = make()
+        assert calls == ruled
+        cup_length(ring)
+        weighted_wgt_lower(ring)
+        weighted_wgt_lower(ring, space_weights(ring, loopspace_even=True))
+        assert calls == ruled and ring.nilpotency_orders() == orders
+        calls.clear()
 
 
 def test_result_is_reproducible():

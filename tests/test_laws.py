@@ -1,0 +1,135 @@
+"""Metamorphic laws of the solver, on the shipped corpus and on the small
+generated catalogs of `test_solver`.
+
+- Deleting one recorded fact, bundle or product statement removes a
+  candidate bound, and the rules are monotone, so no interval may narrow.
+- Renaming every space and ring changes no bound and no credit: the JSON
+  report is the original's with the names replaced, its contradictions in
+  the order of the new names.  Only a product's detail text names spaces.
+"""
+
+import json
+
+import pytest
+from test_solver import _generated_document
+
+from catbound.catalog import link
+from catbound.cli import solution_json
+from catbound.corpus import parse_sources, read_sources
+from catbound.dsl import parse, ring_presentation
+from catbound.solver import propagate
+
+SOURCES = ["corpus", *range(50)]
+
+
+def _documents(source):
+    if source == "corpus":
+        return parse_sources(read_sources())
+    return [parse(_generated_document(source))]
+
+
+def _deletions(catalog):
+    """(what, catalog) for each catalog with one fact, bundle or product less."""
+    for i, fact in enumerate(catalog.facts):
+        yield fact, catalog._replace(facts=catalog.facts[:i] + catalog.facts[i + 1:])
+    for name in catalog.bundles:
+        bundles = {k: b for k, b in catalog.bundles.items() if k != name}
+        yield name, catalog._replace(bundles=bundles)
+    for i, prod in enumerate(catalog.products):
+        yield prod, catalog._replace(products=catalog.products[:i] + catalog.products[i + 1:])
+
+
+def _no_narrower(wide, narrow):
+    """Is every interval of solution `wide` at least as wide as the same
+    interval of `narrow`?  wcat exists only where a fact mentions it."""
+    for name, state in wide.states.items():
+        for inv, iv in state.intervals.items():
+            other = narrow.states[name].intervals[inv]
+            if iv.lower > other.lower:
+                return False
+            if iv.upper is not None and (other.upper is None or iv.upper < other.upper):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_deleting_a_fact_bundle_or_product_never_narrows(source):
+    catalog = link(_documents(source))
+    full = propagate(catalog)
+    deletions = 0
+    for what, smaller in _deletions(catalog):
+        assert _no_narrower(propagate(smaller), full), what
+        deletions += 1
+    assert deletions == len(catalog.facts) + len(catalog.bundles) + len(catalog.products)
+
+
+def _renamed(docs, new):
+    """The documents with every space and ring name replaced by new[name]."""
+    out = []
+    for doc in docs:
+        decls = []
+        for decl in doc.declarations:
+            if decl.kind == "ring":
+                decl = decl._replace(name=new[decl.name])
+                decl = decl._replace(presentation=ring_presentation(decl))
+            elif decl.kind == "space":
+                ref = decl.cohomology
+                decl = decl._replace(
+                    name=new[decl.name],
+                    knowns=[k._replace(space=new[k.space]) for k in decl.knowns],
+                    cohomology=ref and ref._replace(ring=new[ref.ring]),
+                )
+            elif decl.kind == "bundle":
+                group = decl.structure_group
+                decl = decl._replace(
+                    total=new[decl.total],
+                    fiber=new[decl.fiber],
+                    base=new[decl.base],
+                    structure_group=new.get(group, group),
+                )
+            elif decl.kind == "product":
+                decl = decl._replace(
+                    total=new[decl.total], left=new[decl.left], right=new[decl.right]
+                )
+            else:
+                decl = decl._replace(space=new[decl.space])
+            decls.append(decl)
+        out.append(doc._replace(declarations=decls))
+    return out
+
+
+def _permuted(data, new):
+    """The JSON report `data` with every space renamed by new."""
+
+    def entry(credit):
+        credit = dict(credit)
+        if credit["rule"] == "product":
+            left, rest = credit["detail"].split(" x ", 1)
+            right, rest = rest.split(": ", 1)
+            credit["detail"] = f"{new[left]} x {new[right]}: {rest}"
+        return credit
+
+    spaces = {}
+    for name, space in data["spaces"].items():
+        spaces[new[name]] = {**space, "provenance": [entry(c) for c in space["provenance"]]}
+    contradictions = [
+        {**c, "space": new[c["space"]], "lower": entry(c["lower"]), "upper": entry(c["upper"])}
+        for c in data["contradictions"]
+    ]
+    return {"spaces": spaces, "contradictions": sorted(contradictions, key=lambda c: c["space"])}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_renaming_every_space_and_ring_permutes_the_report(source):
+    docs = _documents(source)
+    catalog = link(docs)
+    # new names sort in the reverse of the old order, so every order that
+    # follows the names is reversed
+    spaces, rings = sorted(catalog.spaces), sorted(catalog.rings)
+    new = {name: f"s{len(spaces) - i:03d}" for i, name in enumerate(spaces)}
+    new.update({name: f"r{len(rings) - i:03d}" for i, name in enumerate(rings)})
+    renamed = link(_renamed(docs, new))
+    assert sorted(renamed.spaces) == sorted(new[name] for name in spaces)
+    want = _permuted(solution_json(propagate(catalog)), new)
+    got = solution_json(propagate(renamed))
+    assert json.dumps(got, indent=1, sort_keys=True) == json.dumps(want, indent=1, sort_keys=True)

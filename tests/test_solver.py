@@ -368,6 +368,47 @@ def test_the_corpus_settles_each_space_once(monkeypatch):
     assert len(calls) == len(catalog.spaces) == 37
 
 
+# (worklist visits, (ring, weights) searches, bundle certifications) of one
+# solve under rule seeds None, 1, 2 and 3, counted through the seams above:
+# a faster solve must do exactly this work, not skip some of it.
+SOLVE_WORK = {
+    "corpus": [(37, 21, 12), (38, 21, 12), (38, 21, 12), (38, 21, 12)],
+    0: [(16, 1, 1), (16, 1, 1), (14, 1, 1), (16, 1, 1)],
+    1: [(11, 1, 3), (10, 1, 3), (10, 1, 3), (9, 1, 3)],
+    2: [(18, 1, 1), (17, 1, 1), (16, 1, 1), (16, 1, 1)],
+    3: [(11, 1, 2), (11, 1, 2), (10, 1, 2), (8, 1, 2)],
+    4: [(12, 1, 2), (10, 1, 2), (10, 1, 2), (8, 1, 2)],
+    5: [(13, 1, 2), (13, 1, 2), (10, 1, 2), (13, 1, 2)],
+    6: [(24, 1, 2), (23, 1, 2), (15, 1, 2), (17, 1, 2)],
+    7: [(12, 1, 4), (12, 1, 4), (11, 1, 4), (11, 1, 4)],
+    8: [(9, 1, 3), (9, 1, 3), (9, 1, 3), (9, 1, 3)],
+    9: [(15, 1, 0), (13, 1, 0), (13, 1, 0), (14, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("source", SOLVE_WORK)
+def test_the_solve_does_its_pinned_work(monkeypatch, source):
+    if source == "corpus":
+        catalog = load_corpus()
+    else:
+        catalog = link([doc(_generated_document(source))])
+    counts = []
+
+    def counted(fn, slot):
+        def wrapper(*args, **kwargs):
+            counts[-1][slot] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for slot, seam in enumerate(("_close_chain", "weighted_wgt_lower", "check_compatibility")):
+        monkeypatch.setattr(solver, seam, counted(getattr(solver, seam), slot))
+    for rule_seed in (None, 1, 2, 3):
+        counts.append([0, 0, 0])
+        propagate(catalog, rule_seed=rule_seed)
+    assert [tuple(c) for c in counts] == SOLVE_WORK[source]
+
+
 def _cat_upper(solution, name):
     return next(
         e
