@@ -21,8 +21,9 @@ threads.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
+
+from .record import Record, _tuple_new
 
 
 class AlgebraError(ValueError):
@@ -56,19 +57,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Generator(namedtuple("Generator", "name degree trunc weight", defaults=(None, 1))):
+class Generator(Record):
     """A ring generator: name, degree >= 1, optional truncation, search weight."""
 
     __slots__ = ()
 
+    def __new__(cls, name, degree, trunc=None, weight=1):
+        return _tuple_new(cls, (name, degree, trunc, weight))
 
-class Substitution(namedtuple("Substitution", "exponent coeff powers")):
+
+class Substitution(Record):
     """Rewrite rule g^exponent -> coeff * prod(powers), later generators only."""
 
     __slots__ = ()
 
+    def __new__(cls, exponent, coeff, powers):
+        return _tuple_new(cls, (exponent, coeff, powers))
 
-class TensorFactor(namedtuple("TensorFactor", "gens subs caps")):
+
+class TensorFactor(Record):
     """One connected component of a ring's substitution graph, in local
     indices: position k stands for ring generator gens[k], and gens is
     increasing.  subs[k] is None or (t, ((j, a), ...), c) for
@@ -79,11 +86,17 @@ class TensorFactor(namedtuple("TensorFactor", "gens subs caps")):
 
     __slots__ = ()
 
+    def __new__(cls, gens, subs, caps):
+        return _tuple_new(cls, (gens, subs, caps))
 
-class Monomial(namedtuple("Monomial", "coeff exps")):
+
+class Monomial(Record):
     """coeff * prod(g_i^exps[i]) with exps indexed by ring generator order."""
 
     __slots__ = ()
+
+    def __new__(cls, coeff, exps):
+        return _tuple_new(cls, (coeff, exps))
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -285,8 +298,14 @@ class RingPresentation:
         self.factors: tuple[TensorFactor, ...] = tuple(factors)
         # Generator i's tensor factor and its local index there.
         self._homes: tuple[tuple[TensorFactor, int], ...] = tuple(homes)
-        for i in rules:  # a rule's source needs the factors: bisect, once
-            orders[i] = nilpotency_order(gens[i].name, self)
+        for i, (t, targets, _) in rules.items():
+            if any(j in rules for j, _ in targets):
+                # a chained rule needs the factors: bisect, once
+                orders[i] = nilpotency_order(gens[i].name, self)
+            else:
+                # x_i^(qt+r) = x_i^r * c^q * prod x_j^(q*a_j) with every x_j
+                # ruled only by its cap: zero from the least q reaching a cap
+                orders[i] = t * min(-(-orders[j] // a) for j, a in targets)
         self._orders: tuple[int, ...] = tuple(orders)
         self._top = top
         self._top_degrees: tuple[tuple[int, ...], ...] | None = None

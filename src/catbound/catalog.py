@@ -11,25 +11,29 @@ and the space and bundle records with their cross-references filled in (a
 space's presented ring, a bundle's base dimension and fibre decomposition).
 Linking only resolves names and checks cross-references; it leaves the parsed
 documents as they are, filling in copies of the records: a space's through
-`_make`, a bundle's through `_replace`, which runs the record's checks again.
+`_make`, a bundle's through `_replace`.  Both go through the record's
+constructor, so the bundle's copy is checked again.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
 
 from .algebra import RingPresentation
 from .cones import BundleRecord, ConeError
 from .dsl import KnownFact, ProductDecl, SourceDocument, SpaceDecl
+from .record import Record, _tuple_new
 
 
 class LinkError(ValueError):
     pass
 
 
-class Catalog(namedtuple("Catalog", "rings spaces bundles products facts")):
+class Catalog(Record):
     __slots__ = ()
+
+    def __new__(cls, rings, spaces, bundles, products, facts):
+        return _tuple_new(cls, (rings, spaces, bundles, products, facts))
 
 
 def _dims_add(where: str, total: SpaceDecl, one: SpaceDecl, other: SpaceDecl) -> None:

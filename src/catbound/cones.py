@@ -9,13 +9,15 @@ of the fibre (recorded here as a certificate) gives
 Cat X <= m + floor(dimB / d).  Without any certificate only the coarse
 product-style bound (Cat F + 1)(Cat B + 1) - 1 applies.
 
-The records below check the theorem's hypotheses when they are built; the
-parser and the linker report a ConeError's text as it stands.
+ConeDecomposition, CompatibilityCertificate and BundleRecord check the
+theorem's hypotheses in their own `__new__`, which `_make` and `_replace` go
+through too, so every copy is checked; the parser and the linker report a
+ConeError's text as it stands.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from .record import Record, _tuple_new
 
 
 class ConeError(ValueError):
@@ -31,36 +33,24 @@ class BoundRefused(RuntimeError):
         self.reason = reason
 
 
-class _Checked:
-    """Mixin for a namedtuple record that checks the theorem's hypotheses
-    when it is built: `_check` raises ConeError.  `_replace` goes through the
-    constructor, so a filled-in copy is checked again."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})
-
-
-class ConeStage(
-    namedtuple("ConeStage", "index attach_dim description skeleton", defaults=("", False))
-):
+class ConeStage(Record):
     """Stage i attaches the cone on some complex K_i; attach_dim is the
     dimension of C(K_i), i.e. of the new top cells.  skeleton marks stages
     that are literal skeleta of the decomposed space."""
 
     __slots__ = ()
 
+    def __new__(cls, index, attach_dim, description="", skeleton=False):
+        return _tuple_new(cls, (index, attach_dim, description, skeleton))
 
-class ConeDecomposition(
-    _Checked, namedtuple("ConeDecomposition", "space stages", defaults=((),))
-):
+
+class ConeDecomposition(Record):
     __slots__ = ()
+
+    def __new__(cls, space, stages=()):
+        self = _tuple_new(cls, (space, stages))
+        self._check()
+        return self
 
     def _check(self):
         for k, st in enumerate(self.stages, start=1):
@@ -86,10 +76,13 @@ class ConeDecomposition(
 CERTIFICATE_KINDS = ("none", "skeletal", "trivial", "verified")
 
 
-class CompatibilityCertificate(
-    _Checked, namedtuple("CompatibilityCertificate", "kind reason", defaults=("none", ""))
-):
+class CompatibilityCertificate(Record):
     __slots__ = ()
+
+    def __new__(cls, kind="none", reason=""):
+        self = _tuple_new(cls, (kind, reason))
+        self._check()
+        return self
 
     def _check(self):
         if self.kind not in CERTIFICATE_KINDS:
@@ -98,22 +91,24 @@ class CompatibilityCertificate(
             raise ConeError("a verified certificate needs a nonempty reason")
 
 
-class BundleRecord(
-    _Checked,
-    namedtuple(
-        "BundleRecord",
-        "name total fiber base structure_group d s"
-        # the linker fills these two in from the base and fiber spaces
-        " base_dim fiber_decomposition"
-        " certificate",
-        defaults=(0, None, CompatibilityCertificate()),
-    ),
-):
+class BundleRecord(Record):
     """F -> total -> base with structure group G; d, s describe the base's
-    cell structure (base is (d-1)-connected, cells in dims 0..s mod d)."""
+    cell structure (base is (d-1)-connected, cells in dims 0..s mod d).  The
+    linker fills base_dim and fiber_decomposition in from the base and fiber
+    spaces."""
 
     __slots__ = ()
     kind = "bundle"
+
+    def __new__(
+        cls, name, total, fiber, base, structure_group, d, s,
+        base_dim=0, fiber_decomposition=None, certificate=CompatibilityCertificate(),
+    ):
+        fields = (name, total, fiber, base, structure_group, d, s,
+                  base_dim, fiber_decomposition, certificate)
+        self = _tuple_new(cls, fields)
+        self._check()
+        return self
 
     def _check(self):
         # the theorem's cell hypothesis: period d >= 1, residues 0 <= s <= d-1
@@ -130,9 +125,12 @@ class BundleRecord(
             )
 
 
-class Verdict(namedtuple("Verdict", "passed rule reason bound", defaults=(None,))):
-    # bound: Cat(total) <= m + floor(base_dim / d) when passed, else None
+class Verdict(Record):
     __slots__ = ()
+
+    # bound: Cat(total) <= m + floor(base_dim / d) when passed, else None
+    def __new__(cls, passed, rule, reason, bound=None):
+        return _tuple_new(cls, (passed, rule, reason, bound))
 
 
 def james_ganea_bound(dim: int, d: int) -> int:
@@ -222,16 +220,22 @@ def general_bundle_bound(cat_fiber: int, cat_base: int) -> int:
 MAX_LEDGER_PIECES = 100_000
 
 
-class LedgerStage(namedtuple("LedgerStage", "k pieces dims")):
+class LedgerStage(Record):
     """Stage k of the filtration of the total space: the pieces glued on at
     that stage, as pairs (i, j) meaning C(A_i) x C(K_j), with i = 0 or j = 0
     for the one-sided pieces.  dims holds dim(piece), aligned with pieces."""
 
     __slots__ = ()
 
+    def __new__(cls, k, pieces, dims):
+        return _tuple_new(cls, (k, pieces, dims))
 
-class FiltrationLedger(namedtuple("FiltrationLedger", "bundle n m stages")):
+
+class FiltrationLedger(Record):
     __slots__ = ()
+
+    def __new__(cls, bundle, n, m, stages):
+        return _tuple_new(cls, (bundle, n, m, stages))
 
     @property
     def total_bound(self) -> int:

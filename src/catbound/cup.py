@@ -45,7 +45,6 @@ truncation fires while its exponents are rewritten.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import product as _cartesian
 
 from .algebra import (
@@ -56,6 +55,7 @@ from .algebra import (
     multiply_monomials,  # unused here; perfbench/tracer.py wraps this binding
     normal_form,
 )
+from .record import Record, _tuple_new
 
 DEFAULT_MAX_NODES = 2_000_000
 _ORACLE_MAX_GENS = 3
@@ -85,11 +85,14 @@ def space_weights(ring: RingPresentation, loopspace_even: bool) -> tuple[int, ..
     )
 
 
-class CupResult(namedtuple("CupResult", "value witness")):
+class CupResult(Record):
     """Outcome of a search: the maximum and one witness vector, the
     lexicographically smallest exponent vector attaining the maximum."""
 
     __slots__ = ()
+
+    def __new__(cls, value, witness):
+        return _tuple_new(cls, (value, witness))
 
     def witness_str(self, ring: RingPresentation) -> str:
         parts = []

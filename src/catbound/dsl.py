@@ -60,7 +60,6 @@ still with one diagnostic.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 
 from .algebra import AlgebraError, Generator, RingPresentation, Substitution
 from .cones import (
@@ -70,13 +69,17 @@ from .cones import (
     ConeError,
     ConeStage,
 )
+from .record import Record, _tuple_new
 
 INVARIANTS = ("cup", "sigmacat", "cat", "Cat", "wcat")
 QUALIFIERS = ("lower", "upper", "exact")
 
 
-class Diagnostic(namedtuple("Diagnostic", "line col message")):
+class Diagnostic(Record):
     __slots__ = ()
+
+    def __new__(cls, line, col, message):
+        return _tuple_new(cls, (line, col, message))
 
     def __str__(self):
         return f"{self.line}:{self.col}: {self.message}"
@@ -91,53 +94,63 @@ class DslError(ValueError):
 # in a copy, never the parsed record.
 
 
-class RingDecl(
-    namedtuple(
-        "RingDecl",
-        "name p gens rels"
-        # built with the record by the parser's validation, reused by the linker
-        " presentation",
-    )
-):
+class RingDecl(Record):
     __slots__ = ()
     kind = "ring"
 
+    # presentation: built with the record by the parser's validation, reused
+    # by the linker
+    def __new__(cls, name, p, gens, rels, presentation):
+        return _tuple_new(cls, (name, p, gens, rels, presentation))
 
-class KnownFact(namedtuple("KnownFact", "space invariant qualifier value citation")):
+
+class KnownFact(Record):
     __slots__ = ()
     kind = "fact"
 
+    def __new__(cls, space, invariant, qualifier, value, citation):
+        return _tuple_new(cls, (space, invariant, qualifier, value, citation))
 
-class CohomologyRef(namedtuple("CohomologyRef", "ring p complete", defaults=(False,))):
+
+class CohomologyRef(Record):
     __slots__ = ()
 
+    def __new__(cls, ring, p, complete=False):
+        return _tuple_new(cls, (ring, p, complete))
 
-class SpaceDecl(
-    namedtuple(
-        "SpaceDecl",
-        "name knowns stages dim connectivity cohomology loopspace_even"
-        # built by the parser from the stages; a point is a cone tower of
-        # length zero, and any other space without stages has none
-        " decomposition"
-        # the presented ring `cohomology` names, filled in by the linker
-        " ring",
-        defaults=(None, None, None, False, None, None),
-    )
-):
+
+class SpaceDecl(Record):
     __slots__ = ()
     kind = "space"
 
+    # decomposition: built by the parser from the stages; a point is a cone
+    # tower of length zero, and any other space without stages has none.
+    # ring: the presented ring `cohomology` names, filled in by the linker.
+    def __new__(
+        cls, name, knowns, stages, dim=None, connectivity=None, cohomology=None,
+        loopspace_even=False, decomposition=None, ring=None,
+    ):
+        fields = (name, knowns, stages, dim, connectivity, cohomology,
+                  loopspace_even, decomposition, ring)
+        return _tuple_new(cls, fields)
 
-class ProductDecl(namedtuple("ProductDecl", "total left right")):
+
+class ProductDecl(Record):
     __slots__ = ()
     kind = "product"
+
+    def __new__(cls, total, left, right):
+        return _tuple_new(cls, (total, left, right))
 
 
 Declaration = RingDecl | SpaceDecl | BundleRecord | ProductDecl | KnownFact
 
 
-class SourceDocument(namedtuple("SourceDocument", "path declarations diagnostics")):
+class SourceDocument(Record):
     __slots__ = ()
+
+    def __new__(cls, path, declarations, diagnostics):
+        return _tuple_new(cls, (path, declarations, diagnostics))
 
     @property
     def ok(self) -> bool:

@@ -40,12 +40,13 @@ entry per side; remaining spaces are unaffected.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import deque
 from collections.abc import Iterable, Mapping
 
 from .catalog import Catalog
 from .cones import check_compatibility, general_bundle_bound, product_bound
 from .cup import space_weights, weighted_wgt_lower
+from .record import Record, _tuple_new
 
 CHAIN = ("cup", "sigmacat", "cat", "Cat")
 
@@ -94,29 +95,44 @@ class Interval:
         return f"[{self.lower},{hi}]"
 
 
-class Provenance(namedtuple("Provenance", "space invariant side value rule detail")):
+class Provenance(Record):
+    __slots__ = ()
+
     # side: lower | upper
+    def __new__(cls, space, invariant, side, value, rule, detail):
+        return _tuple_new(cls, (space, invariant, side, value, rule, detail))
+
+
+class Contradiction(Record):
     __slots__ = ()
 
-
-class Contradiction(namedtuple("Contradiction", "space invariant lower upper")):
     # lower, upper: the Provenance of each crossing bound
+    def __new__(cls, space, invariant, lower, upper):
+        return _tuple_new(cls, (space, invariant, lower, upper))
+
+
+class GaneaResult(Record):
     __slots__ = ()
 
-
-class GaneaResult(namedtuple("GaneaResult", "space status rule")):
     # status: holds | unknown; rule: cup-equality | sigmacat-equality | None
+    def __new__(cls, space, status, rule):
+        return _tuple_new(cls, (space, status, rule))
+
+
+class SpaceState(Record):
     __slots__ = ()
 
-
-class SpaceState(namedtuple("SpaceState", "intervals")):
     # intervals: invariant name -> Interval
+    def __new__(cls, intervals):
+        return _tuple_new(cls, (intervals,))
+
+
+class Solution(Record):
     __slots__ = ()
 
-
-class Solution(namedtuple("Solution", "states provenance contradictions")):
     # states: space -> SpaceState; provenance: Provenances
-    __slots__ = ()
+    def __new__(cls, states, provenance, contradictions):
+        return _tuple_new(cls, (states, provenance, contradictions))
 
     def interval(self, space: str, invariant: str) -> Interval:
         return self.states[space].intervals[invariant]

@@ -1,6 +1,10 @@
+import importlib.util
 import itertools
+import json
 import random
+import sys
 from bisect import bisect_left
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +21,8 @@ from catbound.algebra import (
     normal_form,
 )
 from catbound.algebra import _is_prime, _koszul_parity, _truncates
+from catbound.corpus import parse_sources, read_sources
+from catbound.dsl import parse
 from reference_search import (
     linear_nilpotency_order,
     one_step_normal_form,
@@ -475,9 +481,51 @@ def test_nilpotency_order_matches_a_linear_scan():
             exponents = [rng.randint(2, 3) for _ in range(rng.randint(1, 3))]
             rings.append(substitution_chain(p, exponents, rng.randint(2, 5)))
     for ring in rings:
-        for g in ring.generators:
+        orders = ring.nilpotency_orders()
+        for g, order in zip(ring.generators, orders):
             expected = linear_nilpotency_order(g.name, ring, 4096)
-            assert nilpotency_order(g.name, ring) == expected, (repr(ring), g)
+            assert nilpotency_order(g.name, ring) == order == expected, (repr(ring), g)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_inputs():
+    """perfbench/inputs.py, loaded without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", PERFBENCH / "inputs.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_a_rule_onto_capped_targets_has_its_order_in_closed_form():
+    """x^t = c * prod y_j^a_j with no y_j ruled: the constructor's order
+    t * min ceil(cap_j / a_j) is the bisection's, on every such rule of the
+    corpus, of ring-scaling's cases (seed 1) and of 40 large catalogs."""
+    inputs = _benchmark_inputs()
+    answers = json.loads((PERFBENCH / "reference" / "random_rings.json").read_text())
+    docs = parse_sources(read_sources())
+    docs += [parse(case.text) for case in inputs.ring_suite(1, answers)]
+    for index in range(40):
+        docs += [parse(text) for text in inputs.large_catalog(99, index).files.values()]
+    closed = 0
+    for doc in docs:
+        for decl in doc.declarations:
+            if decl.kind != "ring":
+                continue
+            ring = decl.presentation
+            orders = ring.nilpotency_orders()
+            for factor in ring.factors:
+                for g, sub in zip(factor.gens, factor.subs):
+                    if sub is not None and all(factor.subs[j] is None for j, _ in sub[1]):
+                        closed += 1
+                        name = ring.generators[g].name
+                        assert orders[g] == nilpotency_order(name, ring), (decl.name, name)
+    assert closed == 1258
 
 
 def test_a_generator_without_a_rule_vanishes_at_its_cap(monkeypatch):

@@ -550,6 +550,34 @@ def test_import_footprint(flags, statement):
     assert loaded(flags, statement, {"dataclasses", "inspect", "json"}) == "[]"
 
 
+def test_import_footprint_builds_no_namedtuple():
+    """Each record's __new__ is compiled with its module: importing the
+    package and its command line calls collections.namedtuple not once and
+    compiles no source but its modules' (namedtuple's eval would)."""
+    code = (
+        "import collections, sys\n"
+        "real, calls, compiled = collections.namedtuple, [], []\n"
+        "def counted(*args, **kwargs):\n"
+        "    calls.append(args[0])\n"
+        "    return real(*args, **kwargs)\n"
+        "collections.namedtuple = counted\n"
+        "def hook(event, args):\n"
+        "    if event == 'compile' and not str(args[1]).endswith('.py'):\n"
+        "        compiled.append(args[1])\n"
+        "sys.addaudithook(hook)\n"
+        "import catbound, catbound.cli\n"
+        "print(calls, compiled)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[] []"
+
+
 def test_import_footprint_without_site():
     """site may preload typing and so hide it; without site, importing the
     package and its command line loads no typing and no argparse either,

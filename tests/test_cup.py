@@ -302,10 +302,15 @@ def test_orders_are_computed_once_per_ring(monkeypatch):
         return original(name, ring)
 
     monkeypatch.setattr(algebra, "nilpotency_order", counted)
-    # A generator without a rule has its cap as its order and calls nothing;
-    # a rule's source is bisected once, when the ring is built; the searches
-    # read the orders and compute none.
-    for make, ruled, orders in ((pu3_ring, [], (2, 3, 2)), (pu2_ring, ["x1"], (4, 2))):
+    # A generator without a rule has its cap as its order and calls nothing,
+    # nor does a rule whose targets have none (x^t = y, y capped: t * cap);
+    # a chained rule's source is bisected once, when the ring is built; the
+    # searches read the orders and compute none.
+    for make, ruled, orders in (
+        (pu3_ring, [], (2, 3, 2)),
+        (pu2_ring, [], (4, 2)),
+        (lambda: substitution_chain(2, [2, 3], 5), ["x0"], (30, 15, 5)),
+    ):
         ring = make()
         assert calls == ruled
         cup_length(ring)

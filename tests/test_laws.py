@@ -6,6 +6,11 @@ generated catalogs of `test_solver`.
 - Renaming every space and ring changes no bound and no credit: the JSON
   report is the original's with the names replaced, its contradictions in
   the order of the new names.  Only a product's detail text names spaces.
+- Two disjoint renamed copies of a catalog, linked together, solve as each
+  copy does alone: the same bounds, credits and contradictions, although
+  the copies' equal rings share their searches.
+- Adding a fact equal to an end of the solved interval changes no interval:
+  the fixpoint already holds it.
 """
 
 import json
@@ -16,7 +21,7 @@ from test_solver import _generated_document
 from catbound.catalog import link
 from catbound.cli import solution_json
 from catbound.corpus import parse_sources, read_sources
-from catbound.dsl import parse, ring_presentation
+from catbound.dsl import KnownFact, parse, ring_presentation
 from catbound.solver import propagate
 
 SOURCES = ["corpus", *range(50)]
@@ -64,7 +69,8 @@ def test_deleting_a_fact_bundle_or_product_never_narrows(source):
 
 
 def _renamed(docs, new):
-    """The documents with every space and ring name replaced by new[name]."""
+    """The documents with every space and ring name replaced by new[name],
+    and each bundle name that new maps too."""
     out = []
     for doc in docs:
         decls = []
@@ -82,6 +88,7 @@ def _renamed(docs, new):
             elif decl.kind == "bundle":
                 group = decl.structure_group
                 decl = decl._replace(
+                    name=new.get(decl.name, decl.name),
                     total=new[decl.total],
                     fiber=new[decl.fiber],
                     base=new[decl.base],
@@ -133,3 +140,43 @@ def test_renaming_every_space_and_ring_permutes_the_report(source):
     want = _permuted(solution_json(propagate(catalog)), new)
     got = solution_json(propagate(renamed))
     assert json.dumps(got, indent=1, sort_keys=True) == json.dumps(want, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_two_disjoint_copies_solve_as_each_alone(source):
+    docs = _documents(source)
+    catalog = link(docs)
+    names = [*catalog.spaces, *catalog.rings, *catalog.bundles]
+    copies = [_renamed(docs, {name: prefix + name for name in names}) for prefix in ("a.", "b.")]
+    alone = [solution_json(propagate(link(copy))) for copy in copies]
+    both = propagate(link(copies[0] + copies[1]))
+    want = {
+        "spaces": {**alone[0]["spaces"], **alone[1]["spaces"]},
+        "contradictions": alone[0]["contradictions"] + alone[1]["contradictions"],
+    }
+    assert len(want["spaces"]) == 2 * len(catalog.spaces)
+    assert solution_json(both) == want
+
+
+def _intervals(solution):
+    return {
+        (name, inv): (iv.lower, iv.upper)
+        for name, state in solution.states.items()
+        for inv, iv in state.intervals.items()
+    }
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_fact_equal_to_a_solved_end_changes_no_interval(source):
+    catalog = link(_documents(source))
+    solved = _intervals(propagate(catalog))
+    added = 0
+    for (name, inv), (lower, upper) in solved.items():
+        for qualifier, value in (("lower", lower), ("upper", upper)):
+            if value is None:
+                continue
+            fact = KnownFact(name, inv, qualifier, value, "the solved end")
+            more = catalog._replace(facts=tuple(sorted({*catalog.facts, fact})))
+            assert _intervals(propagate(more)) == solved, fact
+            added += 1
+    assert added >= len(solved)

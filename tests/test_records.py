@@ -1,13 +1,26 @@
-"""Record semantics: value records are immutable namedtuples, the three
-checking records run their checks in every constructor (linking included),
-the mutable Interval is a __slots__ class, and a token is a plain str."""
+"""Record semantics: value records are immutable tuple subclasses that
+behave as namedtuples do, the three checking records run their checks in
+every constructor (`_replace` and linking included), the mutable Interval is
+a __slots__ class, and a token is a plain str."""
+
+import copy
+import pickle
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, strategies as st
 
 from catbound.algebra import RingPresentation, Substitution
 from catbound.catalog import LinkError, link
-from catbound.cones import BundleRecord, ConeError, check_compatibility, filtration_ledger
+from catbound.cones import (
+    BundleRecord,
+    CompatibilityCertificate,
+    ConeDecomposition,
+    ConeError,
+    ConeStage,
+    check_compatibility,
+    filtration_ledger,
+)
 from catbound.corpus import parse_sources, read_sources
 from catbound.cup import cup_length
 from catbound.dsl import KnownFact, ProductDecl, _lex, _quote, _value, parse, render
@@ -89,9 +102,72 @@ def test_every_record_class_is_in_every_record():
         value
         for module in (algebra, catalog, cones, cup, dsl, solver)
         for value in vars(module).values()
-        if isinstance(value, type) and issubclass(value, tuple)
+        if isinstance(value, type)
+        and issubclass(value, tuple)
+        and value.__module__ == module.__name__
     }
     assert classes == {type(record) for record in every_record()}
+
+
+@pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
+def test_records_behave_as_namedtuples(record):
+    cls = type(record)
+    reference = namedtuple(cls.__name__, cls._fields)._make(record)
+    plain = tuple(record)
+    assert repr(record) == repr(reference)
+    assert record._asdict() == reference._asdict()
+    assert list(record._asdict()) == list(cls._fields)
+    for name, value in zip(cls._fields, plain):
+        assert getattr(record, name) is value
+    for copied in (
+        cls._make(iter(plain)),
+        record._replace(),
+        record._replace(**{cls._fields[-1]: plain[-1]}),
+        copy.copy(record),
+        pickle.loads(pickle.dumps(record)),
+    ):
+        assert type(copied) is cls
+        assert copied == record
+    with pytest.raises(ValueError, match=r"Got unexpected field names: \['nope'\]"):
+        record._replace(nope=1)
+    assert record == plain == reference and not record != plain
+    assert record <= plain and record >= plain and not record < plain
+    assert record < plain + (0,)
+    try:
+        hash(plain)
+    except TypeError:  # a field holds a dict: neither hashes
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(plain) == hash(reference)
+
+
+STAGE = ConeStage(1, 3)
+BUNDLE_FIELDS = dict(
+    name="b", total="T", fiber="F", base="B", structure_group="F", d=1, s=0
+)
+
+
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        (ConeDecomposition("F", (STAGE,)), dict(stages=(ConeStage(2, 3),)), "numbered 1..m"),
+        (ConeDecomposition("F", (STAGE,)), dict(stages=(ConeStage(1, 0),)), "needs dim >= 1"),
+        (CompatibilityCertificate(), dict(kind="strong"), "unknown certificate kind"),
+        (CompatibilityCertificate("verified", "r"), dict(reason=" "), "nonempty reason"),
+        (BundleRecord(**BUNDLE_FIELDS), dict(d=0), "d must be >= 1"),
+        (BundleRecord(**BUNDLE_FIELDS), dict(s=1), "0 <= s <= d-1"),
+        (BundleRecord(**BUNDLE_FIELDS), dict(base_dim=-1), "must be >= 0"),
+        (BundleRecord(**{**BUNDLE_FIELDS, "d": 3}), dict(base_dim=2), "smaller than the cell period"),
+    ],
+)
+def test_checking_records_refuse_bad_fields_in_every_constructor(good, bad, message):
+    with pytest.raises(ConeError, match=message):
+        good._replace(**bad)
+    with pytest.raises(ConeError, match=message):
+        type(good)(**{**good._asdict(), **bad})
+    with pytest.raises(ConeError, match=message):
+        type(good)._make({**good._asdict(), **bad}.values())
 
 
 def test_interval_is_a_slots_class_and_tokens_are_strings():
