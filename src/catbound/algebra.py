@@ -324,10 +324,6 @@ class RingPresentation:
         except KeyError:
             raise AlgebraError(f"unknown generator {name!r}") from None
 
-    def effective_truncation(self, name: str) -> int | None:
-        factor, k = self._homes[self.index(name)]
-        return factor.caps[k]
-
     def nilpotency_orders(self) -> tuple[int, ...]:
         """nilpotency_order of every generator, in order, fixed when the ring
         is built: a generator without a rule has its cap as its order."""

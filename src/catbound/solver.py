@@ -25,7 +25,8 @@ Rules, in canonical order:
 The first five read only the catalog and run once per solve, with one search
 per (ring, weights) and one certification per bundle; each end keeps beside
 it, on its Interval, the one credit tuple of the static candidate that holds
-it.  Then a worklist settles each space after the spaces it reads: a visit
+it.  Then a worklist visits the spaces in declaration order, or a seed's
+shuffle of it, not after the spaces they read (ROADMAP item 20): a visit
 applies the products and refused bundles that bound the space, closes its
 chain (a tuple made with the space) in closed form, and credits each end to
 the first candidate, in canonical order, equal to it, over the previous
@@ -71,16 +72,6 @@ class Interval:
     @property
     def determined(self) -> bool:
         return self.upper is not None and self.upper == self.lower
-
-    @property
-    def crossed(self) -> bool:
-        return self.upper is not None and self.upper < self.lower
-
-    def raise_lower(self, value: int) -> bool:
-        if value > self.lower:
-            self.lower = value
-            return True
-        return False
 
     def cut_upper(self, value: int) -> bool:
         if self.upper is None or value < self.upper:
@@ -352,11 +343,11 @@ def propagate(
         feeds.setdefault(one, []).append(item.total)
         feeds.setdefault(other, []).append(item.total)
 
-    # Settle each space after the spaces it reads.  A visit writes only the
-    # visited space, and only its cat and Cat upper ends are read elsewhere,
-    # so a change there re-queues its readers and nothing else.  The last
-    # visit sees its inflow's final ends, so the credits it writes, over
-    # the previous visit's, are final.
+    # Visit in queue order, which need not put a space after those it reads
+    # (ROADMAP item 20).  A visit writes only the visited space, and only its
+    # cat and Cat upper ends are read elsewhere, so a change there re-queues
+    # its readers and nothing else.  The last visit sees its inflow's final
+    # ends, so the credits it writes, over the previous visit's, are final.
     credits, crossings = {}, {}  # space -> its credits, its first crossing or None
     queued, queue = set(queue), deque(queue)
     while queue:

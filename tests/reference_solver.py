@@ -175,7 +175,9 @@ def reference_propagate(
             for space, inv, side, value, _ in rule(*rule_args):
                 iv = intervals_of[space][inv]
                 if side == "lower":
-                    changed |= iv.raise_lower(value)
+                    if value > iv.lower:
+                        iv.lower = value
+                        changed = True
                 else:
                     changed |= iv.cut_upper(value)
         order = [row for row in order if not row[1]]
@@ -214,7 +216,8 @@ def _attach_provenance(states: dict, rule_args: tuple) -> Solution:
             if iv.upper is not None:
                 upper_p = found[name, inv, "upper"]
                 entries.append(upper_p)
-            if iv.crossed and contradiction is None:
+            crossed = iv.upper is not None and iv.upper < iv.lower
+            if crossed and contradiction is None:
                 # bounds crossed: the declared inputs for this space are
                 # inconsistent; report both sides of the first crossing (one
                 # report per space is enough) and leave the space out of any

@@ -22,11 +22,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_render import render
 from reference_solver import reference_propagate
 
 from catbound.catalog import LinkError, link
 from catbound.cli import _ERRORS, main, render_table, solution_json
-from catbound.dsl import INVARIANTS, parse, render
+from catbound.dsl import INVARIANTS, parse
 from catbound.solver import propagate
 
 RINGS = ("R0", "R1")
@@ -163,9 +164,9 @@ def documents(draw):
 @given(documents())
 def test_grammar_documents_fail_only_with_reported_errors(text):
     doc = parse(text)
-    if doc.ok:
+    if not doc.diagnostics:
         again = parse(render(doc))
-        assert again.ok and again.declarations == doc.declarations
+        assert not again.diagnostics and again.declarations == doc.declarations
     try:
         catalog = link([doc])
         solution = propagate(catalog, max_search=MAX_SEARCH)
@@ -237,7 +238,7 @@ def test_each_dim_and_connectivity_refusal_is_reported(check):
     def refused(case):
         text, message = case
         doc = parse(text)
-        assert doc.ok, [str(d) for d in doc.diagnostics]
+        assert not doc.diagnostics, [str(d) for d in doc.diagnostics]
         with pytest.raises(LinkError, match=f"^{re.escape(message)}$"):
             link([doc])
         with tempfile.TemporaryDirectory() as tmp:

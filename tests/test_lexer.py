@@ -147,9 +147,9 @@ def test_a_document_with_thousands_of_faults_builds_one_position_table(monkeypat
     assert {d.name[0] for d in doc.declarations} == {"B", "C"}
     assert built == [len(text)]
     clean = "\n".join(line for line in text.splitlines() if "space C" in line)
-    assert dsl.parse(clean).ok
+    assert not dsl.parse(clean).diagnostics
     for _, source in read_sources():
-        assert dsl.parse(source).ok
+        assert not dsl.parse(source).diagnostics
     assert built == [len(text)]
 
 

@@ -9,6 +9,7 @@ from collections import namedtuple
 
 import pytest
 from hypothesis import given, strategies as st
+from reference_render import _quote, render
 
 from catbound.algebra import RingPresentation, Substitution
 from catbound.catalog import LinkError, link
@@ -23,7 +24,7 @@ from catbound.cones import (
 )
 from catbound.corpus import parse_sources, read_sources
 from catbound.cup import cup_length
-from catbound.dsl import KnownFact, ProductDecl, _lex, _quote, _value, parse, render
+from catbound.dsl import KnownFact, ProductDecl, _lex, _value, parse
 from catbound.solver import Interval, ganea_check, propagate
 
 BUNDLE = """
@@ -37,7 +38,7 @@ bundle b { fiber F; base B; total T; structure-group F; cells-mod 1 0;
 
 def parse_clean(text):
     doc = parse(text)
-    assert doc.ok, [str(d) for d in doc.diagnostics]
+    assert not doc.diagnostics, [str(d) for d in doc.diagnostics]
     return doc
 
 
