@@ -25,18 +25,22 @@ Rules, in canonical order:
 The first five read only the catalog and run once per solve, with one search
 per (ring, weights) and one certification per bundle; each end keeps beside
 it, on its Interval, the one credit tuple of the static candidate that holds
-it.  Then a worklist visits the spaces in declaration order, or a seed's
-shuffle of it, not after the spaces they read (ROADMAP item 20): a visit
-applies the products and refused bundles that bound the space, closes its
-chain (a tuple made with the space) in closed form, and credits each end to
-the first candidate, in canonical order, equal to it, over the previous
-visit's credit; only a change of its cat or Cat upper end queues the spaces
-that read it again.  A visit allocates per space, plus one tuple per end
-credited by product, fiber-base or chain.  `Solution.provenance` is a
-read-only mapping that builds a space's `Provenance` records when first read.
-A space whose interval ends cross (possible only if the declared inputs are
-themselves inconsistent) is reported as a contradiction with a provenance
-entry per side; remaining spaces are unaffected.
+it.  Then a worklist visits each space after the spaces it reads (a
+product's factors, a refused bundle's fiber and base), in a depth-first
+post-order from declaration order, or under a seed a random topological
+order, so an acyclic catalog settles in one visit per space whatever the
+order of its declarations: a visit applies the products and refused
+bundles that bound the space, closes its chain (a tuple made with the
+space) in closed form, and credits each end to the first candidate, in
+canonical order, equal to it, over the previous visit's credit; only a
+change of its cat or Cat upper end queues the spaces that read it again,
+which only on a cycle may have been visited already.  A visit allocates
+per space, plus one tuple per end credited by product, fiber-base or
+chain.  `Solution.provenance` is a read-only mapping that builds a space's
+`Provenance` records when first read.  A space whose interval ends cross
+(possible only if the declared inputs are themselves inconsistent) is
+reported as a contradiction with a provenance entry per side; remaining
+spaces are unaffected.
 """
 
 from __future__ import annotations
@@ -286,6 +290,34 @@ def _close_chain(chain: tuple[Interval, ...]) -> None:
         least = hi.upper
 
 
+def _settle_order(starts: list[str], reads: dict, rng) -> list[str]:
+    """The spaces of `starts` in depth-first post-order over `reads`, each
+    total's list of the spaces it reads: every space after those it reads,
+    unless a cycle runs through it.  A seed's `rng` also shuffles each read
+    list, so a seeded order is a random topological order, not a plain
+    shuffle.  Iterative: a chain may be deeper than the recursion limit."""
+    if rng is not None:
+        for listed in reads.values():
+            rng.shuffle(listed)
+    order, seen = [], set()
+    for start in starts:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [(start, iter(reads.get(start, ())))]
+        while stack:
+            name, pending = stack[-1]
+            for read in pending:
+                if read not in seen:
+                    seen.add(read)
+                    stack.append((read, iter(reads.get(read, ()))))
+                    break
+            else:
+                stack.pop()
+                order.append(name)
+    return order
+
+
 def propagate(
     catalog: Catalog,
     rule_seed: int | None = None,
@@ -300,14 +332,13 @@ def propagate(
             intervals["wcat"] = Interval()
         states[name] = SpaceState(intervals)
 
-    rules = list(enumerate(_RULES))
-    queue = list(catalog.spaces)
+    rules, starts, rng = list(enumerate(_RULES)), list(catalog.spaces), None
     if rule_seed is not None:
         import random  # only a seeded solve needs it
 
         rng = random.Random(rule_seed)
         rng.shuffle(rules)
-        rng.shuffle(queue)
+        rng.shuffle(starts)
     # every bundle, in name order, with its verdict's stagewise bound, None
     # where the certificate refuses it: one certification per bundle per solve
     bundles = sorted(catalog.bundles.values(), key=lambda b: b.name)
@@ -333,21 +364,26 @@ def propagate(
                     iv.upper, iv.upper_static = value, (inv, side, value, rule_name, detail, None)
 
     # inflow[total]: the products and refused bundles bounding it, in
-    # canonical order; feeds[space]: the totals that read it.
-    inflow, feeds = {}, {}
-    reads = [("product", _rule_product, p, p.left, p.right) for p in catalog.products]
-    reads += [("fiber-base", _rule_fiber_base, b, b.fiber, b.base)
+    # canonical order; reads[total]: the spaces they read; feeds[space]: the
+    # totals that read it.
+    inflow, reads, feeds = {}, {}, {}
+    items = [("product", _rule_product, p, p.left, p.right) for p in catalog.products]
+    items += [("fiber-base", _rule_fiber_base, b, b.fiber, b.base)
               for b, bound in bundles if bound is None]
-    for rule_name, rule, item, one, other in reads:
+    for rule_name, rule, item, one, other in items:
         inflow.setdefault(item.total, []).append((rule_name, rule, item))
+        reads.setdefault(item.total, []).extend((one, other))
         feeds.setdefault(one, []).append(item.total)
         feeds.setdefault(other, []).append(item.total)
 
-    # Visit in queue order, which need not put a space after those it reads
-    # (ROADMAP item 20).  A visit writes only the visited space, and only its
-    # cat and Cat upper ends are read elsewhere, so a change there re-queues
-    # its readers and nothing else.  The last visit sees its inflow's final
-    # ends, so the credits it writes, over the previous visit's, are final.
+    # Visit each space after the spaces it reads, so an acyclic catalog
+    # settles in one visit per space, whatever its declaration order.  A
+    # visit writes only the visited space, and only its cat and Cat upper
+    # ends are read elsewhere, so a change there re-queues its readers that
+    # are not queued yet: only a cycle's.  The last visit sees its inflow's
+    # final ends, so the credits it writes, over the previous visit's, are
+    # final.
+    queue = _settle_order(starts, reads, rng)
     credits, crossings = {}, {}  # space -> its credits, its first crossing or None
     queued, queue = set(queue), deque(queue)
     while queue:

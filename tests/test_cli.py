@@ -519,9 +519,76 @@ def test_every_help_text_matches_the_golden_file(monkeypatch, capsys):
     assert "".join(texts) == (GOLDEN / "help.txt").read_text(encoding="utf-8")
 
 
-# -- import footprint ------------------------------------------------------------
+# -- the process entry point ------------------------------------------------------
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def cli_process(argv, env=os.environ, **kwargs):
+    """`python -m catbound.cli argv` in a fresh interpreter with environment
+    env, which ends through `run`."""
+    return subprocess.run(
+        [sys.executable, "-m", "catbound.cli", *argv],
+        env={**env, "PYTHONPATH": str(SRC)},
+        encoding="utf-8",
+        **kwargs,
+    )
+
+
+REFERENCE = json.loads((ROOT / "perfbench" / "reference" / "cli.json").read_text("utf-8"))
+PROCESS_ARGVS = [key.split(" ") for key in sorted(REFERENCE)] + [
+    ["--help"],
+    ["cup", "SO5_mod2", "--max-search", "-1"],  # a usage error, exit 2
+    ["cup", "Nope"],  # a domain error, exit 1
+]
+
+
+@pytest.mark.parametrize("argv", PROCESS_ARGVS, ids=" ".join)
+def test_a_process_prints_and_exits_as_main_returns(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = run(capsys, *argv)
+    done = cli_process(argv, env={**os.environ, "COLUMNS": "80"}, capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == want
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["closed pipe", "full disk"])
+def test_a_failed_write_is_reported_as_without_the_fast_exit(sink, unbuffered):
+    """Where flushing stdout fails, the interpreter exits as it did before
+    `run`: a buffered stdout fails at shutdown, which exits 120; an
+    unbuffered one fails in `main`'s print, a traceback and exit 1."""
+    if sink == "closed pipe":
+        read, stdout = os.pipe()
+        os.close(read)
+        error = "BrokenPipeError: [Errno 32] Broken pipe"
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        error = "OSError: [Errno 28] No space left on device"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = cli_process(["table"], env=env, stdout=stdout, stderr=subprocess.PIPE)
+    finally:
+        os.close(stdout)
+    lines = done.stderr.splitlines()
+    assert (done.returncode, lines[-1]) == (1 if unbuffered else 120, error)
+    if unbuffered:
+        assert lines[0] == "Traceback (most recent call last):"
+    else:  # the shutdown's report alone, no traceback before it
+        assert len(lines) == 2
+        assert lines[0].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+
+
+def test_the_installed_command_ends_through_run():
+    text = (ROOT / "pyproject.toml").read_text("utf-8")
+    assert '[project.scripts]\ncatbound = "catbound.cli:run"\n' in text
+
+
+# -- import footprint ------------------------------------------------------------
 
 
 def loaded(flags, statement, modules):

@@ -11,6 +11,8 @@ generated catalogs of `test_solver`.
   the copies' equal rings share their searches.
 - Adding a fact equal to an end of the solved interval changes no interval:
   the fixpoint already holds it.
+- Shuffling the declarations, within and across documents, changes no
+  bound and no credit, although the solver orders its visits from them.
 
 Apart from the laws, ground truth: on a generated catalog of spheres,
 projective spaces, lens spaces and products of 2-spheres, whose cat and Cat
@@ -18,6 +20,7 @@ are known in closed form, every interval must contain the true value.
 """
 
 import json
+import random
 
 import pytest
 from test_solver import _generated_document
@@ -184,6 +187,33 @@ def test_a_fact_equal_to_a_solved_end_changes_no_interval(source):
             assert _intervals(propagate(more)) == solved, fact
             added += 1
     assert added >= len(solved)
+
+
+def _shuffled(docs, seed):
+    """The documents' declarations in a seeded random order, dealt into at
+    least two documents at random cut points."""
+    rng = random.Random(seed)
+    decls = [decl for doc in docs for decl in doc.declarations]
+    rng.shuffle(decls)
+    cuts = sorted(rng.randint(0, len(decls)) for _ in range(max(2, len(docs)) - 1))
+    bounds = [0, *cuts, len(decls)]
+    return [
+        docs[0]._replace(path=f"shuffled{i}.lsc", declarations=decls[start:end])
+        for i, (start, end) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_declaration_order_changes_no_bound_and_no_credit(source):
+    docs = _documents(source)
+    want = propagate(link(docs))
+    report = solution_json(want)
+    for shuffle in range(4):
+        catalog = link(_shuffled(docs, shuffle))
+        for rule_seed in (None, 1):
+            got = propagate(catalog, rule_seed=rule_seed)
+            assert solution_json(got) == report, (shuffle, rule_seed)
+            assert got == want, (shuffle, rule_seed)
 
 
 def _ground_truth():

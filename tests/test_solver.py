@@ -370,17 +370,17 @@ def test_the_corpus_settles_each_space_once(monkeypatch):
 # solve under rule seeds None, 1, 2 and 3, counted through the seams above:
 # a faster solve must do exactly this work, not skip some of it.
 SOLVE_WORK = {
-    "corpus": [(37, 21, 12), (38, 21, 12), (38, 21, 12), (38, 21, 12)],
-    0: [(16, 1, 1), (16, 1, 1), (14, 1, 1), (16, 1, 1)],
-    1: [(11, 1, 3), (10, 1, 3), (10, 1, 3), (9, 1, 3)],
-    2: [(18, 1, 1), (17, 1, 1), (16, 1, 1), (16, 1, 1)],
-    3: [(11, 1, 2), (11, 1, 2), (10, 1, 2), (8, 1, 2)],
-    4: [(12, 1, 2), (10, 1, 2), (10, 1, 2), (8, 1, 2)],
-    5: [(13, 1, 2), (13, 1, 2), (10, 1, 2), (13, 1, 2)],
-    6: [(24, 1, 2), (23, 1, 2), (15, 1, 2), (17, 1, 2)],
-    7: [(12, 1, 4), (12, 1, 4), (11, 1, 4), (11, 1, 4)],
-    8: [(9, 1, 3), (9, 1, 3), (9, 1, 3), (9, 1, 3)],
-    9: [(15, 1, 0), (13, 1, 0), (13, 1, 0), (14, 1, 0)],
+    "corpus": [(37, 21, 12), (37, 21, 12), (37, 21, 12), (37, 21, 12)],
+    0: [(12, 1, 1), (12, 1, 1), (12, 1, 1), (12, 1, 1)],
+    1: [(7, 1, 3), (7, 1, 3), (7, 1, 3), (7, 1, 3)],
+    2: [(13, 1, 1), (13, 1, 1), (13, 1, 1), (13, 1, 1)],
+    3: [(8, 1, 2), (8, 1, 2), (8, 1, 2), (8, 1, 2)],
+    4: [(8, 1, 2), (8, 1, 2), (7, 1, 2), (8, 1, 2)],
+    5: [(10, 1, 2), (10, 1, 2), (10, 1, 2), (10, 1, 2)],
+    6: [(13, 1, 2), (13, 1, 2), (13, 1, 2), (13, 1, 2)],
+    7: [(9, 1, 4), (10, 1, 4), (10, 1, 4), (10, 1, 4)],
+    8: [(8, 1, 3), (8, 1, 3), (9, 1, 3), (9, 1, 3)],
+    9: [(9, 1, 0), (9, 1, 0), (9, 1, 0), (9, 1, 0)],
 }
 
 
@@ -405,6 +405,33 @@ def test_the_solve_does_its_pinned_work(monkeypatch, source):
         counts.append([0, 0, 0])
         propagate(catalog, rule_seed=rule_seed)
     assert [tuple(c) for c in counts] == SOLVE_WORK[source]
+
+
+def _reverse_chain(n):
+    """Products P_i = P_{i-1} * S for i = 1..n, declared totals first."""
+    decls = [f"space P{i} {{ dim {3 * (i + 1)}; }}" for i in range(n, -1, -1)]
+    decls.append('space S { dim 3; known cat = 1 from "s"; }')
+    decls += [f"product P{i} = P{i - 1} * S;" for i in range(n, 0, -1)]
+    return "\n".join(decls)
+
+
+def test_a_reverse_declared_chain_settles_once_per_space(monkeypatch):
+    # in declaration order each total would be visited again at every change
+    # of its factor: n(n+1)/2 visits
+    catalog = link([doc(_reverse_chain(2000))])
+    close_chain = solver._close_chain
+    visits = []
+
+    def counted(chain):
+        visits[-1] += 1
+        return close_chain(chain)
+
+    monkeypatch.setattr(solver, "_close_chain", counted)
+    for rule_seed in (None, 1, 2, 3):
+        visits.append(0)
+        solution = propagate(catalog, rule_seed=rule_seed)
+        assert str(solution.interval("P2000", "cat")) == "[0,2003]"
+    assert visits == [len(catalog.spaces)] * 4 == [2002] * 4
 
 
 def _cat_upper(solution, name):
