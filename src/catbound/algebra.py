@@ -372,9 +372,6 @@ class RingPresentation:
     def zero_monomial(self) -> Monomial:
         return Monomial(0, (0,) * self.ngens)
 
-    def one(self) -> Monomial:
-        return Monomial(1 % self.p, (0,) * self.ngens)
-
     def monomial(self, powers: Mapping[str, int] | None = None, coeff: int = 1) -> Monomial:
         """Build a raw monomial from generator powers; not normalized."""
         exps = [0] * self.ngens
@@ -471,13 +468,6 @@ def _truncates(
             for j, a in sub[1]:
                 e[j] += q * a
     return False
-
-
-def degree(m: Monomial, ring: RingPresentation) -> int | None:
-    """Total degree of a monomial; None for zero."""
-    if m.is_zero():
-        return None
-    return sum(e * g.degree for e, g in zip(m.exps, ring.generators))
 
 
 def multiply_monomials(u: Monomial, v: Monomial, ring: RingPresentation) -> Monomial:

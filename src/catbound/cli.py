@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 on a domain error (unknown names, broken
 documents, refused bounds where an answer was required), 2 on usage errors.
 Output is deterministic: JSON is emitted with sorted keys, text tables are
 built from sorted iterations, and the solver's fixpoint does not depend on
-the rule order a seed picks.
+the settle order a seed picks.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ Every space carries one interval per invariant in the chain
 (wcat is recorded when facts mention it but never propagated).  Each rule
 yields candidate bounds; a candidate only raises a lower end or cuts an upper
 end, so the rules are monotone maps on a finite lattice: applying them in any
-order until nothing changes reaches the same fixpoint.  A seed may shuffle
-the order; the result is identical by construction.
+order until nothing changes reaches the same fixpoint.  A seed shuffles
+the settle order only; the result is identical by construction.
 
 Rules, in canonical order:
   ring-cup       longest nonzero product in a presented ring -> cup.lower
@@ -22,25 +22,25 @@ Rules, in canonical order:
                  stagewise bound refuses, applied to cat.upper
   chain          lower ends push up the chain, upper ends push down
 
-The first five read only the catalog and run once per solve, with one search
-per (ring, weights) and one certification per bundle; each end keeps beside
-it, on its Interval, the one credit tuple of the static candidate that holds
-it.  Then a worklist visits each space after the spaces it reads (a
-product's factors, a refused bundle's fiber and base), in a depth-first
-post-order from declaration order, or under a seed a random topological
-order, so an acyclic catalog settles in one visit per space whatever the
-order of its declarations: a visit applies the products and refused
-bundles that bound the space, closes its chain (a tuple made with the
-space) in closed form, and credits each end to the first candidate, in
-canonical order, equal to it, over the previous visit's credit; only a
-change of its cat or Cat upper end queues the spaces that read it again,
-which only on a cycle may have been visited already.  A visit allocates
-per space, plus one tuple per end credited by product, fiber-base or
-chain.  `Solution.provenance` is a read-only mapping that builds a space's
-`Provenance` records when first read.  A space whose interval ends cross
-(possible only if the declared inputs are themselves inconsistent) is
-reported as a contradiction with a provenance entry per side; remaining
-spaces are unaffected.
+The first five read only the catalog and run once per solve, in canonical
+order under every seed, with one search per (ring, weights) and one
+certification per bundle; each end keeps beside it, on its Interval, the
+credit tuple of the first static candidate that reached it.  Then a worklist
+visits each space after the spaces it reads (a product's factors, a refused
+bundle's fiber and base), in a depth-first post-order from declaration
+order, or under a seed a random topological order, so an acyclic catalog
+settles in one visit per space whatever the order of its declarations: a
+visit applies the `_INFLOW` rows, products and refused bundles, that bound
+the space, closes its chain (a tuple made with the space) in closed form,
+and credits each end to the first candidate, in canonical order, equal to
+it, over the previous visit's credit; only a change of its cat or Cat upper
+end queues the spaces that read it again, which only on a cycle may have
+been visited already.  A visit allocates per space, plus one tuple per end
+credited by product, fiber-base or chain.  `Solution.provenance` is a
+read-only mapping that builds a space's `Provenance` records when first
+read.  A space whose interval ends cross (possible only if the declared
+inputs are themselves inconsistent) is reported as a contradiction with a
+provenance entry per side; remaining spaces are unaffected.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class Provenances(Mapping):
     """Read-only map space -> [Provenance], one record per positive lower end
     and finite upper end, chain invariants first, then wcat.  The solve
     leaves each end's credit as a plain tuple (invariant, side, value, rule,
-    detail, args), args being a product's or fiber-base bound's (item, ...)
-    and None for the other rules; a space's records are built when first
+    detail, args), args being an `_INFLOW` candidate's (item, one, other, a,
+    b) and None for the other rules; a space's records are built when first
     read.  `contradicted` holds the spaces whose ends cross."""
 
     __slots__ = ("_credits", "_records", "contradicted")
@@ -164,17 +164,15 @@ class Provenances(Mapping):
 
     def inputs(self, space: str, invariant: str, side: str) -> tuple:
         """The ends (space, invariant, side) this end's credit read: the
-        factors' uppers for product, the fiber's and base's cat uppers for
-        fiber-base, the neighbouring end for chain, none for a static rule.
-        A credit may read itself, through P = P * Q or mutually fibred
-        bundles: such a cycle is listed, and nothing here follows it."""
+        same upper ends of the two spaces an inflow rule's item reads, the
+        neighbouring end for chain, none for a static rule.  A credit may
+        read itself, through P = P * Q or mutually fibred bundles: such a
+        cycle is listed, and nothing here follows it."""
         rule, _, args = {end[:2]: end[3:] for end in self._credits[space]}[invariant, side]
         if rule == "chain":
             return ((space, _NEIGHBOUR[side][invariant][0], side),)
-        if rule == "product":
-            return ((args[0].left, invariant, "upper"), (args[0].right, invariant, "upper"))
-        if rule == "fiber-base":
-            return ((args[0].fiber, "cat", "upper"), (args[0].base, "cat", "upper"))
+        if rule in _INFLOW:
+            return ((args[1], invariant, "upper"), (args[2], invariant, "upper"))
         return ()
 
 
@@ -238,7 +236,7 @@ def _rule_cone_bundle(catalog, search, bundles):
             yield bundle.total, "Cat", "upper", bound, detail
 
 
-# (name, rule) in canonical order; each runs once per solve.
+# (name, rule) in canonical order; each solve runs them once, in this order.
 _RULES = (
     ("ring-cup", _rule_ring_cup),
     ("ring-weight", _rule_ring_weight),
@@ -246,34 +244,17 @@ _RULES = (
     ("dimension", _rule_dimension),
     ("cone-bundle", _rule_cone_bundle),
 )
-_RANK = {name: index for index, (name, _) in enumerate(_RULES)}
 
 
-# -- state-dependent rules -------------------------------------------------------
-# Each bounds an upper end of one item's total space from the current state,
-# yielding (invariant, value, args) with args[0] the item; the detail text,
-# `_DETAILS[rule].format(*args)`, is made only for a credited candidate.
-
-
-def _rule_product(prod, intervals_of):
-    left, right = intervals_of[prod.left], intervals_of[prod.right]
-    for inv in ("cat", "Cat"):
-        a, b = left[inv].upper, right[inv].upper
-        if a is not None and b is not None:
-            yield inv, product_bound(a, b), (prod, a, b)
-
-
-def _rule_fiber_base(bundle, intervals_of):
-    # only where the stagewise bound refuses
-    f = intervals_of[bundle.fiber]["cat"].upper
-    b = intervals_of[bundle.base]["cat"].upper
-    if f is not None and b is not None:
-        yield "cat", general_bundle_bound(f, b), (bundle, f, b)
-
-
-_DETAILS = {
-    "product": "{0.left} x {0.right}: {1} + {2}",
-    "fiber-base": "bundle {0.name}: ({1}+1)({2}+1)-1",
+# -- inflow rules ----------------------------------------------------------------
+# rule -> (invariants, bound, detail format): the rule cuts each invariant's
+# upper end of an item's total to the bound of that end of the two spaces the
+# item reads, a product's factors or a refused bundle's fiber and base.  A
+# candidate's args are (item, one, other, a, b), the two spaces and their
+# ends; the detail is formatted only for a credited candidate.
+_INFLOW = {
+    "product": (("cat", "Cat"), product_bound, "{1} x {2}: {3} + {4}"),
+    "fiber-base": (("cat",), general_bundle_bound, "bundle {0.name}: ({3}+1)({4}+1)-1"),
 }
 
 
@@ -332,46 +313,39 @@ def propagate(
             intervals["wcat"] = Interval()
         states[name] = SpaceState(intervals)
 
-    rules, starts, rng = list(enumerate(_RULES)), list(catalog.spaces), None
+    starts, rng = list(catalog.spaces), None
     if rule_seed is not None:
         import random  # only a seeded solve needs it
 
         rng = random.Random(rule_seed)
-        rng.shuffle(rules)
         rng.shuffle(starts)
     # every bundle, in name order, with its verdict's stagewise bound, None
     # where the certificate refuses it: one certification per bundle per solve
     bundles = sorted(catalog.bundles.values(), key=lambda b: b.name)
     bundles = [(bundle, check_compatibility(bundle).bound) for bundle in bundles]
 
-    # Static rules, once.  Each end keeps, beside it, the credit of the
-    # candidate that moved it last, or of the candidate of least canonical
-    # rank among those equal to it: whatever the rule order.  A rule yields
-    # its candidates in canonical order, so only another rule's can tie.
+    # Static rules, once, in canonical order, under every seed: each only
+    # raises or cuts an end, so the order changes no value.  Each end keeps,
+    # beside it, the credit of the first candidate that reached it.
     rule_args = (catalog, _searcher(max_search), bundles)
-    for index, (rule_name, rule) in rules:
+    for rule_name, rule in _RULES:
         for space, inv, side, value, detail in rule(*rule_args):
             iv = intervals_of[space][inv]
             if side == "lower":
-                held = iv.lower_static
-                if value > iv.lower or (held and held[2] == value and index < _RANK[held[3]]):
+                if value > iv.lower:
                     iv.lower, iv.lower_static = value, (inv, side, value, rule_name, detail, None)
-            else:
-                held = iv.upper_static
-                if iv.upper is None or value < iv.upper or (
-                    held and held[2] == value and index < _RANK[held[3]]
-                ):
-                    iv.upper, iv.upper_static = value, (inv, side, value, rule_name, detail, None)
+            elif iv.cut_upper(value):
+                iv.upper_static = (inv, side, value, rule_name, detail, None)
 
-    # inflow[total]: the products and refused bundles bounding it, in
-    # canonical order; reads[total]: the spaces they read; feeds[space]: the
-    # totals that read it.
+    # inflow[total]: (rule, item, one, other) for the products and refused
+    # bundles bounding it, in canonical order; reads[total]: the spaces they
+    # read; feeds[space]: the totals that read it.
     inflow, reads, feeds = {}, {}, {}
-    items = [("product", _rule_product, p, p.left, p.right) for p in catalog.products]
-    items += [("fiber-base", _rule_fiber_base, b, b.fiber, b.base)
-              for b, bound in bundles if bound is None]
-    for rule_name, rule, item, one, other in items:
-        inflow.setdefault(item.total, []).append((rule_name, rule, item))
+    items = [("product", p, p.left, p.right) for p in catalog.products]
+    items += [("fiber-base", b, b.fiber, b.base) for b, bound in bundles if bound is None]
+    for entry in items:
+        _, item, one, other = entry
+        inflow.setdefault(item.total, []).append(entry)
         reads.setdefault(item.total, []).extend((one, other))
         feeds.setdefault(one, []).append(item.total)
         feeds.setdefault(other, []).append(item.total)
@@ -393,10 +367,14 @@ def propagate(
         cat, Cat = chain[2], chain[3]
         before = (cat.upper, Cat.upper)
         candidates = []
-        for rule_name, rule, item in inflow.get(name, ()):
-            for inv, value, args in rule(item, intervals_of):
-                intervals[inv].cut_upper(value)
-                candidates.append((inv, value, rule_name, args))
+        for rule_name, item, one, other in inflow.get(name, ()):
+            invariants, bound, _ = _INFLOW[rule_name]
+            for inv in invariants:
+                a, b = intervals_of[one][inv].upper, intervals_of[other][inv].upper
+                if a is not None and b is not None:
+                    value = bound(a, b)
+                    intervals[inv].cut_upper(value)
+                    candidates.append((inv, value, rule_name, (item, one, other, a, b)))
         _close_chain(chain)
         credits[name], crossings[name] = _credit(name, intervals, candidates)
         if (cat.upper, Cat.upper) != before:
@@ -422,9 +400,9 @@ def propagate(
 
 # -- provenance --------------------------------------------------------------
 # Each settled end goes to the first candidate, in canonical rule order, equal
-# to it, whatever the rule order: its static credit, then the candidates of
-# the space's inflow on its last visit, then its chain neighbour.  The rules
-# are monotone, so one always exists; a missing one raises KeyError.
+# to it: its static credit, then the candidates of the space's inflow on its
+# last visit, then its chain neighbour.  The rules are monotone, so one
+# always exists; a missing one raises KeyError.
 
 # the chain neighbour whose end is a candidate for each side and invariant,
 # with the detail of its credit
@@ -454,7 +432,7 @@ def _credit(name, intervals, candidates) -> tuple[list, str | None]:
             if held is None or held[2] != upper:
                 for got, value, rule, args in candidates:
                     if got == inv and value == upper:
-                        held = (inv, "upper", upper, rule, _DETAILS[rule].format(*args), args)
+                        held = (inv, "upper", upper, rule, _INFLOW[rule][2].format(*args), args)
                         break
                 else:
                     other, detail = _NEIGHBOUR["upper"].get(inv, (None, None))

@@ -12,7 +12,8 @@ lexicographically smallest vector attaining it.
 
 `one_step_normal_form` is the original normal form, which applies a
 substitution one power at a time and takes each step's Koszul sign on its
-own, so it is linear in every exponent.
+own, so it is linear in every exponent.  `one` and `degree` are the unit
+monomial and a monomial's total degree, which only the tests need.
 """
 
 from __future__ import annotations
@@ -30,6 +31,18 @@ from catbound.algebra import (
 )
 
 _ORDER_CAP = 4096
+
+
+def one(ring: RingPresentation) -> Monomial:
+    """The unit monomial of the ring."""
+    return Monomial(1 % ring.p, (0,) * ring.ngens)
+
+
+def degree(m: Monomial, ring: RingPresentation) -> int | None:
+    """Total degree of a monomial; None for zero."""
+    if m.is_zero():
+        return None
+    return sum(e * g.degree for e, g in zip(m.exps, ring.generators))
 
 
 def linear_nilpotency_order(name: str, ring: RingPresentation, cap: int) -> int:
@@ -97,7 +110,7 @@ def reference_search(
             rec(i + 1, cur, val + e * weights[i])
         evec[i] = 0
 
-    rec(0, ring.one(), 0)
+    rec(0, one(ring), 0)
     return best_val, best_wit
 
 

@@ -14,7 +14,6 @@ from catbound.algebra import (
     Monomial,
     RingPresentation,
     Substitution,
-    degree,
     multiply_monomials,
     nilpotency_order,
     normal_form,
@@ -29,6 +28,7 @@ from catbound.cup import (
     weighted_wgt_lower,
 )
 from catbound.solver import ganea_check, propagate
+from reference_search import degree
 
 DETERMINED_CAT = {
     "SU(2)": 1, "SU(3)": 2, "SU(4)": 3, "SU(5)": 4,

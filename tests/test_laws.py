@@ -1,5 +1,5 @@
 """Metamorphic laws of the solver, on the shipped corpus and on the small
-generated catalogs of `test_solver`.
+generated catalogs of `test_solver`, the last law on its cycles too.
 
 - Deleting one recorded fact, bundle or product statement removes a
   candidate bound, and the rules are monotone, so no interval may narrow.
@@ -13,6 +13,11 @@ generated catalogs of `test_solver`.
   the fixpoint already holds it.
 - Shuffling the declarations, within and across documents, changes no
   bound and no credit, although the solver orders its visits from them.
+- Every credit reads final ends: the ends that `inputs()` names for a
+  product or fiber-base credit hold, in the solution, the two numbers of
+  its detail, and the rule's bound of them is the credited value; a chain
+  credit's neighbouring end equals its value.  The solver writes a space's
+  credits on its last visit, after every space it reads has settled.
 
 Apart from the laws, ground truth: on a generated catalog of spheres,
 projective spaces, lens spaces and products of 2-spheres, whose cat and Cat
@@ -21,12 +26,14 @@ are known in closed form, every interval must contain the true value.
 
 import json
 import random
+import re
 
 import pytest
-from test_solver import _generated_document
+from test_solver import CYCLES, _generated_document
 
 from catbound.catalog import link
 from catbound.cli import solution_json
+from catbound.cones import general_bundle_bound, product_bound
 from catbound.corpus import parse_sources, read_sources
 from catbound.dsl import KnownFact, parse, ring_presentation
 from catbound.solver import CHAIN, propagate
@@ -214,6 +221,51 @@ def test_declaration_order_changes_no_bound_and_no_credit(source):
             got = propagate(catalog, rule_seed=rule_seed)
             assert solution_json(got) == report, (shuffle, rule_seed)
             assert got == want, (shuffle, rule_seed)
+
+
+# rule -> (its detail's two read ends, its bound of them)
+_DETAIL_READS = {
+    "product": (re.compile(r": (\d+) \+ (\d+)$"), product_bound),
+    "fiber-base": (re.compile(r": \((\d+)\+1\)\((\d+)\+1\)-1$"), general_bundle_bound),
+}
+
+
+def _credits_read_final_ends(solution):
+    """(stale credits, product and fiber-base credits, chain credits): a
+    credit is stale when the final ends it reads do not give its value."""
+    stale, counts = [], {"inflow": 0, "chain": 0}
+    for space in solution.provenance:
+        for credit in solution.provenance[space]:
+            if credit.rule not in (*_DETAIL_READS, "chain"):
+                continue
+            read = solution.provenance.inputs(space, credit.invariant, credit.side)
+            ends = [getattr(solution.interval(name, inv), side) for name, inv, side in read]
+            if credit.rule == "chain":
+                counts["chain"] += 1
+                final = ends == [credit.value]
+            else:
+                counts["inflow"] += 1
+                pattern, bound = _DETAIL_READS[credit.rule]
+                detail = [int(n) for n in pattern.search(credit.detail).groups()]
+                final = ends == detail and bound(*detail) == credit.value
+            if not final:
+                stale.append((credit, read, ends))
+    return stale, counts["inflow"], counts["chain"]
+
+
+@pytest.mark.parametrize("source", [*SOURCES, *CYCLES])
+def test_every_credit_reads_final_ends(source):
+    docs = [parse(CYCLES[source])] if source in CYCLES else _documents(source)
+    catalog = link(docs)
+    for rule_seed in (None, 1):
+        stale, inflow, chain = _credits_read_final_ends(propagate(catalog, rule_seed=rule_seed))
+        assert not stale, rule_seed
+        # not vacuous: the corpus credits SO(8)'s cat and Cat uppers to its
+        # product, and every cycle has an inflow credit
+        if source == "corpus":
+            assert inflow == 2 and chain > 0, rule_seed
+        if source in CYCLES:
+            assert inflow > 0, rule_seed
 
 
 def _ground_truth():

@@ -10,6 +10,7 @@ from collections import namedtuple
 import pytest
 from hypothesis import given, strategies as st
 from reference_render import _quote, render
+from reference_search import one
 
 from catbound.algebra import RingPresentation, Substitution
 from catbound.catalog import LinkError, link
@@ -59,7 +60,7 @@ def every_record():
     return [
         ring.generators[0],
         Substitution(2, 1, (("x", 1),)),
-        ring.one(),
+        one(ring),
         ring.factors[0],
         catalog.spaces["F"].stages[0],
         bundle.fiber_decomposition,

@@ -375,11 +375,11 @@ SOLVE_WORK = {
     1: [(7, 1, 3), (7, 1, 3), (7, 1, 3), (7, 1, 3)],
     2: [(13, 1, 1), (13, 1, 1), (13, 1, 1), (13, 1, 1)],
     3: [(8, 1, 2), (8, 1, 2), (8, 1, 2), (8, 1, 2)],
-    4: [(8, 1, 2), (8, 1, 2), (7, 1, 2), (8, 1, 2)],
+    4: [(8, 1, 2), (7, 1, 2), (8, 1, 2), (8, 1, 2)],
     5: [(10, 1, 2), (10, 1, 2), (10, 1, 2), (10, 1, 2)],
     6: [(13, 1, 2), (13, 1, 2), (13, 1, 2), (13, 1, 2)],
-    7: [(9, 1, 4), (10, 1, 4), (10, 1, 4), (10, 1, 4)],
-    8: [(8, 1, 3), (8, 1, 3), (9, 1, 3), (9, 1, 3)],
+    7: [(9, 1, 4), (10, 1, 4), (9, 1, 4), (9, 1, 4)],
+    8: [(8, 1, 3), (9, 1, 3), (9, 1, 3), (9, 1, 3)],
     9: [(9, 1, 0), (9, 1, 0), (9, 1, 0), (9, 1, 0)],
 }
 
